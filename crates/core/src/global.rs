@@ -32,6 +32,7 @@ use mqmd_grid::{DomainDecomposition, UniformGrid3};
 use mqmd_linalg::CMatrix;
 use mqmd_md::{AtomicSystem, ForceField, ForceResult};
 use mqmd_multigrid::{FftPoisson, MgHierarchy, PoissonMultigrid};
+use mqmd_util::flops::par_min_len;
 use mqmd_util::workspace::{self, Workspace};
 use mqmd_util::{faults, MqmdError, Result, Vec3};
 use rayon::prelude::*;
@@ -836,8 +837,11 @@ pub fn assemble_density(
 ) -> Vec<f64> {
     let by_id: HashMap<usize, &DomainSetup> = setups.iter().map(|s| (s.domain.id, s)).collect();
     let (nx, ny, nz) = global_grid.dims();
+    // A grid point costs a few hundred FLOPs: the partition weights of the
+    // domains covering it and one trilinear interpolation in each.
     let mut rho_out: Vec<f64> = (0..nx * ny * nz)
         .into_par_iter()
+        .with_min_len(par_min_len(256))
         .map(|flat| {
             let (ix, iy, iz) = global_grid.coords(flat);
             let r = global_grid.position(ix, iy, iz);

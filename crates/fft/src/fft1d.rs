@@ -13,6 +13,8 @@ use mqmd_util::Complex64;
 /// A planned forward/inverse complex FFT of fixed length.
 pub struct Fft1d {
     n: usize,
+    /// Analytic FLOPs of one transform (see [`Fft1d::flops`]).
+    flops: u64,
     kind: Kind,
 }
 
@@ -46,6 +48,7 @@ impl Fft1d {
             }
             Self {
                 n,
+                flops: fft_flops(n as u64),
                 kind: Kind::Pow2 { stages },
             }
         } else {
@@ -71,6 +74,7 @@ impl Fft1d {
             inner.forward(&mut kernel);
             Self {
                 n,
+                flops: fft_flops(n as u64) + 2 * inner.flops,
                 kind: Kind::Bluestein {
                     m,
                     inner,
@@ -91,6 +95,13 @@ impl Fft1d {
         false
     }
 
+    /// Analytic FLOPs one forward or inverse transform adds to the tally:
+    /// `5·n·log₂n`, plus, for a Bluestein length, the two power-of-two
+    /// transforms of the padded convolution inside it.
+    pub fn flops(&self) -> u64 {
+        self.flops
+    }
+
     /// In-place forward DFT: `X_k = Σ_j x_j·exp(−2πi·jk/n)`.
     ///
     /// Dispatches to the vectorized Stockham butterflies when the `simd`
@@ -101,18 +112,26 @@ impl Fft1d {
     /// # Panics
     /// Panics if `x.len() != self.len()`.
     pub fn forward(&self, x: &mut [Complex64]) {
+        count_flops(self.flops);
+        self.forward_untallied(x);
+    }
+
+    /// [`Fft1d::forward`] without the FLOP tally, for [`crate::Fft3d`]: it
+    /// tallies a whole 3-D transform in one addition, where one per pencil
+    /// made the tally's cache line the busiest in a threaded run.
+    pub(crate) fn forward_untallied(&self, x: &mut [Complex64]) {
         self.forward_impl(x, mqmd_util::simd::simd_available());
     }
 
     /// Scalar reference for [`Fft1d::forward`] — always compiled, used by
     /// the differential tests.
     pub fn forward_scalar(&self, x: &mut [Complex64]) {
+        count_flops(self.flops);
         self.forward_impl(x, false);
     }
 
     fn forward_impl(&self, x: &mut [Complex64], use_simd: bool) {
         assert_eq!(x.len(), self.n, "buffer length mismatch");
-        count_flops(fft_flops(self.n as u64));
         match &self.kind {
             Kind::Pow2 { stages } => {
                 let mut scratch = vec![Complex64::ZERO; self.n];
@@ -144,11 +163,19 @@ impl Fft1d {
     /// In-place inverse DFT (unitary up to the conventional 1/n scaling):
     /// `x_j = (1/n)·Σ_k X_k·exp(+2πi·jk/n)`.
     pub fn inverse(&self, x: &mut [Complex64]) {
+        count_flops(self.flops);
+        self.inverse_untallied(x);
+    }
+
+    /// [`Fft1d::inverse`] without the FLOP tally (see
+    /// [`Fft1d::forward_untallied`]).
+    pub(crate) fn inverse_untallied(&self, x: &mut [Complex64]) {
         self.inverse_impl(x, mqmd_util::simd::simd_available());
     }
 
     /// Scalar reference for [`Fft1d::inverse`].
     pub fn inverse_scalar(&self, x: &mut [Complex64]) {
+        count_flops(self.flops);
         self.inverse_impl(x, false);
     }
 

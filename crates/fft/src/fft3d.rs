@@ -22,6 +22,7 @@
 //! this).
 
 use crate::fft1d::Fft1d;
+use mqmd_util::flops::{count_flops, par_min_len};
 use mqmd_util::workspace::Workspace;
 use mqmd_util::Complex64;
 use rayon::prelude::*;
@@ -136,38 +137,50 @@ impl Fft3d {
         // Three axis sweeps, each streaming the field once in and once out.
         mqmd_util::trace::add_bytes(6 * 16 * data.len() as u64);
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
+        // FLOPs of every pencil of all three sweeps, tallied here once (the
+        // pencils themselves run untallied; a length-1 axis counts zero).
+        let pencils = |n: usize| (data.len() / n) as u64;
+        count_flops(
+            pencils(nz) * self.plan_z.flops()
+                + pencils(ny) * self.plan_y.flops()
+                + pencils(nx) * self.plan_x.flops(),
+        );
 
         // Axis z: contiguous lines of length nz — no gather needed.
         if nz > 1 {
-            data.par_chunks_mut(nz).for_each(|line| {
-                if fwd {
-                    self.plan_z.forward(line);
-                } else {
-                    self.plan_z.inverse(line);
-                }
-            });
+            data.par_chunks_mut(nz)
+                .with_min_len(par_min_len(self.plan_z.flops()))
+                .for_each(|line| {
+                    if fwd {
+                        self.plan_z.forward_untallied(line);
+                    } else {
+                        self.plan_z.inverse_untallied(line);
+                    }
+                });
         }
 
         // Axis y: stride nz within each x-plane; parallel over x-planes,
         // one scratch acquisition per plane task.
         if ny > 1 {
-            data.par_chunks_mut(ny * nz).for_each(|plane| {
-                Self::with_scratch(ws, ny, |buf| {
-                    for iz in 0..nz {
-                        for iy in 0..ny {
-                            buf[iy] = plane[iy * nz + iz];
+            data.par_chunks_mut(ny * nz)
+                .with_min_len(par_min_len(nz as u64 * self.plan_y.flops()))
+                .for_each(|plane| {
+                    Self::with_scratch(ws, ny, |buf| {
+                        for iz in 0..nz {
+                            for iy in 0..ny {
+                                buf[iy] = plane[iy * nz + iz];
+                            }
+                            if fwd {
+                                self.plan_y.forward_untallied(buf);
+                            } else {
+                                self.plan_y.inverse_untallied(buf);
+                            }
+                            for iy in 0..ny {
+                                plane[iy * nz + iz] = buf[iy];
+                            }
                         }
-                        if fwd {
-                            self.plan_y.forward(buf);
-                        } else {
-                            self.plan_y.inverse(buf);
-                        }
-                        for iy in 0..ny {
-                            plane[iy * nz + iz] = buf[iy];
-                        }
-                    }
+                    });
                 });
-            });
         }
 
         // Axis x: stride ny*nz; parallel over (iy, iz) pencils. The yz
@@ -183,31 +196,35 @@ impl Fft3d {
                 .max(1);
             let n_chunks = stride.div_ceil(chunk);
             let ptr = SendPtr(data.as_mut_ptr());
-            (0..n_chunks).into_par_iter().for_each(|c| {
-                let p = ptr; // copy the Send wrapper into the closure
-                Self::with_scratch(ws, nx, |buf| {
-                    for yz in c * chunk..(c * chunk + chunk).min(stride) {
-                        // SAFETY: pencil `yz` reads/writes only indices
-                        // yz + ix*stride, which are disjoint across distinct
-                        // yz values in [0, stride).
-                        unsafe {
-                            for ix in 0..nx {
-                                buf[ix] = *p.0.add(yz + ix * stride);
+            let per_chunk = chunk as u64 * self.plan_x.flops();
+            (0..n_chunks)
+                .into_par_iter()
+                .with_min_len(par_min_len(per_chunk))
+                .for_each(|c| {
+                    let p = ptr; // copy the Send wrapper into the closure
+                    Self::with_scratch(ws, nx, |buf| {
+                        for yz in c * chunk..(c * chunk + chunk).min(stride) {
+                            // SAFETY: pencil `yz` reads/writes only indices
+                            // yz + ix*stride, which are disjoint across distinct
+                            // yz values in [0, stride).
+                            unsafe {
+                                for ix in 0..nx {
+                                    buf[ix] = *p.0.add(yz + ix * stride);
+                                }
+                            }
+                            if fwd {
+                                self.plan_x.forward_untallied(buf);
+                            } else {
+                                self.plan_x.inverse_untallied(buf);
+                            }
+                            unsafe {
+                                for ix in 0..nx {
+                                    *p.0.add(yz + ix * stride) = buf[ix];
+                                }
                             }
                         }
-                        if fwd {
-                            self.plan_x.forward(buf);
-                        } else {
-                            self.plan_x.inverse(buf);
-                        }
-                        unsafe {
-                            for ix in 0..nx {
-                                *p.0.add(yz + ix * stride) = buf[ix];
-                            }
-                        }
-                    }
+                    });
                 });
-            });
         }
     }
 }

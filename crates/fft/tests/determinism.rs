@@ -63,13 +63,19 @@ fn fft3d_repeated_runs_are_bitwise_identical() {
 
 #[test]
 fn fft3d_is_thread_count_invariant() {
-    for (nx, ny, nz) in [(16, 16, 16), (3, 5, 7), (9, 8, 4)] {
+    // The first three are at or below the grain cut-off and run (mostly)
+    // inline; 32×24×20 has all three of its sweeps handed to the pool.
+    for (nx, ny, nz) in [(16, 16, 16), (3, 5, 7), (9, 8, 4), (32, 24, 20)] {
         let plan = Fft3d::new(nx, ny, nz);
         let input = random_field(plan.len(), (nx + ny + nz) as u64);
         let serial = forward_with_threads(&plan, &input, Some(1));
         for threads in [2, 3, 8] {
+            let dispatched = rayon::pool_dispatches();
             let parallel = forward_with_threads(&plan, &input, Some(threads));
             assert_bits_eq(&serial, &parallel, &format!("{nx}x{ny}x{nz} @ {threads}t"));
+            if nx == 32 {
+                assert_eq!(rayon::pool_dispatches() - dispatched, 3);
+            }
         }
         let default_pool = forward_with_threads(&plan, &input, None);
         assert_bits_eq(&serial, &default_pool, &format!("{nx}x{ny}x{nz} @ default"));
@@ -108,7 +114,9 @@ fn fft3d_inverse_is_thread_count_invariant() {
 /// fresh `vec!`; reuse must not be observable in the numerics.
 #[test]
 fn fft3d_scratch_reuse_is_bitwise_deterministic() {
-    for (nx, ny, nz) in [(16, 16, 16), (3, 5, 7), (12, 10, 6)] {
+    // The last shape is above the grain cut-off, so that pool workers'
+    // scratch lines are among the reused ones.
+    for (nx, ny, nz) in [(16, 16, 16), (3, 5, 7), (12, 10, 6), (32, 24, 20)] {
         let plan = Fft3d::new(nx, ny, nz);
         let input = random_field(plan.len(), (nx * 7 + ny * 5 + nz) as u64);
         // Cold reference on a fresh 1-thread pool (fresh worker threads =

@@ -86,28 +86,36 @@ proptest! {
 /// workers the pool happens to have.
 #[test]
 fn fft3d_is_bitwise_deterministic_across_thread_counts() {
-    let plan = Fft3d::new(12, 8, 10);
-    let x = random_signal(plan.len(), 42);
-    let reference = {
-        let mut y = x.clone();
-        plan.forward(&mut y);
-        plan.inverse(&mut y);
-        y
-    };
-    for threads in [1usize, 2, 4] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("test pool");
-        let got = pool.install(|| {
+    // 32×24×20 (one power-of-two and two Bluestein axes) is above the grain
+    // cut-off on all three sweeps of both transforms.
+    for ((nx, ny, nz), pooled) in [((12, 8, 10), false), ((32, 24, 20), true)] {
+        let plan = Fft3d::new(nx, ny, nz);
+        let x = random_signal(plan.len(), 42);
+        let round_trip = || {
             let mut y = x.clone();
             plan.forward(&mut y);
             plan.inverse(&mut y);
             y
-        });
-        assert!(
-            bits_eq(&got, &reference),
-            "{threads}-thread fft3d round trip diverged"
-        );
+        };
+        let reference = round_trip();
+        for threads in [1usize, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("test pool");
+            let dispatched = rayon::pool_dispatches();
+            let got = pool.install(round_trip);
+            assert!(
+                bits_eq(&got, &reference),
+                "{threads}-thread {nx}x{ny}x{nz} round trip diverged"
+            );
+            if pooled && threads > 1 {
+                assert_eq!(
+                    rayon::pool_dispatches() - dispatched,
+                    6,
+                    "{threads}-thread {nx}x{ny}x{nz}: sweeps handed to the pool"
+                );
+            }
+        }
     }
 }

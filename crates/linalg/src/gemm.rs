@@ -40,7 +40,7 @@
 
 use crate::cmatrix::CMatrix;
 use crate::matrix::Matrix;
-use mqmd_util::flops::{count_flops, gemm_flops, zgemm_flops};
+use mqmd_util::flops::{count_flops, gemm_flops, par_min_len, zgemm_flops};
 use mqmd_util::workspace::{BorrowedC64, Workspace};
 use mqmd_util::Complex64;
 use rayon::prelude::*;
@@ -96,6 +96,11 @@ pub fn dgemm_scalar(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matri
     let b_data = b.data();
     c.data_mut()
         .par_chunks_mut(ROW_BLOCK * n)
+        .with_min_len(par_min_len(gemm_flops(
+            ROW_BLOCK as u64,
+            n as u64,
+            k as u64,
+        )))
         .enumerate()
         .for_each(|(blk, c_rows)| {
             let i0 = blk * ROW_BLOCK;
@@ -150,6 +155,11 @@ pub fn dgemm_simd(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix)
         let b_data = b.data();
         c.data_mut()
             .par_chunks_mut(ROW_BLOCK * n)
+            .with_min_len(par_min_len(gemm_flops(
+                ROW_BLOCK as u64,
+                n as u64,
+                k as u64,
+            )))
             .enumerate()
             .for_each(|(blk, c_rows)| {
                 avx::with_pack(k * MR, |pack| {
@@ -223,6 +233,11 @@ pub fn zgemm_scalar(alpha: Complex64, a: &CMatrix, b: &CMatrix, beta: Complex64,
     let b_data = b.data();
     c.data_mut()
         .par_chunks_mut(ROW_BLOCK * n)
+        .with_min_len(par_min_len(zgemm_flops(
+            ROW_BLOCK as u64,
+            n as u64,
+            k as u64,
+        )))
         .enumerate()
         .for_each(|(blk, c_rows)| {
             let i0 = blk * ROW_BLOCK;
@@ -275,6 +290,11 @@ pub fn zgemm_simd(alpha: Complex64, a: &CMatrix, b: &CMatrix, beta: Complex64, c
         let b_data = b.data();
         c.data_mut()
             .par_chunks_mut(ROW_BLOCK * n)
+            .with_min_len(par_min_len(zgemm_flops(
+                ROW_BLOCK as u64,
+                n as u64,
+                k as u64,
+            )))
             .enumerate()
             .for_each(|(blk, c_rows)| {
                 let i0 = blk * ROW_BLOCK;
@@ -370,6 +390,7 @@ pub fn zgemm_dagger_a_into(a: &CMatrix, b: &CMatrix, out: &mut CMatrix, ws: &Wor
     let chunk = 1024usize.max(np.div_ceil(64));
     let partials: Vec<BorrowedC64<'_>> = (0..np)
         .into_par_iter()
+        .with_min_len(par_min_len(zgemm_flops(na as u64, nb as u64, 1)))
         .step_by(chunk)
         .map(|g0| {
             let g1 = (g0 + chunk).min(np);

@@ -139,9 +139,13 @@ fn empty_and_unit_edges_agree() {
 /// Runs `f` on rayon pools of 1, 2, and 4 threads and asserts every run
 /// produces bitwise identical output — the parallel GEMM splits and the
 /// daggered-GEMM reduction chunking are pure functions of the shape, so
-/// the schedule may differ but the arithmetic may not.
+/// the schedule may differ but the arithmetic may not. `pooled` says the
+/// shape is above the kernels' grain cut-off: its multi-thread runs must
+/// then really have gone to the thread pool, or the pin would compare the
+/// inline loop with itself.
 fn assert_thread_count_invariant<T: PartialEq + std::fmt::Debug>(
     label: &str,
+    pooled: bool,
     f: impl Fn() -> T + Send + Sync,
 ) {
     let reference = f();
@@ -150,8 +154,13 @@ fn assert_thread_count_invariant<T: PartialEq + std::fmt::Debug>(
             .num_threads(threads)
             .build()
             .expect("test pool");
+        let dispatched = rayon::pool_dispatches();
         let got = pool.install(&f);
         assert_eq!(got, reference, "{label}: {threads}-thread run diverged");
+        assert!(
+            rayon::pool_dispatches() > dispatched || !pooled || threads == 1,
+            "{label}: {threads}-thread run never reached the thread pool"
+        );
     }
 }
 
@@ -167,8 +176,16 @@ fn dgemm_is_bitwise_deterministic_across_thread_counts() {
     // 70 rows straddles the ROW_BLOCK=32 parallel split twice.
     let a = positive_matrix(70, 17, 21);
     let b = positive_matrix(17, 9, 22);
-    assert_thread_count_invariant("dgemm", || {
+    assert_thread_count_invariant("dgemm", false, || {
         let mut c = Matrix::zeros(70, 9);
+        dgemm_simd(1.0, &a, &b, 0.0, &mut c);
+        c.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+    });
+    // Sixteen row blocks of 131 kFLOP each: above the grain cut-off.
+    let a = positive_matrix(512, 64, 26);
+    let b = positive_matrix(64, 32, 27);
+    assert_thread_count_invariant("dgemm 512x64x32", true, || {
+        let mut c = Matrix::zeros(512, 32);
         dgemm_simd(1.0, &a, &b, 0.0, &mut c);
         c.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
     });
@@ -180,15 +197,21 @@ fn zgemm_dagger_a_is_bitwise_deterministic_across_thread_counts() {
     // chunking must be a pure function of np, not of the worker count.
     let psi = random_cmatrix(3000, 6, 23);
     let phi = random_cmatrix(3000, 5, 24);
-    assert_thread_count_invariant("zgemm_dagger_a", || bits_of(&zgemm_dagger_a(&psi, &phi)));
+    assert_thread_count_invariant("zgemm_dagger_a", true, || {
+        bits_of(&zgemm_dagger_a(&psi, &phi))
+    });
 }
 
 #[test]
 fn orthonormalization_is_bitwise_deterministic_across_thread_counts() {
-    let psi0 = random_cmatrix(400, 7, 25);
-    assert_thread_count_invariant("cholesky_orthonormalize", || {
-        let mut psi = psi0.clone();
-        cholesky_orthonormalize(&mut psi).expect("random bands orthonormalize");
-        bits_of(&psi)
-    });
+    // The second shape, 4096 plane waves by 16 bands, has its overlap
+    // reduction and its back-substitution GEMM above the grain cut-off.
+    for (np, nb, pooled) in [(400, 7, false), (4096, 16, true)] {
+        let psi0 = random_cmatrix(np, nb, 25);
+        assert_thread_count_invariant("cholesky_orthonormalize", pooled, || {
+            let mut psi = psi0.clone();
+            cholesky_orthonormalize(&mut psi).expect("random bands orthonormalize");
+            bits_of(&psi)
+        });
+    }
 }

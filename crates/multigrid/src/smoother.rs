@@ -1,6 +1,7 @@
 //! Relaxation smoothers for the multigrid hierarchy.
 
 use mqmd_grid::UniformGrid3;
+use mqmd_util::flops::par_min_len;
 use rayon::prelude::*;
 
 /// One weighted-Jacobi sweep for `∇²u = f` with weight `omega`
@@ -14,6 +15,7 @@ pub fn jacobi_sweep(grid: &UniformGrid3, u: &mut [f64], f: &[f64], omega: f64) {
 
     let u_old = u.to_vec();
     u.par_chunks_mut(ny * nz)
+        .with_min_len(par_min_len(13 * (ny * nz) as u64))
         .enumerate()
         .for_each(|(ix, plane)| {
             let xm = (ix + nx - 1) % nx;
@@ -34,6 +36,12 @@ pub fn jacobi_sweep(grid: &UniformGrid3, u: &mut [f64], f: &[f64], omega: f64) {
                 }
             }
         });
+}
+
+/// Grain of one red-black quarter-sweep over x-planes: every other plane
+/// updates half of its `ny·nz` cells at 11 FLOPs each.
+fn plane_min_len(ny: usize, nz: usize) -> usize {
+    par_min_len(11 * (ny * nz) as u64 / 4)
 }
 
 /// One red-black Gauss–Seidel sweep (both colours) for `∇²u = f`.
@@ -77,6 +85,7 @@ pub fn rbgs_sweep_scalar(grid: &UniformGrid3, u: &mut [f64], f: &[f64]) {
             let uptr = SendPtr(u.as_mut_ptr());
             (0..nx)
                 .into_par_iter()
+                .with_min_len(plane_min_len(ny, nz))
                 .filter(|ix| ix % 2 == plane_parity)
                 .for_each(|ix| {
                     let p = uptr;
@@ -137,6 +146,7 @@ pub fn rbgs_sweep_simd(grid: &UniformGrid3, u: &mut [f64], f: &[f64]) {
                 let uptr = SendPtr(u.as_mut_ptr());
                 (0..nx)
                     .into_par_iter()
+                    .with_min_len(plane_min_len(ny, nz))
                     .filter(|ix| ix % 2 == plane_parity)
                     .for_each(|ix| {
                         let p = uptr;

@@ -1,6 +1,7 @@
 //! Periodic 7-point Laplacian stencil.
 
 use mqmd_grid::UniformGrid3;
+use mqmd_util::flops::par_min_len;
 use rayon::prelude::*;
 
 /// Applies the second-order 7-point Laplacian with periodic boundary
@@ -14,6 +15,7 @@ pub fn apply_laplacian(grid: &UniformGrid3, u: &[f64], out: &mut [f64]) {
     let diag = -2.0 * (cx + cy + cz);
 
     out.par_chunks_mut(ny * nz)
+        .with_min_len(par_min_len(10 * (ny * nz) as u64))
         .enumerate()
         .for_each(|(ix, plane)| {
             let xm = (ix + nx - 1) % nx;

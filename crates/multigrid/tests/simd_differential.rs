@@ -59,28 +59,32 @@ proptest! {
 /// not depend on the rayon worker count.
 #[test]
 fn rbgs_is_bitwise_deterministic_across_thread_counts() {
-    let grid = UniformGrid3::cubic(16, 8.0);
-    let f = random_field(&grid, 7);
-    let reference = {
-        let mut u = vec![0.0; grid.len()];
-        for _ in 0..4 {
-            rbgs_sweep(&grid, &mut u, &f);
-        }
-        u
-    };
-    for threads in [1usize, 2, 4] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("test pool");
-        let got = pool.install(|| {
+    // 16³ runs inline at every width (a multigrid coarse level); 48³ is
+    // above the smoother's grain cut-off and must go to the thread pool.
+    for (n, pooled) in [(16, false), (48, true)] {
+        let grid = UniformGrid3::cubic(n, 8.0);
+        let f = random_field(&grid, 7);
+        let sweep4 = || {
             let mut u = vec![0.0; grid.len()];
             for _ in 0..4 {
                 rbgs_sweep(&grid, &mut u, &f);
             }
             u
-        });
-        assert_bits_eq(&got, &reference, &format!("{threads}-thread sweep"));
+        };
+        let reference = sweep4();
+        for threads in [1usize, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("test pool");
+            let dispatched = rayon::pool_dispatches();
+            let got = pool.install(sweep4);
+            assert_bits_eq(&got, &reference, &format!("{n}³ {threads}-thread sweep"));
+            assert!(
+                rayon::pool_dispatches() > dispatched || !pooled || threads == 1,
+                "{n}³ {threads}-thread sweep never reached the thread pool"
+            );
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! these counts with its throughput model to produce the paper's
 //! GFLOP/s-vs-threads and %-of-peak tables.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A thread-safe FLOP tally.
 #[derive(Debug, Default)]
@@ -41,9 +41,31 @@ impl FlopCounter {
     }
 }
 
+/// Shards of the global tally. A power of two well above the thread counts
+/// this code runs at; with more threads than shards some share one, which
+/// costs speed and never a count.
+const SHARDS: usize = 16;
+
+/// One shard, on a cache line of its own.
+#[repr(align(64))]
+struct Shard(FlopCounter);
+
 /// Global tally used by the numerical kernels. Kernels call
 /// [`count_flops`]; benches call [`take_flops`] around a region of interest.
-static GLOBAL: FlopCounter = FlopCounter::new();
+///
+/// Sharded by thread: with one shared counter, two threads counting a few
+/// times per FFT spent their time passing its cache line back and forth
+/// (3–4 % of a two-thread QMD step). Every count lands in exactly one
+/// shard, and [`read_flops`] / [`take_flops`] visit them all, so totals are
+/// what a single counter would hold.
+static GLOBAL: [Shard; SHARDS] = [const { Shard(FlopCounter::new()) }; SHARDS];
+
+/// Hands shards out to threads round-robin.
+static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
+}
 
 /// Adds to the global FLOP tally, and — when [`crate::trace`] is enabled —
 /// attributes the same count to the innermost open trace span, so kernel
@@ -51,19 +73,38 @@ static GLOBAL: FlopCounter = FlopCounter::new();
 /// in the kernels.
 #[inline]
 pub fn count_flops(n: u64) {
-    GLOBAL.add(n);
+    MY_SHARD.with(|&i| GLOBAL[i].0.add(n));
     crate::trace::add_flops(n);
 }
 
 /// Reads the global FLOP tally.
 pub fn read_flops() -> u64 {
-    GLOBAL.get()
+    GLOBAL.iter().map(|s| s.0.get()).sum()
 }
 
 /// Resets the global tally, returning the count accumulated since the last
 /// reset.
 pub fn take_flops() -> u64 {
-    GLOBAL.take()
+    GLOBAL.iter().map(|s| s.0.take()).sum()
+}
+
+/// Least work, in analytic FLOPs, that each thread of a parallel call must
+/// get before the call is worth handing to the thread pool; below twice
+/// this a loop runs inline on its caller.
+///
+/// Derived from the dispatch cost of the `rayon` shim's pool measured on
+/// the 2-vCPU reference container: 1 µs when the helper is still spinning
+/// for work, 12 µs on the caller (a futex wake) plus the helper's wake-up
+/// when it has parked. The kernels that use this sustain between
+/// 1.3 GFLOP/s (FFT pencils) and 16 GFLOP/s (the SIMD GEMM), so 2¹⁶ FLOPs
+/// are 4 µs of the fastest and 50 µs of the slowest: the fastest repays a
+/// hot dispatch four times over, the others repay a cold one.
+pub const MIN_PAR_FLOPS: u64 = 1 << 16;
+
+/// The `with_min_len` of a parallel loop whose items cost about
+/// `flops_per_item` each: the fewest items that hold [`MIN_PAR_FLOPS`].
+pub fn par_min_len(flops_per_item: u64) -> usize {
+    MIN_PAR_FLOPS.div_ceil(flops_per_item.max(1)) as usize
 }
 
 /// Analytic FLOP count of a real matrix multiply C(m×n) += A(m×k)·B(k×n).

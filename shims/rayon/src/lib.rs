@@ -3,36 +3,60 @@
 //! The workspace builds in network-isolated environments, so the real rayon
 //! crate may be unavailable; this shim implements exactly the surface the
 //! mqmd crates use — `par_iter`, `par_chunks_mut`, `into_par_iter` on
-//! `Range<usize>`, the `map`/`filter`/`filter_map`/`step_by` adapters, the
-//! `collect`/`for_each`/`sum` terminals, `current_num_threads`, and
-//! `ThreadPoolBuilder::install` — on top of `std::thread::scope`.
+//! `Range<usize>`, the `map`/`filter`/`filter_map`/`step_by`/`with_min_len`
+//! adapters, the `collect`/`for_each`/`sum` terminals,
+//! `current_num_threads`, and `ThreadPoolBuilder::install` — on top of one
+//! persistent, lazily started worker pool (`pool.rs`).
 //!
 //! Semantics preserved from rayon:
 //!
 //! * `collect()` preserves input order;
 //! * closures run concurrently when more than one thread is configured, so
 //!   they must be `Sync` and items `Send`;
-//! * panics in parallel closures propagate to the caller (via the scope).
+//! * a panic in a parallel closure reaches the caller with its payload, and
+//!   the pool stays usable;
+//! * `with_min_len(k)` keeps at least `k` consecutive items on one thread.
 //!
-//! Differences (documented, deliberate):
+//! How a call runs:
 //!
-//! * the thread count comes from `RAYON_NUM_THREADS` or
-//!   `available_parallelism`, and `ThreadPool::install` bounds parallelism
-//!   only for calls made from the closure's own thread;
-//! * threads are scoped per call rather than pooled — on the single-core
-//!   CI hosts this degenerates to inline serial execution with no spawn at
-//!   all, which also makes kernel timings deterministic.
+//! * The thread count comes from `RAYON_NUM_THREADS` or
+//!   `available_parallelism`; `ThreadPool::install(n)` runs its closure on
+//!   the calling thread and makes the calls issued from it `n`-way, for any
+//!   `n` — the pool grows to the widest request ever made and never
+//!   shrinks.
+//! * At one thread (environment, `install(1)`, one item, or fewer than
+//!   `2·min_len` items) a call is a plain loop on the caller. It touches no
+//!   pool state, and a process that only ever runs so starts no thread —
+//!   which is what a single-core CI host gets by default; the threaded path
+//!   runs there only under `RAYON_NUM_THREADS` or `install`.
+//! * Otherwise the caller publishes the call to the pool and takes part in
+//!   it: caller and helpers claim chunks of indices off one atomic cursor.
+//!   `sum()` and `collect()` store results per index and fold them in index
+//!   order afterwards, so a result never depends on who ran what.
+//! * **One level.** A `par_*` call made from inside a parallel closure — on
+//!   a pool worker or on the participating caller — runs inline on that
+//!   thread. Only the outermost loop fans out (in the solver: the domain
+//!   loop, else the band loop, else the FFT/GEMM/smoother sweeps). The
+//!   price, accepted until a host with more than two cores is measured:
+//!   an outer loop with fewer items than threads leaves threads idle.
+//! * Every worker is pooled: nothing is spawned per call, workers spin
+//!   briefly for the next call and then park, and a dispatch allocates
+//!   nothing.
 //!
 //! The shim additionally propagates the `mqmd_util::trace` span context
-//! into worker threads, so FLOP/byte counters recorded inside parallel
-//! kernels attribute to the span that was open at the call site, and
-//! assigns each spawned worker a `mqmd_util::events` worker lane so
-//! telemetry (and the Chrome-trace timeline) shows workers as separate
-//! rows.
+//! into the workers of each call, so FLOP/byte counters recorded inside
+//! parallel kernels attribute to the span that was open at the call site,
+//! and gives each pool worker one `mqmd_util::events` worker lane for its
+//! lifetime, so telemetry (and the Chrome-trace timeline) shows workers as
+//! a fixed set of rows.
+
+mod pool;
+
+#[doc(hidden)]
+pub use pool::{dispatches as pool_dispatches, workers as pool_workers};
 
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 pub mod prelude {
@@ -122,12 +146,15 @@ impl ThreadPool {
     /// Runs `f` with this pool's thread count governing parallel operations
     /// invoked from `f`'s thread.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        THREAD_OVERRIDE.with(|o| {
-            let prev = o.replace(Some(self.num_threads));
-            let out = f();
-            o.set(prev);
-            out
-        })
+        /// Puts the previous override back, also when `f` unwinds.
+        struct Restore(Option<usize>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                THREAD_OVERRIDE.with(|o| o.set(self.0));
+            }
+        }
+        let _restore = Restore(THREAD_OVERRIDE.with(|o| o.replace(Some(self.num_threads))));
+        f()
     }
 
     /// The pool's thread count.
@@ -140,48 +167,28 @@ impl ThreadPool {
 // Core parallel driver
 // ---------------------------------------------------------------------------
 
-/// Runs `f(0), …, f(n-1)` across the configured number of threads, with the
-/// caller participating. Chunked self-scheduling over an atomic cursor gives
-/// load balancing; single-thread configurations run inline with no spawn.
-fn run_indexed<F: Fn(usize) + Sync>(n: usize, f: F) {
-    let threads = current_num_threads().min(n).max(1);
-    if threads == 1 {
+/// Runs `f(0), …, f(n-1)`, on the caller alone when one thread is
+/// configured, fewer than `2·min_len` items exist, or the caller is already
+/// inside a parallel region; otherwise on the caller and pool workers, in
+/// chunks of at least `min_len` claimed off an atomic cursor.
+fn run_indexed<F: Fn(usize) + Sync>(n: usize, min_len: usize, f: F) {
+    let threads = if pool::in_parallel() {
+        1
+    } else {
+        current_num_threads().min(n / min_len)
+    };
+    if threads <= 1 {
         for i in 0..n {
             f(i);
         }
         return;
     }
-    let ctx = mqmd_util::trace::current_ctx();
-    let next = AtomicUsize::new(0);
-    let chunk = (n / (threads * 8)).max(1);
-    let worker = |install_ctx: bool| {
-        let _g = install_ctx.then(|| mqmd_util::trace::ContextGuard::enter(ctx));
-        // Spawned workers get their own telemetry lane (the caller keeps
-        // whatever lane it already has, typically main or a rank).
-        let _lane = install_ctx.then(mqmd_util::events::LaneGuard::worker);
-        loop {
-            let i0 = next.fetch_add(chunk, Ordering::Relaxed);
-            if i0 >= n {
-                break;
-            }
-            for i in i0..(i0 + chunk).min(n) {
-                f(i);
-            }
-        }
-    };
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (1..threads).map(|_| s.spawn(|| worker(true))).collect();
-        worker(false);
-        for h in handles {
-            if let Err(p) = h.join() {
-                std::panic::resume_unwind(p);
-            }
-        }
-    });
+    let chunk = (n / (threads * 8)).max(min_len);
+    pool::run(n, chunk, threads - 1, &f);
 }
 
 /// Order-preserving parallel map over `0..n`.
-fn map_indexed<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T> {
+fn map_indexed<T: Send, F: Fn(usize) -> T + Sync>(n: usize, min_len: usize, f: F) -> Vec<T> {
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     struct SendPtr<T>(*mut Option<T>);
     unsafe impl<T: Send> Send for SendPtr<T> {}
@@ -192,7 +199,7 @@ fn map_indexed<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T> {
         }
     }
     let ptr = SendPtr(out.as_mut_ptr());
-    run_indexed(n, |i| {
+    run_indexed(n, min_len, |i| {
         // SAFETY: each index i in [0, n) is visited exactly once by
         // run_indexed, so the writes are disjoint and in-bounds.
         unsafe {
@@ -247,6 +254,8 @@ impl<'a, T: Sync> Eval<&'a T> for SliceEval<'a, T> {
 /// A parallel pipeline over an indexed source of `n` elements.
 pub struct ParIter<T, E> {
     n: usize,
+    /// Fewest consecutive items one thread takes (see `with_min_len`).
+    min_len: usize,
     eval: E,
     _marker: PhantomData<fn() -> T>,
 }
@@ -256,6 +265,14 @@ where
     T: Send,
     E: Eval<T>,
 {
+    /// Keeps at least `min` consecutive items on one thread, so a call with
+    /// fewer than `2·min` items runs inline on the caller: the grain cut-off
+    /// for loops whose items are too small to repay a dispatch.
+    pub fn with_min_len(mut self, min: usize) -> Self {
+        self.min_len = min.max(1);
+        self
+    }
+
     /// Maps each item through `g`.
     pub fn map<U: Send, G>(self, g: G) -> ParIter<U, impl Eval<U>>
     where
@@ -264,6 +281,7 @@ where
         let eval = self.eval;
         ParIter {
             n: self.n,
+            min_len: self.min_len,
             eval: move |i| eval.eval(i).map(&g),
             _marker: PhantomData,
         }
@@ -277,6 +295,7 @@ where
         let eval = self.eval;
         ParIter {
             n: self.n,
+            min_len: self.min_len,
             eval: move |i| eval.eval(i).filter(&p),
             _marker: PhantomData,
         }
@@ -290,6 +309,7 @@ where
         let eval = self.eval;
         ParIter {
             n: self.n,
+            min_len: self.min_len,
             eval: move |i| eval.eval(i).and_then(&g),
             _marker: PhantomData,
         }
@@ -301,6 +321,7 @@ where
         let eval = self.eval;
         ParIter {
             n: self.n.div_ceil(step),
+            min_len: self.min_len.div_ceil(step),
             eval: move |i| eval.eval(i * step),
             _marker: PhantomData,
         }
@@ -312,7 +333,7 @@ where
         G: Fn(T) + Sync,
     {
         let eval = self.eval;
-        run_indexed(self.n, |i| {
+        run_indexed(self.n, self.min_len, |i| {
             if let Some(v) = eval.eval(i) {
                 f(v);
             }
@@ -322,7 +343,7 @@ where
     /// Collects surviving items, preserving source order.
     pub fn collect<C: FromParIter<T>>(self) -> C {
         let eval = self.eval;
-        let parts = map_indexed(self.n, |i| eval.eval(i));
+        let parts = map_indexed(self.n, self.min_len, |i| eval.eval(i));
         C::from_options(parts)
     }
 
@@ -332,7 +353,7 @@ where
         S: std::iter::Sum<T>,
     {
         let eval = self.eval;
-        let parts = map_indexed(self.n, |i| eval.eval(i));
+        let parts = map_indexed(self.n, self.min_len, |i| eval.eval(i));
         parts.into_iter().flatten().sum()
     }
 }
@@ -377,6 +398,7 @@ impl IntoParallelIterator for std::ops::Range<usize> {
         let n = self.end.saturating_sub(self.start);
         ParIter {
             n,
+            min_len: 1,
             eval: RangeEval { start },
             _marker: PhantomData,
         }
@@ -393,6 +415,7 @@ impl<T: Sync> ParallelSlice<T> for [T] {
     fn par_iter(&self) -> ParIter<&T, SliceEval<'_, T>> {
         ParIter {
             n: self.len(),
+            min_len: 1,
             eval: SliceEval { data: self },
             _marker: PhantomData,
         }
@@ -412,6 +435,7 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
         ParChunksMut {
             data: self,
             chunk_size,
+            min_len: 1,
         }
     }
 }
@@ -420,9 +444,17 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
 pub struct ParChunksMut<'a, T> {
     data: &'a mut [T],
     chunk_size: usize,
+    min_len: usize,
 }
 
 impl<'a, T: Send> ParChunksMut<'a, T> {
+    /// Keeps at least `min` consecutive chunks on one thread (see
+    /// [`ParIter::with_min_len`]).
+    pub fn with_min_len(mut self, min: usize) -> Self {
+        self.min_len = min.max(1);
+        self
+    }
+
     /// Pairs each chunk with its index.
     pub fn enumerate(self) -> EnumChunksMut<'a, T> {
         EnumChunksMut { inner: self }
@@ -460,7 +492,7 @@ impl<T: Send> EnumChunksMut<'_, T> {
             }
         }
         let ptr = SendPtr(self.inner.data.as_mut_ptr());
-        run_indexed(n_chunks, |ci| {
+        run_indexed(n_chunks, self.inner.min_len, |ci| {
             let start = ci * chunk_size;
             let end = (start + chunk_size).min(len);
             // SAFETY: chunks [start, end) are pairwise disjoint across ci and
@@ -535,27 +567,192 @@ mod tests {
     }
 
     #[test]
+    fn install_restores_the_override_when_its_closure_unwinds() {
+        let before = current_num_threads();
+        let pool3 = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let caught = std::panic::catch_unwind(|| pool3.install(|| panic!("job failed")));
+        assert!(caught.is_err());
+        assert_eq!(current_num_threads(), before);
+    }
+
+    /// Runs `f` once on each of `width` threads at the same time: a call of
+    /// `width` items under `install(width)`, each of which waits until all
+    /// are running before it calls `f`. `None` if they never met — the wait
+    /// is bounded, so that a pool that lost a worker fails a test rather
+    /// than hanging it. Such calls hold workers, and two of them at once
+    /// could starve each other, so they take turns.
+    fn at_full_width<R: Send>(width: usize, f: impl Fn() -> R + Sync) -> Option<Vec<R>> {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+        let arrived = AtomicUsize::new(0);
+        let pool = ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+        pool.install(|| {
+            (0..width)
+                .into_par_iter()
+                .map(|_| {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(20);
+                    while arrived.load(Ordering::SeqCst) < width {
+                        if Instant::now() > deadline {
+                            return None;
+                        }
+                        std::thread::yield_now();
+                    }
+                    Some(f())
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .collect()
+        })
+    }
+
+    #[test]
     fn spawned_workers_get_worker_lanes() {
         use mqmd_util::events::{current_lane, Lane};
         use std::collections::BTreeSet;
         use std::sync::Mutex;
+        let before = at_full_width(4, current_lane).expect("four threads");
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let lanes = Mutex::new(BTreeSet::new());
         pool.install(|| {
-            (0..1000).into_par_iter().for_each(|_| {
-                lanes.lock().unwrap().insert(current_lane());
-            });
+            for _ in 0..1000 {
+                (0..64).into_par_iter().for_each(|_| {
+                    lanes.lock().unwrap().insert(current_lane());
+                });
+            }
         });
-        let lanes = lanes.into_inner().unwrap();
+        let after = at_full_width(4, current_lane).expect("four threads");
+        let mut lanes = lanes.into_inner().unwrap();
+        lanes.extend(before);
+        lanes.extend(after);
         let workers = lanes
             .iter()
             .filter(|&&l| matches!(Lane::decode(l), Lane::Worker(_)))
             .count();
-        // 3 spawned threads get worker lanes; the caller participates on
-        // its own (control) lane. Scheduling may starve a spawned thread,
-        // but at least one must have run to cover 1000 items.
-        assert!(workers >= 1, "lanes: {lanes:?}");
-        assert!(lanes.len() <= 4);
+        // The caller takes part on its own (control) lane. 1,002 calls later
+        // there are no more worker rows in the timeline than pool workers:
+        // three, unless this host's default width is above four.
+        assert!(workers >= 3, "lanes: {lanes:?}");
+        assert!(workers <= pool_workers(), "lanes: {lanes:?}");
+        assert_eq!(lanes.len(), workers + 1, "lanes: {lanes:?}");
+        assert_eq!(pool_workers(), 3.max(super::default_num_threads() - 1));
+    }
+
+    #[test]
+    fn nested_call_runs_inline_on_its_parents_thread() {
+        use std::thread::current;
+        // All four threads hold one outer item each.
+        let outer = at_full_width(4, || {
+            let dispatched = pool_dispatches();
+            let inner: Vec<_> = (0..256).into_par_iter().map(|_| current().id()).collect();
+            (current().id(), inner, pool_dispatches() - dispatched)
+        })
+        .expect("four threads");
+        let distinct: std::collections::HashSet<_> = outer.iter().map(|o| o.0).collect();
+        assert_eq!(distinct.len(), 4);
+        for (parent, inner, dispatched) in &outer {
+            assert!(inner.iter().all(|id| id == parent));
+            assert_eq!(*dispatched, 0);
+        }
+        // The caller is outside the region again: its next call is pooled.
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let dispatched = pool_dispatches();
+        pool.install(|| (0..256).into_par_iter().for_each(|_| {}));
+        assert_eq!(pool_dispatches(), dispatched + 1);
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller_and_the_pool_survives() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let caller = std::thread::current().id();
+        let thrown = AtomicBool::new(false);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            at_full_width(4, || {
+                // Exactly one item panics, and on a worker.
+                if std::thread::current().id() != caller && !thrown.swap(true, Ordering::SeqCst) {
+                    std::panic::panic_any(String::from("payload from a worker"));
+                }
+            })
+        }));
+        let payload = caught.expect_err("the worker's panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("payload from a worker")
+        );
+        // The caller is out of the parallel region and all three workers
+        // are still there.
+        assert!(at_full_width(4, || ()).is_some());
+    }
+
+    #[test]
+    fn more_callers_than_workers_all_finish_with_correct_results() {
+        use std::sync::Barrier;
+        let start = Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8usize {
+                let start = &start;
+                s.spawn(move || {
+                    let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+                    start.wait();
+                    pool.install(|| {
+                        for round in 0..200usize {
+                            let n = 500 + t + round;
+                            let sum: usize = (0..n).into_par_iter().map(|i| i * (t + 1)).sum();
+                            assert_eq!(sum, (t + 1) * n * (n - 1) / 2);
+                            let v: Vec<usize> = (0..n).into_par_iter().map(|i| i + t).collect();
+                            assert!(v.iter().enumerate().all(|(i, &x)| x == i + t));
+                        }
+                    });
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn with_min_len_keeps_order_and_coverage_and_inlines_small_calls() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let me = std::thread::current().id();
+        pool.install(|| {
+            // Below 2·min_len: on the caller, nothing dispatched.
+            let dispatched = pool_dispatches();
+            let ids: Vec<_> = (0..127)
+                .into_par_iter()
+                .with_min_len(64)
+                .map(|_| std::thread::current().id())
+                .collect();
+            assert!(ids.iter().all(|&id| id == me));
+            let mut small = vec![0usize; 127 * 3];
+            small
+                .par_chunks_mut(3)
+                .with_min_len(64)
+                .enumerate()
+                .for_each(|(i, c)| c.fill(i));
+            assert!(small.iter().enumerate().all(|(k, &x)| x == k / 3));
+            assert_eq!(pool_dispatches(), dispatched);
+
+            // At or above it: pooled, in order, every index once.
+            let v: Vec<usize> = (0..1000)
+                .into_par_iter()
+                .with_min_len(64)
+                .map(|i| i * 3)
+                .collect();
+            assert_eq!(v, (0..1000).map(|i| i * 3).collect::<Vec<_>>());
+            let stepped: Vec<usize> = (0..1000)
+                .into_par_iter()
+                .with_min_len(64)
+                .step_by(4)
+                .collect();
+            assert_eq!(stepped, (0..1000).step_by(4).collect::<Vec<_>>());
+            let mut big = vec![0usize; 1000 * 3 + 1];
+            big.par_chunks_mut(3)
+                .with_min_len(64)
+                .enumerate()
+                .for_each(|(i, c)| c.fill(i + 1));
+            assert!(big.iter().enumerate().all(|(k, &x)| x == k / 3 + 1));
+            assert_eq!(pool_dispatches(), dispatched + 3);
+        });
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! ledger after a warm-up run, do one more unit of steady-state work, and
 //! assert the miss delta is zero. They pin the rayon pool to one thread so
 //! the arena's high-water mark is deterministic (concurrent borrows can
-//! legitimately widen the pool on first contention).
+//! legitimately widen the pool on first contention) — except the last one,
+//! which runs two domains on two threads: each domain has an arena of its
+//! own, and the pool's worker keeps its thread-local scratch from one call
+//! to the next, so the steady state is as allocation-free as at one thread.
 
 use metascale_qmd::core::global::{BoundaryMode, HartreeSolver, LdcConfig, LdcSolver};
 use metascale_qmd::core::qmd::QmdDriver;
@@ -30,13 +33,16 @@ fn ledger_lock() -> std::sync::MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs `f` on a single-thread rayon pool and returns the global
+/// Runs `f` with the rayon pool held to `threads` and returns the global
 /// workspace hit/miss delta it produced.
-fn alloc_delta(f: impl FnOnce() + Send) -> metascale_qmd::util::workspace::AllocSnapshot {
+fn alloc_delta(
+    threads: usize,
+    f: impl FnOnce() + Send,
+) -> metascale_qmd::util::workspace::AllocSnapshot {
     let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
+        .num_threads(threads)
         .build()
-        .expect("single-thread pool");
+        .expect("the shim's pool construction cannot fail");
     let before = workspace::global_stats().snapshot();
     pool.install(f);
     workspace::global_stats().snapshot().since(&before)
@@ -59,14 +65,14 @@ fn steady_state_scf_has_zero_workspace_misses() {
     let mut sw = ScfWorkspace::new();
 
     let mut psi = None;
-    let warm = alloc_delta(|| {
+    let warm = alloc_delta(1, || {
         let out = run_scf_with(&basis, &atoms, 2.0, &cfg, None, &mut sw)
             .expect("cold H2 SCF must converge");
         psi = Some(out.psi);
     });
     assert!(warm.misses > 0, "cold run must populate the arena");
 
-    let steady = alloc_delta(|| {
+    let steady = alloc_delta(1, || {
         run_scf_with(&basis, &atoms, 2.0, &cfg, psi.take(), &mut sw)
             .expect("warm H2 SCF must converge");
     });
@@ -108,12 +114,12 @@ fn qmd_second_step_is_miss_free(hartree: HartreeSolver) {
         }),
     );
 
-    let warm = alloc_delta(|| {
+    let warm = alloc_delta(1, || {
         driver.run(&mut system, &mut ldc, 1);
     });
     assert!(warm.misses > 0, "first QMD step must populate the arena");
 
-    let steady = alloc_delta(|| {
+    let steady = alloc_delta(1, || {
         driver.run(&mut system, &mut ldc, 1);
     });
     assert_eq!(
@@ -195,4 +201,129 @@ fn steady_state_qmd_step_fft_hartree_has_zero_workspace_misses() {
 #[test]
 fn steady_state_qmd_step_multigrid_hartree_has_zero_workspace_misses() {
     qmd_second_step_is_miss_free(HartreeSolver::Multigrid);
+}
+
+/// The 8-atom SiC cell in two domains on two threads, one domain each (the
+/// repo benchmark's `qmd_sic8_t2`, coarser). After a warm-up step a further
+/// step misses no arena and — with every parallel call served by the same
+/// pooled worker instead of a fresh thread — grows no thread-local FFT
+/// gather line or GEMM packing panel either.
+#[test]
+fn steady_state_two_thread_qmd_step_has_zero_misses_and_zero_traced_allocs() {
+    use metascale_qmd::md::builders::sic_supercell;
+    use metascale_qmd::util::trace;
+
+    let _g = ledger_lock();
+    let mut system = sic_supercell((1, 1, 1));
+    let mut ldc = LdcSolver::new(LdcConfig {
+        nd: (2, 1, 1),
+        buffer: 1.0,
+        global_spacing: 1.2,
+        domain_spacing: 1.2,
+        ecut: 2.0,
+        tol_density: 5e-3,
+        davidson_iters: 6,
+        davidson_tol: 1e-4,
+        extra_bands: 2,
+        ..Default::default()
+    });
+    let mut driver: QmdDriver<Berendsen> = QmdDriver::new(10.0, None);
+
+    let warm = alloc_delta(2, || {
+        driver.run(&mut system, &mut ldc, 1);
+    });
+    assert!(warm.misses > 0, "first QMD step must populate the arenas");
+
+    let mut dispatched = 0;
+    trace::set_enabled(true);
+    trace::take();
+    let steady = alloc_delta(2, || {
+        let before = rayon::pool_dispatches();
+        driver.run(&mut system, &mut ldc, 1);
+        dispatched = rayon::pool_dispatches() - before;
+    });
+    let tree = trace::take();
+    trace::set_enabled(false);
+
+    assert!(dispatched > 0, "the domain loop must go to the thread pool");
+    assert_eq!(
+        steady.misses, 0,
+        "steady-state two-thread QMD step hit the allocator: {} misses ({} bytes)",
+        steady.misses, steady.miss_bytes
+    );
+    assert!(steady.hits > 0, "second step must reuse the warm arenas");
+    for name in ["gemm", "fft", "poisson", "hamiltonian"] {
+        let node = tree.aggregate(name).expect("the step runs every kernel");
+        assert_eq!(
+            node.alloc_count, 0,
+            "steady-state {name} hit the allocator: {} allocs ({} bytes)",
+            node.alloc_count, node.alloc_bytes
+        );
+    }
+}
+
+/// The two-thread leg of [`steady_state_simd_kernels_have_zero_traced_allocs`],
+/// on shapes above the kernels' grain cut-off, so that every call really
+/// fans out. The pool's worker is a thread that lives on: once its packing
+/// panel and gather line have grown, no later call pays for them again
+/// (a thread spawned per call paid on every call). Every parallel call of
+/// this test binary runs under an `install` of at most two, so that worker
+/// is the only one there is.
+#[test]
+fn steady_state_pooled_kernels_have_zero_traced_allocs_at_two_threads() {
+    use metascale_qmd::fft::Fft3d;
+    use metascale_qmd::linalg::gemm::dgemm;
+    use metascale_qmd::linalg::Matrix;
+    use metascale_qmd::util::{trace, Complex64};
+    use rayon::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let _g = ledger_lock();
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("the shim's pool construction cannot fail");
+    pool.install(|| {
+        let a = Matrix::from_fn(512, 64, |i, j| (i + 2 * j) as f64 * 0.01);
+        let b = Matrix::from_fn(64, 32, |i, j| (3 * i + j) as f64 * 0.01);
+        let plan = Fft3d::new(32, 24, 20);
+        let kernels = || {
+            let mut c = Matrix::zeros(512, 32);
+            dgemm(1.0, &a, &b, 0.0, &mut c);
+            let mut x = vec![Complex64::new(1.0, -0.5); plan.len()];
+            plan.forward(&mut x);
+            plan.inverse(&mut x);
+        };
+
+        trace::set_enabled(true);
+        // Warm-up on both threads at once: each of the two items waits for
+        // the other, then runs the kernels — inline, being inside a
+        // parallel region already — on the thread that holds it.
+        let arrived = AtomicUsize::new(0);
+        (0..2).into_par_iter().for_each(|_| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            while arrived.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            kernels();
+        });
+        trace::take();
+
+        let dispatched = rayon::pool_dispatches();
+        for _ in 0..20 {
+            kernels();
+        }
+        let t = trace::take();
+        trace::set_enabled(false);
+        // One GEMM and two transforms of three sweeps each, twenty times.
+        assert_eq!(rayon::pool_dispatches() - dispatched, 20 * 7);
+        for name in ["gemm", "fft"] {
+            let node = t.aggregate(name).expect("the window contains the kernel");
+            assert_eq!(
+                node.alloc_count, 0,
+                "steady-state {name} hit the allocator: {} allocs ({} bytes)",
+                node.alloc_count, node.alloc_bytes
+            );
+        }
+    });
 }
