@@ -232,6 +232,7 @@ const KERNELS: &[&str] = &[
     "scf_iter",
     "domain_solve",
     "hamiltonian",
+    "eigen",
     "gemm",
     "orthonorm",
     "fft",

@@ -24,13 +24,14 @@
 //! `--gate-roofline` check is a *floor*, designed to catch a vectorized
 //! kernel silently collapsing back to far-below-roof throughput.
 
-use mqmd_fft::Fft3d;
+use mqmd_fft::{Direction, Fft3d};
 use mqmd_grid::UniformGrid3;
 use mqmd_linalg::gemm::dgemm;
 use mqmd_linalg::Matrix;
 use mqmd_multigrid::smoother::rbgs_sweep;
 use mqmd_util::metrics::Roofline;
 use mqmd_util::timer::Stopwatch;
+use mqmd_util::workspace::Workspace;
 use mqmd_util::Complex64;
 use rayon::prelude::*;
 
@@ -159,7 +160,7 @@ pub fn measure_peak_bw_gbps() -> f64 {
     bytes / secs / 1e9
 }
 
-/// Measures the three vectorized kernels and records their placements
+/// Measures the vectorized kernels and records their placements
 /// (achieved GFLOP/s + analytic intensity) into `r`.
 pub fn place_kernels(r: &mut Roofline) {
     // GEMM: square dgemm through the dispatcher (packed SIMD microkernel
@@ -202,6 +203,56 @@ pub fn place_kernels(r: &mut Roofline) {
         let bytes_per_call = 3.0 * (n * n * n) as f64 * 32.0 * stages;
         r.place(
             "fft",
+            reps as f64 * flops_per_call / secs / 1e9,
+            flops_per_call / bytes_per_call,
+        );
+    }
+
+    // Batched, pruned FFT — H·ψ's transform pair: 18 bands on the 8³ domain
+    // grid of the 8-atom benchmark, pruned to a sphere that holds the 63
+    // plane waves its cutoff leaves (to real space and back). FLOPs from
+    // the analytic tally, which counts the lines the pruned sweeps run;
+    // bytes modelled as for `fft`, one read + one write per value per
+    // radix-2 stage of every such line.
+    {
+        let (n, lanes) = (8usize, 18usize);
+        let plan = Fft3d::new(n, n, n);
+        let fold = |i: usize| i.min(n - i) as f64;
+        let support: Vec<usize> = (0..plan.len())
+            .filter(|&g| {
+                let (ix, iy, iz) = (g / (n * n), g / n % n, g % n);
+                1.8 * fold(ix).powi(2) + fold(iy).powi(2) + fold(iz).powi(2) <= 6.9
+            })
+            .collect();
+        let pruning = plan.pruning(&support);
+        let ws = Workspace::new();
+        let coeffs: Vec<Complex64> = (0..support.len() * lanes)
+            .map(|i| Complex64::new((i % 97) as f64 * 0.01, (i % 89) as f64 * 0.02))
+            .collect();
+        let mut panel = vec![Complex64::ZERO; plan.len() * lanes];
+        // As H·ψ does it: a zeroed panel, the coefficients scattered onto
+        // the sphere, to real space, and back.
+        let mut pair = || {
+            panel.fill(Complex64::ZERO);
+            for (row, &g) in coeffs.chunks_exact(lanes).zip(&support) {
+                panel[g * lanes..(g + 1) * lanes].copy_from_slice(row);
+            }
+            plan.inverse_batch(&mut panel, lanes, Some(&pruning), &ws);
+            plan.forward_batch(&mut panel, lanes, Some(&pruning), &ws);
+            std::hint::black_box(panel.first());
+        };
+        mqmd_util::flops::take_flops();
+        pair();
+        let flops_per_call = mqmd_util::flops::take_flops() as f64;
+        let (secs, reps) = time_reps(&mut pair);
+        let lines: usize = [Direction::Inverse, Direction::Forward]
+            .iter()
+            .map(|&dir| pruning.lines(dir).iter().sum::<usize>())
+            .sum();
+        let stages = (n as f64).log2();
+        let bytes_per_call = (lines * n * lanes) as f64 * 32.0 * stages;
+        r.place(
+            "fft_batch",
             reps as f64 * flops_per_call / secs / 1e9,
             flops_per_call / bytes_per_call,
         );
@@ -262,7 +313,7 @@ mod tests {
             ..Default::default()
         };
         place_kernels(&mut r);
-        for name in ["gemm", "fft", "mg_smoother"] {
+        for name in ["gemm", "fft", "fft_batch", "mg_smoother"] {
             let k = &r.kernels[name];
             assert!(k.achieved_gflops > 0.0, "{name} achieved");
             assert!(k.intensity_flops_per_byte > 0.0, "{name} intensity");

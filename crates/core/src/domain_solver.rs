@@ -11,7 +11,7 @@
 
 use mqmd_dft::eigensolver::{block_davidson_with, EigWorkspace};
 use mqmd_dft::hamiltonian::{build_projectors, KsHamiltonian, Nonlocal};
-use mqmd_dft::pw::PlaneWaveBasis;
+use mqmd_dft::pw::{band_panel, PlaneWaveBasis};
 use mqmd_dft::species::Pseudopotential;
 use mqmd_grid::{Domain, DomainDecomposition, UniformGrid3};
 use mqmd_linalg::gemm::{zgemm, zgemm_dagger_a_into};
@@ -300,26 +300,40 @@ pub fn solve_domain_with(
     let mut band_densities = Vec::with_capacity(setup.n_bands);
     let mut weights = Vec::with_capacity(setup.n_bands);
     let mut h_weights = Vec::with_capacity(setup.n_bands);
+    // H·ψ band by band (the BLAS2 path, whose bits the weights have always
+    // carried), then ψ and H·ψ to real space a panel of bands at a time.
+    let mut h_psi = CMatrix::from_vec(np, nb, ew.ws.take_c64(np * nb));
     {
         let mut band = ew.ws.borrow_c64(np);
         let mut h_band = ew.ws.borrow_c64(np);
-        let mut real = ew.ws.borrow_c64(grid_len);
-        let mut h_real = ew.ws.borrow_c64(grid_len);
-        for n in 0..setup.n_bands {
+        for n in 0..nb {
             psi.col_into(n, &mut band);
-            setup.basis.to_real_into(&band, &mut real, &ew.ws);
             h.apply_band_into(&band, &mut h_band, &ew.ws);
-            setup.basis.to_real_into(&h_band, &mut h_real, &ew.ws);
-            let dens: Vec<f64> = real.iter().map(|z| z.norm_sqr()).collect();
+            for (g, &v) in h_band.iter().enumerate() {
+                h_psi[(g, n)] = v;
+            }
+        }
+    }
+    let width = band_panel(nb);
+    for first in (0..nb).step_by(width) {
+        let bands = first..(first + width).min(nb);
+        let lanes = bands.len();
+        let mut real = ew.ws.borrow_c64(grid_len * lanes);
+        let mut h_real = ew.ws.borrow_c64(grid_len * lanes);
+        let basis = &setup.basis;
+        basis.to_real_panel(&psi, bands.clone(), &mut real, None, &ew.ws);
+        basis.to_real_panel(&h_psi, bands, &mut h_real, None, &ew.ws);
+        for l in 0..lanes {
+            let band = || real.iter().skip(l).step_by(lanes);
+            let dens: Vec<f64> = band().map(|z| z.norm_sqr()).collect();
             let w: f64 = dens
                 .iter()
                 .zip(&setup.p_alpha)
                 .map(|(d, p)| d * p)
                 .sum::<f64>()
                 * dv;
-            let hw: f64 = real
-                .iter()
-                .zip(h_real.iter())
+            let hw: f64 = band()
+                .zip(h_real.iter().skip(l).step_by(lanes))
                 .zip(&setup.p_alpha)
                 .map(|((psi_r, h_r), p)| p * (psi_r.conj() * *h_r).re)
                 .sum::<f64>()
@@ -329,6 +343,7 @@ pub fn solve_domain_with(
             h_weights.push(hw);
         }
     }
+    ew.ws.give_c64(h_psi.into_data());
     ew.ws.give_f64(h.v_local);
     // Output validation: NaN anywhere in the bands poisons the weights
     // (w = Σ |ψ|²·pα), so the O(n_bands) scan below catches corrupted

@@ -6,9 +6,10 @@
 //! degeneracy 2, Fermi–Dirac smearing replacing the sharp step Θ for
 //! robustness — standard in metallic systems like LiAl).
 
-use crate::pw::PlaneWaveBasis;
+use crate::pw::{band_panel, PlaneWaveBasis};
 use mqmd_linalg::CMatrix;
-use mqmd_util::workspace::{BorrowedF64, Workspace};
+use mqmd_util::flops::{fft_flops, par_min_len};
+use mqmd_util::workspace::Workspace;
 use rayon::prelude::*;
 
 /// Occupation solution.
@@ -159,9 +160,10 @@ pub fn density_from_bands(basis: &PlaneWaveBasis, psi: &CMatrix, occ: &[f64]) ->
 }
 
 /// Allocation-free form of [`density_from_bands`]: overwrites `out` with the
-/// density, borrowing per-band fields from `ws`. Partial densities are
-/// collected in band order and summed sequentially, so the result is bitwise
-/// independent of the thread schedule.
+/// density, borrowing the band panels from `ws`. The occupied bands go to
+/// real space a panel at a time, in parallel; their `f_n·|ψ_n|²` are then
+/// summed band by band, so the result is bitwise independent of the thread
+/// schedule (and of the panel width).
 pub fn density_into(
     basis: &PlaneWaveBasis,
     psi: &CMatrix,
@@ -172,26 +174,38 @@ pub fn density_into(
     assert_eq!(psi.cols(), occ.len());
     let n_grid = basis.grid().len();
     assert_eq!(out.len(), n_grid);
-    let partial: Vec<BorrowedF64<'_>> = (0..psi.cols())
-        .into_par_iter()
-        .map(|n| {
-            let mut p = ws.borrow_f64(n_grid);
-            if occ[n] > 1e-14 {
-                let mut band = ws.borrow_c64(psi.rows());
-                psi.col_into(n, &mut band);
-                let mut real = ws.borrow_c64(n_grid);
-                basis.to_real_into(&band, &mut real, ws);
-                for (o, z) in p.iter_mut().zip(real.iter()) {
-                    *o = occ[n] * z.norm_sqr();
+    let occupied = |n: usize| occ[n] > 1e-14;
+    // One [grid point][band] block of partial densities per panel.
+    let width = band_panel(occ.len());
+    let mut partial = ws.borrow_f64(n_grid * occ.len());
+    let panel_flops = width as u64 * fft_flops(n_grid as u64);
+    partial
+        .par_chunks_mut(n_grid * width)
+        .with_min_len(par_min_len(panel_flops))
+        .enumerate()
+        .for_each(|(p, block)| {
+            let lanes = block.len() / n_grid;
+            let bands = p * width..p * width + lanes;
+            if !bands.clone().any(occupied) {
+                return;
+            }
+            let mut real = ws.borrow_c64(n_grid * lanes);
+            basis.to_real_panel(psi, bands.clone(), &mut real, None, ws);
+            for (o, z) in block.chunks_exact_mut(lanes).zip(real.chunks_exact(lanes)) {
+                for ((o, z), n) in o.iter_mut().zip(z).zip(bands.clone()) {
+                    if occupied(n) {
+                        *o = occ[n] * z.norm_sqr();
+                    }
                 }
             }
-            p
-        })
-        .collect();
+        });
     out.fill(0.0);
-    for p in partial {
-        for (r, &v) in out.iter_mut().zip(p.iter()) {
-            *r += v;
+    for block in partial.chunks(n_grid * width) {
+        let lanes = block.len() / n_grid;
+        for (r, row) in out.iter_mut().zip(block.chunks_exact(lanes)) {
+            for &v in row {
+                *r += v;
+            }
         }
     }
 }

@@ -12,11 +12,12 @@
 //! Both must agree to machine precision; the ablation bench measures their
 //! speed difference.
 
-use crate::pw::PlaneWaveBasis;
+use crate::pw::{band_panel, PlaneWaveBasis};
 use crate::species::Pseudopotential;
 use mqmd_linalg::gemm::{zgemm, zgemm_dagger_a_into};
 use mqmd_linalg::CMatrix;
-use mqmd_util::workspace::{BorrowedC64, Workspace};
+use mqmd_util::flops::{fft_flops, par_min_len};
+use mqmd_util::workspace::Workspace;
 use mqmd_util::{Complex64, Vec3};
 use rayon::prelude::*;
 
@@ -77,8 +78,8 @@ impl<'a> KsHamiltonian<'a> {
     }
 
     /// Allocation-free all-band application: overwrites `out` with `H·Ψ`,
-    /// borrowing every intermediate (per-band FFT fields, the projector
-    /// overlap matrix) from `ws`. Bitwise identical to [`Self::apply`].
+    /// borrowing every intermediate (the band panels, the projector overlap
+    /// matrix) from `ws`. Bitwise identical to [`Self::apply`].
     pub fn apply_into(&self, psi: &CMatrix, out: &mut CMatrix, ws: &Workspace) {
         let _span = mqmd_util::trace::span("hamiltonian");
         let np = self.basis.len();
@@ -91,31 +92,35 @@ impl<'a> KsHamiltonian<'a> {
         // Kinetic: diagonal in G.
         self.basis.add_kinetic(psi, out);
 
-        // Local: FFT per band, parallel over bands. Guards are collected in
-        // band order and accumulated sequentially, so the sum is bitwise
-        // independent of the thread schedule.
+        // Local: per panel of bands, sphere → grid, V_loc·, grid → sphere,
+        // parallel over panels. Each writes its own `Np × lanes` block, and
+        // the blocks are added to `out` afterwards, in order.
         let grid_len = self.basis.grid().len();
-        let local_cols: Vec<BorrowedC64<'_>> = (0..nb)
-            .into_par_iter()
-            .map(|n| {
-                let mut band = ws.borrow_c64(np);
-                psi.col_into(n, &mut band);
-                let mut real = ws.borrow_c64(grid_len);
-                self.basis.to_real_into(&band, &mut real, ws);
-                for (z, &v) in real.iter_mut().zip(&self.v_local) {
-                    *z = z.scale(v);
+        let width = band_panel(nb);
+        let mut local = ws.borrow_c64(np * nb);
+        let panel_flops = 2 * width as u64 * fft_flops(grid_len as u64);
+        local
+            .par_chunks_mut(np * width)
+            .with_min_len(par_min_len(panel_flops))
+            .enumerate()
+            .for_each(|(p, block)| {
+                let lanes = block.len() / np;
+                let bands = p * width..p * width + lanes;
+                let mut real = ws.borrow_c64(grid_len * lanes);
+                self.basis
+                    .to_real_panel(psi, bands, &mut real, Some(&self.v_local), ws);
+                mqmd_util::flops::count_flops((2 * grid_len * lanes) as u64);
+                self.basis.to_recip_panel(&mut real, lanes, block, ws);
+            });
+        for (p, block) in local.chunks(np * width).enumerate() {
+            let lanes = block.len() / np;
+            for (g, row) in block.chunks_exact(lanes).enumerate() {
+                for (l, &v) in row.iter().enumerate() {
+                    out[(g, p * width + l)] += v;
                 }
-                mqmd_util::flops::count_flops(2 * grid_len as u64);
-                self.basis.to_recip_into(&real, &mut band, ws);
-                band
-            })
-            .collect();
-        for (n, col) in local_cols.iter().enumerate() {
-            for g in 0..np {
-                out[(g, n)] += col[g];
             }
         }
-        drop(local_cols);
+        drop(local);
 
         // Nonlocal: B·D·(B†·Ψ) — two BLAS3 calls, overlap matrix pooled.
         if let Some(nl) = self.nonlocal {

@@ -21,6 +21,7 @@ const MAX_SWEEPS: usize = 64;
 /// Returns `(eigenvalues, eigenvectors)` with eigenvalues ascending and the
 /// k-th column of the eigenvector matrix corresponding to the k-th value.
 pub fn dsyev(a: &Matrix) -> Result<(Vec<f64>, Matrix)> {
+    let _span = mqmd_util::trace::span("eigen");
     let n = a.rows();
     if a.cols() != n {
         return Err(MqmdError::Invalid(
@@ -115,6 +116,7 @@ fn sorted_real(m: Matrix, v: Matrix) -> (Vec<f64>, Matrix) {
 /// real for Hermitian input) and eigenvectors in columns, unitary to machine
 /// precision.
 pub fn zheev(a: &CMatrix) -> Result<(Vec<f64>, CMatrix)> {
+    let _span = mqmd_util::trace::span("eigen");
     let n = a.rows();
     if a.cols() != n {
         return Err(MqmdError::Invalid(

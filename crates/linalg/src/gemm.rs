@@ -41,7 +41,7 @@
 use crate::cmatrix::CMatrix;
 use crate::matrix::Matrix;
 use mqmd_util::flops::{count_flops, gemm_flops, par_min_len, zgemm_flops};
-use mqmd_util::workspace::{BorrowedC64, Workspace};
+use mqmd_util::workspace::Workspace;
 use mqmd_util::Complex64;
 use rayon::prelude::*;
 
@@ -385,16 +385,23 @@ pub fn zgemm_dagger_a_into(a: &CMatrix, b: &CMatrix, out: &mut CMatrix, ws: &Wor
     // chunk size is a pure function of np so chunk boundaries (and hence
     // the sequential chunk-order reduction) are identical for every rayon
     // pool width.
+    let out_data = out.data_mut();
+    out_data.fill(Complex64::ZERO);
+    if np == 0 || na * nb == 0 {
+        return;
+    }
     let a_data = a.data();
     let b_data = b.data();
     let chunk = 1024usize.max(np.div_ceil(64));
-    let partials: Vec<BorrowedC64<'_>> = (0..np)
-        .into_par_iter()
-        .with_min_len(par_min_len(zgemm_flops(na as u64, nb as u64, 1)))
-        .step_by(chunk)
-        .map(|g0| {
+    // One partial product per chunk, side by side in one pooled buffer.
+    let mut partials = ws.borrow_c64(np.div_ceil(chunk) * na * nb);
+    partials
+        .par_chunks_mut(na * nb)
+        .with_min_len(par_min_len(zgemm_flops(na as u64, nb as u64, 1)).div_ceil(chunk))
+        .enumerate()
+        .for_each(|(c, acc)| {
+            let g0 = c * chunk;
             let g1 = (g0 + chunk).min(np);
-            let mut acc = ws.borrow_c64(na * nb);
             for g in g0..g1 {
                 let a_row = &a_data[g * na..(g + 1) * na];
                 let b_row = &b_data[g * nb..(g + 1) * nb];
@@ -413,14 +420,10 @@ pub fn zgemm_dagger_a_into(a: &CMatrix, b: &CMatrix, out: &mut CMatrix, ws: &Wor
                     }
                 }
             }
-            acc
-        })
-        .collect();
+        });
 
-    let out_data = out.data_mut();
-    out_data.fill(Complex64::ZERO);
-    for p in partials {
-        for (o, &v) in out_data.iter_mut().zip(p.iter()) {
+    for p in partials.chunks_exact(na * nb) {
+        for (o, &v) in out_data.iter_mut().zip(p) {
             *o += v;
         }
     }

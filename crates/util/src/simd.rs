@@ -154,6 +154,13 @@ mod imp {
             unsafe { Self(_mm256_permute_pd::<0b0101>(self.0)) }
         }
 
+        /// Conjugates each interleaved complex pair by flipping the sign
+        /// of the odd lanes: `[a, b, c, d] → [a, −b, c, −d]`.
+        #[inline(always)]
+        pub fn conj_pairs(self) -> Self {
+            unsafe { Self(_mm256_xor_pd(self.0, _mm256_setr_pd(0.0, -0.0, 0.0, -0.0))) }
+        }
+
         /// `[a0·b0 − a1·b1, a0·b1 + a1·b0, …]` for interleaved complex
         /// pairs: even lanes get `mul` results subtracted, odd lanes added —
         /// exactly the scalar complex-multiply op order per lane.
@@ -326,6 +333,12 @@ mod imp {
         #[inline(always)]
         pub fn swap_pairs(self) -> Self {
             Self([self.0[1], self.0[0], self.0[3], self.0[2]])
+        }
+
+        /// `[a, b, c, d] → [a, −b, c, −d]`.
+        #[inline(always)]
+        pub fn conj_pairs(self) -> Self {
+            Self([self.0[0], -self.0[1], self.0[2], -self.0[3]])
         }
 
         /// Even lanes `self - o`, odd lanes `self + o`.
