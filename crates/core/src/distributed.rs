@@ -1,547 +1,42 @@
-//! Rank-distributed LDC-DFT over the transport-agnostic [`Comm`] trait.
+//! The cold, one-shot entry to the rank-distributed LDC-DFT solve, and
+//! the spectrum exchange the SCF loop's μ search goes through.
 //!
-//! [`solve_distributed`] replays the [`crate::global::LdcSolver`] SCF loop
-//! with **domain ownership striped across ranks** (`setup index % size`) and
-//! the three global couplings expressed as collectives:
-//!
-//! * the weighted spectrum for the global μ search travels by
-//!   `allgather_concat` and is reassembled **in domain order** on every
-//!   rank, so the Newton–Raphson μ iteration sums the same levels in the
-//!   same order everywhere — μ is bitwise-replicated;
-//! * the scalar energy partials (band, entropy, boundary double counting)
-//!   and the pre-clamp partial density field are combined by
-//!   `allreduce_sum`; clamping (`max(0)`) and the ∫ρ = N rescale happen
-//!   *after* the reduction, replicated, so every rank holds the same ρ;
-//! * the BSD buffer exchange runs as a real `halo_exchange` of boundary
-//!   strips of the converged density — since ρ is replicated, each strip
-//!   received must equal the strip the rank itself holds, which turns the
-//!   exchange into an end-to-end transport-integrity probe.
-//!
-//! Everything else (Hartree + XC on the global grid, Ewald, mixing,
-//! convergence control) is replicated computation on identical inputs, so
-//! all ranks walk the same SCF trajectory. Because the [`Comm`] collectives
-//! broadcast rank 0's fold result, the output is **bitwise identical across
-//! ranks and across transports** (in-process threads vs real rank
-//! processes) — the property the digital-twin validation and the 4-rank
-//! bitwise gate in `crates/bench` pin.
-//!
-//! Forces are intentionally out of scope here: the distributed runtime
-//! demonstrates the communication pattern of the electronic-structure
-//! kernel; MD stepping stays on the shared-memory path.
+//! There is one global SCF loop in this crate,
+//! [`LdcSolver::solve_on`]; it is written over the transport-agnostic
+//! [`Comm`] trait and documents the domain striping, the collectives, the
+//! recovery fence, the halo probe and the forces. [`solve_distributed`] is
+//! that loop on a fresh solver — the form a rank process calls for a
+//! single-point solve; a rank that keeps its [`LdcSolver`] and calls
+//! `solve_on` again gets warm starts and scratch reuse like any other
+//! caller.
 
-use crate::domain_solver::{solve_domain_with, DomainBands, DomainSetup};
-use crate::global::{weighted_mu, BoundaryMode, HartreeSolver, LdcBreakdown, LdcConfig};
-use mqmd_dft::density::fermi;
-use mqmd_dft::eigensolver::EigWorkspace;
-use mqmd_dft::ewald::ewald;
-use mqmd_dft::hamiltonian::ionic_local_potential;
-use mqmd_dft::scf::initial_density;
-use mqmd_dft::solver::{atoms_of, grid_for_cell};
-use mqmd_dft::xc;
-use mqmd_grid::{DomainDecomposition, UniformGrid3};
-use mqmd_linalg::CMatrix;
+use crate::global::{LdcConfig, LdcSolver, LdcState};
 use mqmd_md::AtomicSystem;
-use mqmd_multigrid::{FftPoisson, PoissonMultigrid};
 use mqmd_parallel::comm::{Comm, CommError, CommResult};
-use mqmd_util::workspace::Workspace;
-use mqmd_util::{faults, MqmdError, Result, Vec3};
-use std::collections::{BTreeMap, HashMap};
+use mqmd_util::Result;
+use std::collections::BTreeMap;
 
-/// Converged state of a distributed LDC-DFT solve. All fields are
-/// bitwise-identical on every rank.
-#[derive(Clone, Debug)]
-pub struct DistributedState {
-    /// Total free energy (Hartree).
-    pub energy: f64,
-    /// Chemical potential μ.
-    pub mu: f64,
-    /// Global density on the global grid (replicated).
-    pub density: Vec<f64>,
-    /// SCF iterations used.
-    pub scf_iterations: usize,
-    /// Total non-empty domains across all ranks.
-    pub n_domains: usize,
-    /// Domains owned by this rank.
-    pub owned_domains: usize,
-    /// Final density residual.
-    pub density_residual: f64,
-    /// Concatenated (eigenvalue, core-weight) spectrum, domain order.
-    pub spectrum: Vec<(f64, f64)>,
-    /// Energy components.
-    pub breakdown: LdcBreakdown,
-    /// Points per boundary strip verified by the halo integrity probe.
-    pub halo_probe_len: usize,
-}
-
-/// Number of grid points per boundary strip in the halo integrity probe.
-const HALO_PROBE_LEN: usize = 64;
-
-/// Safety cap on SCF recovery fences per solve — a runaway-restart
-/// backstop far above any real retry budget.
-const MAX_RECOVERY_ROUNDS: usize = 32;
-
-/// Solves the electronic structure of `system` with LDC-DFT, domain work
-/// striped over the ranks of `comm`. Every rank must call this with the
-/// same `system` and `cfg`; the result is replicated.
-///
-/// **Rank rebirth.** On transports with a recovery supervisor, a peer
-/// death mid-solve surfaces at the next collective as a typed
-/// [`CommError::PeerRestarted`] / [`CommError::PeerQuarantined`]. This
-/// solver treats every collective call site as an SCF recovery
-/// barrier: it fences the communicator forward
-/// ([`Comm::recovery_fence`]), re-derives its `idx % size` domain
-/// strip from the (possibly shrunk) `rank()`/`size()`, rehydrates from
-/// the replicated initial state, and replays the SCF from iteration 1.
-/// Because the whole trajectory is a deterministic function of
-/// `(rank, size, system, cfg)`, the healed solve is bitwise-identical
-/// to a fault-free run at the same communicator shape.
+/// Solves the electronic structure of `system` with LDC-DFT from cold,
+/// domain work striped over the ranks of `comm`: [`LdcSolver::solve_on`]
+/// on a new solver. Every rank must call this with the same `system` and
+/// `cfg`; the result is replicated.
 pub fn solve_distributed(
     system: &AtomicSystem,
     cfg: &LdcConfig,
     comm: &dyn Comm,
-) -> Result<DistributedState> {
-    let cfg = *cfg;
-    let dd = DomainDecomposition::new(system.cell, cfg.nd, cfg.buffer);
-    let global_grid = grid_for_cell(system.cell, cfg.global_spacing);
-    let n_electrons = system.valence_electrons() as f64;
-    let atoms_global = atoms_of(system);
-    let v_ion_global = ionic_local_potential(&global_grid, &atoms_global);
-
-    // Geometry phase, replicated: every rank builds every setup so the
-    // partition-of-unity weights and grids agree bitwise; only the
-    // *solves* are striped. (Setups are cheap next to Davidson.)
-    let setups: Vec<DomainSetup> = dd
-        .domains()
-        .iter()
-        .filter_map(|d| {
-            DomainSetup::build(
-                d,
-                &dd,
-                system,
-                cfg.domain_spacing,
-                cfg.ecut,
-                cfg.extra_bands,
-                &global_grid,
-                &v_ion_global,
-            )
-        })
-        .collect();
-    if setups.is_empty() {
-        return Err(MqmdError::Invalid("no atoms in any domain".into()));
-    }
-
-    let mg = PoissonMultigrid::with_defaults(global_grid.clone());
-    let mut mg_hier = match cfg.hartree {
-        HartreeSolver::Multigrid => Some(mg.plan()),
-        HartreeSolver::Fft => None,
-    };
-    let fft_poisson = FftPoisson::new(global_grid.clone());
-    let gws = Workspace::new();
-
-    let ion_positions: Vec<Vec3> = atoms_global.iter().map(|(_, r)| *r).collect();
-    let ion_charges: Vec<f64> = atoms_global.iter().map(|(p, _)| p.z_val).collect();
-    let ew = ewald(
-        global_grid.lengths_vec(),
-        &ion_positions,
-        &ion_charges,
-        None,
-    );
-
-    let rho0 = initial_density(&global_grid, &atoms_global, n_electrons);
-
-    let n_g = global_grid.len();
-    let mut v_h = vec![0.0; n_g];
-    let mut v_xc = vec![0.0; n_g];
-    let mut v_hxc = vec![0.0; n_g];
-    let mut v_h_out = vec![0.0; n_g];
-
-    // The SCF recovery barrier: each pass re-derives this rank's
-    // domain strip from the current communicator shape and replays the
-    // whole trajectory from the replicated initial density. A
-    // PeerRestarted/PeerQuarantined at any collective fences and jumps
-    // back here; everything else propagates typed.
-    let mut recovery_rounds = 0usize;
-    'solve: loop {
-        let (rank, size) = (comm.rank(), comm.size());
-        let owned: Vec<usize> = (0..setups.len()).filter(|i| i % size == rank).collect();
-
-        macro_rules! fence {
-            ($call:expr) => {
-                match $call {
-                    Ok(v) => v,
-                    Err(
-                        e @ (CommError::PeerRestarted { .. } | CommError::PeerQuarantined { .. }),
-                    ) => {
-                        comm.recovery_fence().map_err(MqmdError::from)?;
-                        recovery_rounds += 1;
-                        if recovery_rounds > MAX_RECOVERY_ROUNDS {
-                            return Err(MqmdError::Io(format!(
-                                "SCF recovery rounds exhausted after {recovery_rounds}: {e}"
-                            )));
-                        }
-                        faults::record_recovery(
-                            "scf_epoch_fence",
-                            faults::Site::Rank(rank as u64).describe(),
-                            1,
-                            0.0,
-                        );
-                        continue 'solve;
-                    }
-                    Err(e) => return Err(MqmdError::from(e)),
-                }
-            };
-        }
-
-        let mut rho = rho0.clone();
-        // Previous-iteration densities of *owned* domains (for the LDC v_bc).
-        let mut rho_domains: HashMap<usize, Vec<f64>> = HashMap::new();
-        let mut psi_cache: HashMap<usize, CMatrix> = HashMap::new();
-        let mut eig_cache: HashMap<usize, EigWorkspace> = HashMap::new();
-
-        #[allow(clippy::type_complexity)]
-        let mut outcome: Option<(
-            f64,
-            f64,
-            Vec<f64>,
-            f64,
-            Vec<(f64, f64)>,
-            usize,
-            LdcBreakdown,
-        )> = None;
-        let mut alpha = cfg.mix_alpha;
-        let mut prev_residual = f64::INFINITY;
-        for iter in 1..=cfg.max_scf {
-            let _span = mqmd_util::trace::span("scf_iter");
-            if let Some(reason) = mqmd_util::cancel::poll_abort() {
-                return Err(MqmdError::Cancelled {
-                    what: format!("distributed LDC SCF iteration {iter}"),
-                    reason,
-                });
-            }
-            match (cfg.hartree, mg_hier.as_mut()) {
-                (HartreeSolver::Multigrid, Some(hier)) => {
-                    mg.hartree_with(&rho, &mut v_h, hier)?;
-                }
-                _ => fft_poisson.hartree_into(&rho, &mut v_h, &gws),
-            }
-            xc::vxc_field(&rho, &mut v_xc);
-            for (o, (a, b)) in v_hxc.iter_mut().zip(v_h.iter().zip(&v_xc)) {
-                *o = a + b;
-            }
-
-            // Conquer: solve only the domains this rank owns.
-            let mut solved: Vec<(usize, DomainBands)> = Vec::with_capacity(owned.len());
-            for &idx in &owned {
-                let setup = &setups[idx];
-                let bands = solve_one_domain(
-                    setup,
-                    &cfg,
-                    &global_grid,
-                    &v_hxc,
-                    &rho,
-                    &rho_domains,
-                    &mut psi_cache,
-                    &mut eig_cache,
-                )?;
-                solved.push((idx, bands));
-            }
-
-            // Global chemical potential: gather every rank's (ε, w) levels and
-            // reassemble them in domain order so the μ bisection sums levels in
-            // the serial solver's order on every rank.
-            let local_spectra: Vec<(usize, Vec<(f64, f64)>)> = solved
-                .iter()
-                .map(|(idx, bands)| {
-                    let levels = bands
-                        .eigenvalues
-                        .iter()
-                        .zip(&bands.weights)
-                        .map(|(&e, &w)| (e, w))
-                        .collect();
-                    (*idx, levels)
-                })
-                .collect();
-            let spectrum = fence!(exchange_spectra(comm, &local_spectra));
-            let mu = weighted_mu(&spectrum, n_electrons, cfg.kt);
-
-            // Occupations + energy partials over owned domains.
-            let mut band_energy = 0.0;
-            let mut entropy = 0.0;
-            let mut e_bc_dc = 0.0;
-            for (idx, bands) in solved {
-                let setup = &setups[idx];
-                let mut rho_a = vec![0.0; setup.grid.len()];
-                for (n, dens) in bands.band_densities.iter().enumerate() {
-                    let f = fermi(bands.eigenvalues[n], mu, cfg.kt);
-                    if f > 1e-14 {
-                        for (r, d) in rho_a.iter_mut().zip(dens) {
-                            *r += f * d;
-                        }
-                    }
-                    let w = bands.weights[n];
-                    band_energy += f * bands.h_weights[n];
-                    let x: f64 = f / 2.0;
-                    if x > 1e-12 && x < 1.0 - 1e-12 {
-                        entropy += 2.0 * cfg.kt * w * (x * x.ln() + (1.0 - x) * (1.0 - x).ln());
-                    }
-                }
-                if let (BoundaryMode::DensityAdaptive { xi }, Some(rho_prev)) =
-                    (cfg.mode, rho_domains.get(&setup.domain.id))
-                {
-                    let rho_global_local = setup.sample_global_field(&global_grid, &rho);
-                    let dv = setup.grid.dv();
-                    e_bc_dc += setup
-                        .p_alpha
-                        .iter()
-                        .zip(&rho_a)
-                        .zip(rho_prev.iter().zip(&rho_global_local))
-                        .map(|((p, ra), (prev, glob))| p * ra * (-(1.0 - p) * (prev - glob) / xi))
-                        .sum::<f64>()
-                        * dv;
-                }
-                psi_cache.insert(setup.domain.id, bands.psi);
-                rho_domains.insert(setup.domain.id, rho_a);
-            }
-            let sums = fence!(comm.allreduce_sum(vec![band_energy, entropy, e_bc_dc]));
-            let (band_energy, entropy, e_bc_dc) = (sums[0], sums[1], sums[2]);
-
-            // Recombine: each rank contributes Σ_{α owned} pα·ρα on the global
-            // grid; the cross-rank sum happens in the allreduce, and only then
-            // is the field clamped and rescaled to ∫ρ = N — both replicated, so
-            // the nonlinearity sees the same summed field everywhere.
-            let _gd_span = mqmd_util::trace::span("global_density");
-            let partial = partial_density_field(&global_grid, &dd, &setups, &owned, &rho_domains);
-            let summed = fence!(comm.allreduce_sum(partial));
-            drop(_gd_span);
-            let mut rho_out: Vec<f64> = summed.into_iter().map(|x| x.max(0.0)).collect();
-            let total_charge = global_grid.integrate(&rho_out);
-            if total_charge > 0.0 {
-                let s = n_electrons / total_charge;
-                for r in &mut rho_out {
-                    *r *= s;
-                }
-            }
-
-            let residual: f64 = rho
-                .iter()
-                .zip(&rho_out)
-                .map(|(a, b)| (a - b).abs())
-                .sum::<f64>()
-                * global_grid.dv()
-                / n_electrons;
-
-            let dv = global_grid.dv();
-            let hartree_dc: f64 = rho_out.iter().zip(&v_h).map(|(r, v)| r * v).sum::<f64>() * dv;
-            let vxc_rho: f64 = rho_out.iter().zip(&v_xc).map(|(r, v)| r * v).sum::<f64>() * dv;
-            match (cfg.hartree, mg_hier.as_mut()) {
-                (HartreeSolver::Multigrid, Some(hier)) => {
-                    mg.hartree_with(&rho_out, &mut v_h_out, hier)?;
-                }
-                _ => fft_poisson.hartree_into(&rho_out, &mut v_h_out, &gws),
-            }
-            let e_h = 0.5
-                * rho_out
-                    .iter()
-                    .zip(&v_h_out)
-                    .map(|(r, v)| r * v)
-                    .sum::<f64>()
-                * dv;
-            let e_xc = xc::exc_energy(&rho_out, global_grid.dv());
-            let total =
-                band_energy - hartree_dc - vxc_rho - e_bc_dc + e_h + e_xc + ew.energy + entropy;
-            let breakdown = LdcBreakdown {
-                band: band_energy,
-                hartree_dc,
-                vxc_rho,
-                bc_dc: e_bc_dc,
-                e_h,
-                e_xc,
-                ewald: ew.energy,
-                entropy,
-            };
-
-            mqmd_util::events::emit(mqmd_util::events::Event::ScfIteration {
-                iter: iter as u32,
-                residual,
-                e_total: total,
-                mix: alpha,
-            });
-
-            let converged = residual < cfg.tol_density;
-            outcome = Some((
-                total,
-                mu,
-                rho_out.clone(),
-                residual,
-                spectrum,
-                iter,
-                breakdown,
-            ));
-            if converged {
-                break;
-            }
-            if residual > prev_residual {
-                alpha = (alpha * 0.6).max(0.05);
-            } else {
-                alpha = (alpha * 1.05).min(cfg.mix_alpha);
-            }
-            prev_residual = residual;
-            for (r_in, r_out) in rho.iter_mut().zip(&rho_out) {
-                *r_in = (1.0 - alpha) * *r_in + alpha * r_out;
-            }
-        }
-
-        let (energy, mu, density, residual, spectrum, iters, breakdown) =
-            outcome.expect("at least one SCF iteration ran");
-        if residual >= cfg.tol_density {
-            return Err(MqmdError::Convergence {
-                what: "distributed LDC-DFT SCF".into(),
-                iterations: cfg.max_scf,
-                residual,
-            });
-        }
-
-        // BSD buffer exchange as integrity probe: ρ is replicated, so the
-        // strip a neighbour sends must equal the strip this rank already
-        // holds. Any mismatch means the transport corrupted or misrouted a
-        // frame.
-        let probe_len = HALO_PROBE_LEN.min(density.len());
-        let left = &density[..probe_len];
-        let right = &density[density.len() - probe_len..];
-        let (from_left, from_right) = fence!(comm.halo_exchange(left, right));
-        if from_left != right || from_right != left {
-            return Err(MqmdError::Io(format!(
-                "halo integrity probe failed on rank {rank}: boundary strips \
-                 received over the wire differ from the replicated density"
-            )));
-        }
-
-        return Ok(DistributedState {
-            energy,
-            mu,
-            density,
-            scf_iterations: iters,
-            n_domains: setups.len(),
-            owned_domains: owned.len(),
-            density_residual: residual,
-            spectrum,
-            breakdown,
-            halo_probe_len: probe_len,
-        });
-    }
-}
-
-/// One owned-domain Kohn–Sham solve with the serial solver's warm start and
-/// scratch-retry rung (a failed Davidson re-runs from a fresh subspace, and
-/// the retry is booked on the fault ledger like a rank requeue).
-#[allow(clippy::too_many_arguments)]
-fn solve_one_domain(
-    setup: &DomainSetup,
-    cfg: &LdcConfig,
-    global_grid: &UniformGrid3,
-    v_hxc: &[f64],
-    rho: &[f64],
-    rho_domains: &HashMap<usize, Vec<f64>>,
-    psi_cache: &mut HashMap<usize, CMatrix>,
-    eig_cache: &mut HashMap<usize, EigWorkspace>,
-) -> Result<DomainBands> {
-    let v_hxc_local = setup.sample_global_field(global_grid, v_hxc);
-    let v_bc = match (cfg.mode, rho_domains.get(&setup.domain.id)) {
-        (BoundaryMode::DensityAdaptive { xi }, Some(rho_prev)) => {
-            let rho_global_local = setup.sample_global_field(global_grid, rho);
-            rho_prev
-                .iter()
-                .zip(&rho_global_local)
-                .zip(&setup.p_alpha)
-                .map(|((a, b), p)| -(1.0 - p) * (a - b) / xi)
-                .collect()
-        }
-        _ => vec![0.0; setup.grid.len()],
-    };
-    let psi0 = psi_cache.remove(&setup.domain.id);
-    let mut ew = eig_cache.remove(&setup.domain.id).unwrap_or_default();
-    let first = solve_domain_with(
-        setup,
-        &v_hxc_local,
-        &v_bc,
-        psi0,
-        cfg.davidson_iters,
-        cfg.davidson_tol,
-        &mut ew,
-    );
-    let bands = match first {
-        Ok(b) => Ok(b),
-        Err(first_err) => {
-            let site = faults::Site::Domain(setup.domain.id as u64).describe();
-            let retry_sw = mqmd_util::timer::Stopwatch::start();
-            let mut ew_retry = EigWorkspace::default();
-            match solve_domain_with(
-                setup,
-                &v_hxc_local,
-                &v_bc,
-                None,
-                cfg.davidson_iters,
-                cfg.davidson_tol,
-                &mut ew_retry,
-            ) {
-                Ok(b) => {
-                    faults::record_recovery("domain_retry_scratch", site, 2, retry_sw.seconds());
-                    ew = ew_retry;
-                    Ok(b)
-                }
-                Err(_) => {
-                    faults::record_abort("domain_abort", site, 2);
-                    Err(first_err)
-                }
-            }
-        }
-    };
-    eig_cache.insert(setup.domain.id, ew);
-    bands
-}
-
-/// This rank's pre-clamp contribution to the global density: for every
-/// global grid point, the partition-of-unity sum restricted to owned
-/// domains (exactly the per-point terms of
-/// [`crate::global::assemble_density`], before its `max(0)`).
-fn partial_density_field(
-    global_grid: &UniformGrid3,
-    dd: &DomainDecomposition,
-    setups: &[DomainSetup],
-    owned: &[usize],
-    rho_domains: &HashMap<usize, Vec<f64>>,
-) -> Vec<f64> {
-    let by_id: HashMap<usize, &DomainSetup> = owned
-        .iter()
-        .map(|&i| (setups[i].domain.id, &setups[i]))
-        .collect();
-    let (nx, ny, nz) = global_grid.dims();
-    (0..nx * ny * nz)
-        .map(|flat| {
-            let (ix, iy, iz) = global_grid.coords(flat);
-            let r = global_grid.position(ix, iy, iz);
-            let mut acc = 0.0;
-            for (id, p) in dd.support_at(r) {
-                if let (Some(setup), Some(rho_a)) = (by_id.get(&id), rho_domains.get(&id)) {
-                    if let Some(local) = setup.domain.to_local(r) {
-                        acc += p * setup.grid.interpolate(rho_a, local);
-                    }
-                }
-            }
-            acc
-        })
-        .collect()
+) -> Result<LdcState> {
+    LdcSolver::new(*cfg).solve_on(system, comm)
 }
 
 /// Gathers every rank's per-domain (ε, w) levels and reassembles the global
-/// spectrum in ascending domain order — the serial solver's level order.
+/// spectrum in ascending domain order, the same on every rank.
 ///
 /// `allgather_concat` requires equal-length contributions, so each rank
 /// first publishes its stream length (one f64), pads its stream to the
 /// maximum with NaN, and the decode loop reads only each rank's true
 /// length. Values cross the wire as exact f64s, so the reassembled spectrum
 /// is bitwise-replicated.
-fn exchange_spectra(
+pub(crate) fn exchange_spectra(
     comm: &dyn Comm,
     local: &[(usize, Vec<(f64, f64)>)],
 ) -> CommResult<Vec<(f64, f64)>> {
@@ -589,9 +84,10 @@ fn exchange_spectra(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::LdcSolver;
+    use crate::global::{BoundaryMode, HartreeSolver, HALO_PROBE_LEN};
     use mqmd_parallel::executor::run_ranks;
     use mqmd_util::constants::Element;
+    use mqmd_util::Vec3;
 
     fn h2(cell: f64) -> AtomicSystem {
         AtomicSystem::new(
@@ -610,28 +106,6 @@ mod tests {
             tol_density: 1e-5,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn single_rank_matches_serial_solver_bitwise() {
-        // p = 1 collectives are identity maps and the partial field covers
-        // every domain in the serial per-point order, so the distributed
-        // path must reproduce LdcSolver::solve to the last bit.
-        let sys = h2(8.0);
-        let cfg = split_cfg();
-        let serial = LdcSolver::new(cfg).solve(&sys).expect("serial converges");
-        let out = run_ranks(1, |_, comm| solve_distributed(&sys, &cfg, comm).unwrap());
-        let d = &out[0];
-        assert_eq!(d.energy.to_bits(), serial.energy.to_bits());
-        assert_eq!(d.mu.to_bits(), serial.mu.to_bits());
-        assert_eq!(
-            d.density_residual.to_bits(),
-            serial.density_residual.to_bits()
-        );
-        assert_eq!(d.scf_iterations, serial.scf_iterations);
-        assert_eq!(d.n_domains, serial.n_domains);
-        assert_eq!(d.spectrum, serial.spectrum);
-        assert_eq!(d.density, serial.density);
     }
 
     #[test]

@@ -22,6 +22,11 @@
 //!    **global multigrid** (`mqmd-multigrid` — the scalable half of GSLF),
 //!    and the loop repeats to self-consistency.
 //!
+//! That loop exists once, written over the `mqmd-parallel` `Comm` trait
+//! ([`LdcSolver::solve_on`]): one rank or many, threads or processes, run
+//! the same lines. [`LdcSolver::solve`] is its single-rank case and
+//! [`distributed::solve_distributed`] its cold one-shot form.
+//!
 //! [`complexity`] implements the §3.1 cost model: `T(l) = (L/l)³(l+2b)^{3ν}`,
 //! the optimal domain size `l* = 2b/(ν−1)`, the buffer-for-tolerance rule of
 //! Eq. (1), and the O(N)↔O(N³) crossover analysis of §5.2.

@@ -8,6 +8,8 @@
 //! programming model from the transport so the same rank program runs
 //! unchanged on:
 //!
+//! * [`SingleRank`] — one rank, no transport: every collective is the
+//!   identity;
 //! * [`ThreadComm`](crate::executor::ThreadComm) — ranks as threads,
 //!   channels as links, every message priced by the machine model;
 //! * [`SocketComm`](crate::process::SocketComm) — ranks as real
@@ -490,9 +492,84 @@ pub trait Comm: Sync {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The single-rank communicator
+// ---------------------------------------------------------------------------
+
+/// Rank 0 of 1: what a rank program runs on when there are no peers. Every
+/// provided collective returns early at `p == 1`, so none reaches the
+/// point-to-point primitives — which have nobody to address and return a
+/// typed [`CommError::Transport`].
+#[derive(Debug, Default)]
+pub struct SingleRank {
+    traffic: TrafficStats,
+}
+
+impl Comm for SingleRank {
+    fn rank(&self) -> usize {
+        0
+    }
+
+    fn size(&self) -> usize {
+        1
+    }
+
+    fn send_to(&self, dest: usize, _data: &[f64]) -> CommResult<()> {
+        Err(CommError::Transport(format!(
+            "single-rank communicator has no rank {dest} to send to"
+        )))
+    }
+
+    fn recv_from(&self, src: usize, op: &'static str) -> CommResult<Vec<f64>> {
+        Err(CommError::Transport(format!(
+            "{op}: single-rank communicator has no rank {src} to receive from"
+        )))
+    }
+
+    fn barrier(&self) -> CommResult<()> {
+        Ok(())
+    }
+
+    fn traffic(&self) -> &TrafficStats {
+        &self.traffic
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn single_rank_collectives_are_identities() {
+        let comm = SingleRank::default();
+        assert_eq!((comm.rank(), comm.size()), (0, 1));
+        let v = vec![1.5, -2.0, f64::MIN_POSITIVE];
+        assert_eq!(comm.allreduce_sum(v.clone()).unwrap(), v);
+        assert_eq!(comm.broadcast(v.clone()).unwrap(), v);
+        assert_eq!(comm.allgather_concat(&v).unwrap(), v);
+        // The periodic ring wraps onto the rank itself.
+        let (from_left, from_right) = comm.halo_exchange(&v[..1], &v[1..]).unwrap();
+        assert_eq!(
+            (from_left.as_slice(), from_right.as_slice()),
+            (&v[1..], &v[..1])
+        );
+        assert_eq!(
+            comm.alltoall(std::slice::from_ref(&v)).unwrap(),
+            vec![v.clone()]
+        );
+        comm.barrier().unwrap();
+        comm.recovery_fence().unwrap();
+        assert!(
+            comm.traffic().snapshot().is_empty(),
+            "nothing crossed a wire"
+        );
+        // No peer to address: typed errors, never a hang or a panic.
+        assert!(matches!(comm.send_to(1, &v), Err(CommError::Transport(_))));
+        assert!(matches!(
+            comm.recv_from(0, "test"),
+            Err(CommError::Transport(_))
+        ));
+    }
 
     #[test]
     fn binomial_tree_is_consistent() {
