@@ -1,13 +1,17 @@
 //! Micro-benchmarks of the numerical substrates: FFT, GEMM, multigrid
-//! V-cycle, Cholesky band orthonormalisation, Ewald, Hilbert encoding.
+//! V-cycle, Cholesky band orthonormalisation, Ewald, Hilbert encoding, and
+//! the LDC transfer plan's two table walks.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use mqmd_bench::tiny_ldc_config;
+use mqmd_core::transfer::TransferPlan;
 use mqmd_dft::ewald::ewald;
 use mqmd_fft::Fft3d;
 use mqmd_grid::hilbert::hilbert_encode;
 use mqmd_grid::UniformGrid3;
 use mqmd_linalg::orthonorm::cholesky_orthonormalize;
 use mqmd_linalg::CMatrix;
+use mqmd_md::builders::sic_supercell;
 use mqmd_multigrid::PoissonMultigrid;
 use mqmd_util::{Complex64, Vec3, Xoshiro256pp};
 use std::hint::black_box;
@@ -83,5 +87,59 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench);
+/// Global → domain sampling and `ρ = Σα pα·ρα` on the repo benchmark's two
+/// decompositions: SiC-8 split `(2,1,1)` and H₂ in one whole-cell domain.
+fn bench_transfer(c: &mut Criterion) {
+    let cfg = tiny_ldc_config();
+    let mut g = c.benchmark_group("transfer");
+    for (name, cell, nd, buffer) in [
+        (
+            "sic8_2x1x1",
+            sic_supercell((1, 1, 1)).cell,
+            cfg.nd,
+            cfg.buffer,
+        ),
+        ("h2_1x1x1", Vec3::splat(8.0), (1, 1, 1), 0.0),
+    ] {
+        let plan = TransferPlan::new(
+            cell,
+            nd,
+            buffer,
+            cfg.global_spacing,
+            cfg.domain_spacing,
+            cfg.ecut,
+        );
+        let field = plan
+            .global_grid()
+            .sample(|r| (0.7 * r.x).sin() + 0.2 * r.y - 0.1 * r.z);
+        let mut locals: Vec<Vec<f64>> = plan
+            .domains()
+            .iter()
+            .map(|d| vec![0.0; d.grid.len()])
+            .collect();
+        g.throughput(Throughput::Elements(
+            locals.iter().map(|l| l.len() as u64).sum(),
+        ));
+        g.bench_function(&format!("gather_{name}"), |b| {
+            b.iter(|| {
+                for (geometry, local) in plan.domains().iter().zip(&mut locals) {
+                    geometry.sample_global_field(black_box(&field), local);
+                }
+                black_box(locals[0][0])
+            })
+        });
+        let rho_of: Vec<Option<&[f64]>> = locals.iter().map(|l| Some(l.as_slice())).collect();
+        let mut out = vec![0.0; field.len()];
+        g.throughput(Throughput::Elements(out.len() as u64));
+        g.bench_function(&format!("recombine_{name}"), |b| {
+            b.iter(|| {
+                plan.partial_density(black_box(&rho_of), &mut out);
+                black_box(out[0])
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench, bench_transfer);
 criterion_main!(benches);

@@ -9,24 +9,27 @@
 //! global grid, and the lowest bands are found with the preconditioned
 //! block-Davidson solver of `mqmd-dft`.
 
+use crate::transfer::DomainGeometry;
 use mqmd_dft::eigensolver::{block_davidson_with, EigWorkspace};
 use mqmd_dft::hamiltonian::{build_projectors, KsHamiltonian, Nonlocal};
-use mqmd_dft::pw::{band_panel, PlaneWaveBasis};
+use mqmd_dft::pw::band_panel;
 use mqmd_dft::species::Pseudopotential;
 use mqmd_grid::{Domain, DomainDecomposition, UniformGrid3};
 use mqmd_linalg::gemm::{zgemm, zgemm_dagger_a_into};
 use mqmd_linalg::CMatrix;
 use mqmd_md::AtomicSystem;
 use mqmd_util::{events, faults, MqmdError, Result, Vec3};
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// Geometry-dependent, SCF-independent data of one domain.
+/// Geometry-dependent, SCF-independent data of one domain: the shared
+/// position-independent [`DomainGeometry`] (box, local grid, basis, pα,
+/// transfer tables — read through `Deref`, so `setup.grid`, `setup.basis`)
+/// plus what the atoms of one configuration add to it.
 pub struct DomainSetup {
-    /// The domain geometry.
-    pub domain: Domain,
-    /// The domain's local real-space grid.
-    pub grid: UniformGrid3,
-    /// Plane-wave basis on the local grid.
-    pub basis: PlaneWaveBasis,
+    /// The position-independent half, shared with the solver's
+    /// [`TransferPlan`](crate::transfer::TransferPlan) when there is one.
+    pub geometry: Arc<DomainGeometry>,
     /// Atoms inside the domain box: pseudopotential, local position, global
     /// atom index.
     pub atoms: Vec<(Pseudopotential, Vec3, usize)>,
@@ -35,8 +38,6 @@ pub struct DomainSetup {
     /// Global ionic local potential sampled onto the local grid (Eq. 3's
     /// V_ion is a global quantity; only the basis is domain-periodic).
     pub v_ion: Vec<f64>,
-    /// Support function pα sampled on the local grid.
-    pub p_alpha: Vec<f64>,
     /// Kleinman–Bylander projectors on the domain basis, built once per
     /// geometry and reused across every SCF iteration's Hamiltonian.
     pub nonlocal: Option<Nonlocal>,
@@ -46,9 +47,17 @@ pub struct DomainSetup {
     pub core_electrons: f64,
 }
 
+impl Deref for DomainSetup {
+    type Target = DomainGeometry;
+
+    fn deref(&self) -> &DomainGeometry {
+        &self.geometry
+    }
+}
+
 impl DomainSetup {
-    /// Builds the setup for one domain, or `None` if the domain box holds no
-    /// atoms.
+    /// Builds the setup for one domain from nothing, or `None` if the
+    /// domain box holds no atoms.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         domain: &Domain,
@@ -59,6 +68,33 @@ impl DomainSetup {
         extra_bands: usize,
         global_grid: &UniformGrid3,
         v_ion_global: &[f64],
+    ) -> Option<Self> {
+        Self::place_atoms(domain, system, extra_bands, v_ion_global, || {
+            Arc::new(DomainGeometry::new(domain, dd, spacing, ecut, global_grid))
+        })
+    }
+
+    /// Builds the setup for one domain on a geometry planned earlier, or
+    /// `None` if the domain box holds no atoms.
+    pub fn on(
+        geometry: &Arc<DomainGeometry>,
+        system: &AtomicSystem,
+        extra_bands: usize,
+        v_ion_global: &[f64],
+    ) -> Option<Self> {
+        Self::place_atoms(&geometry.domain, system, extra_bands, v_ion_global, || {
+            Arc::clone(geometry)
+        })
+    }
+
+    /// The position-dependent half; `geometry` is asked for only once the
+    /// box is known to hold an atom.
+    fn place_atoms(
+        domain: &Domain,
+        system: &AtomicSystem,
+        extra_bands: usize,
+        v_ion_global: &[f64],
+        geometry: impl FnOnce() -> Arc<DomainGeometry>,
     ) -> Option<Self> {
         let mut atoms = Vec::new();
         let mut core_atoms = Vec::new();
@@ -79,28 +115,9 @@ impl DomainSetup {
         if atoms.is_empty() {
             return None;
         }
-        let grid = domain.local_grid(spacing);
-        let basis = PlaneWaveBasis::new(grid.clone(), ecut);
-        // pα and the sampled global V_ion on the local grid: both evaluated
-        // at the corresponding global positions.
-        let (nx, ny, nz) = grid.dims();
-        let mut p_alpha = Vec::with_capacity(grid.len());
-        let mut v_ion = Vec::with_capacity(grid.len());
-        for ix in 0..nx {
-            for iy in 0..ny {
-                for iz in 0..nz {
-                    let g = domain.to_global(grid.position(ix, iy, iz));
-                    let p = dd
-                        .support_at(g)
-                        .into_iter()
-                        .find(|&(id, _)| id == domain.id)
-                        .map(|(_, w)| w)
-                        .unwrap_or(0.0);
-                    p_alpha.push(p);
-                    v_ion.push(global_grid.interpolate(v_ion_global, g));
-                }
-            }
-        }
+        let geometry = geometry();
+        let mut v_ion = vec![0.0; geometry.grid.len()];
+        geometry.sample_global_field(v_ion_global, &mut v_ion);
         // 30% headroom on top of the box electron count: the global μ solve
         // needs the core-weighted capacity Σ 2·w_n to exceed the electron
         // count even though the mean core weight is only
@@ -108,35 +125,16 @@ impl DomainSetup {
         let n_bands = ((electrons_in_box / 2.0 * 1.3).ceil() as usize + extra_bands).max(1);
         let dft_atoms: Vec<(Pseudopotential, Vec3)> =
             atoms.iter().map(|(p, r, _)| (*p, *r)).collect();
-        let nonlocal = build_projectors(&basis, &dft_atoms);
+        let nonlocal = build_projectors(&geometry.basis, &dft_atoms);
         Some(Self {
-            domain: domain.clone(),
-            grid,
-            basis,
+            geometry,
             atoms,
             core_atoms,
             v_ion,
-            p_alpha,
             nonlocal,
             n_bands,
             core_electrons,
         })
-    }
-
-    /// Samples a field defined on the global grid onto this domain's local
-    /// grid (trilinear, periodic).
-    pub fn sample_global_field(&self, global_grid: &UniformGrid3, field: &[f64]) -> Vec<f64> {
-        let (nx, ny, nz) = self.grid.dims();
-        let mut out = Vec::with_capacity(self.grid.len());
-        for ix in 0..nx {
-            for iy in 0..ny {
-                for iz in 0..nz {
-                    let g = self.domain.to_global(self.grid.position(ix, iy, iz));
-                    out.push(global_grid.interpolate(field, g));
-                }
-            }
-        }
-        out
     }
 
     /// The `(pseudopotential, local position)` pairs for the dft-layer APIs.
@@ -379,6 +377,7 @@ pub fn solve_domain_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqmd_dft::pw::PlaneWaveBasis;
     use mqmd_util::constants::Element;
 
     /// Builds the global grid + V_ion pair the production path supplies.
@@ -491,14 +490,20 @@ mod tests {
         let (gg, vion) = global_ionic(&sys, 0.9);
         let setup =
             DomainSetup::build(&dd.domains()[0], &dd, &sys, 0.9, 2.5, 1, &gg, &vion).unwrap();
-        let global = UniformGrid3::cubic(16, 8.0);
-        let field = global.sample(|r| (0.3 * r.x).sin() + 0.1 * r.y);
-        let sampled = setup.sample_global_field(&global, &field);
-        // Check one arbitrary local grid point by hand.
-        let (ix, iy, iz) = (3, 5, 7);
-        let idx = setup.grid.index(ix, iy, iz);
-        let gpos = setup.domain.to_global(setup.grid.position(ix, iy, iz));
-        assert!((sampled[idx] - global.interpolate(&field, gpos)).abs() < 1e-12);
+        let field = gg.sample(|r| (0.3 * r.x).sin() + 0.1 * r.y);
+        let mut sampled = vec![0.0; setup.grid.len()];
+        setup.sample_global_field(&field, &mut sampled);
+        // The table walk is the pointwise interpolation, bit for bit.
+        let pointwise = setup
+            .grid
+            .sample(|local| gg.interpolate(&field, setup.domain.to_global(local)));
+        assert_eq!(sampled, pointwise);
+        assert_eq!(
+            setup.v_ion,
+            setup
+                .grid
+                .sample(|local| gg.interpolate(&vion, setup.domain.to_global(local)))
+        );
     }
 
     #[test]

@@ -44,20 +44,20 @@
 
 use crate::distributed::exchange_spectra;
 use crate::domain_solver::{solve_domain_with, DomainBands, DomainSetup};
+use crate::transfer::TransferPlan;
 use mqmd_dft::density::fermi;
 use mqmd_dft::eigensolver::EigWorkspace;
 use mqmd_dft::ewald::ewald;
 use mqmd_dft::forces::{local_forces, nonlocal_forces};
 use mqmd_dft::hamiltonian::ionic_local_potential;
 use mqmd_dft::scf::initial_density;
-use mqmd_dft::solver::{atoms_of, grid_for_cell};
+use mqmd_dft::solver::atoms_of;
 use mqmd_dft::xc;
-use mqmd_grid::{DomainDecomposition, UniformGrid3};
+use mqmd_grid::UniformGrid3;
 use mqmd_linalg::CMatrix;
 use mqmd_md::{AtomicSystem, ForceField, ForceResult};
 use mqmd_multigrid::{FftPoisson, MgHierarchy, PoissonMultigrid};
 use mqmd_parallel::comm::{Comm, CommError, SingleRank};
-use mqmd_util::flops::par_min_len;
 use mqmd_util::workspace::{self, Workspace};
 use mqmd_util::{faults, MqmdError, Result, Vec3};
 use rayon::prelude::*;
@@ -250,15 +250,106 @@ pub struct LdcSolver {
     /// back in; like the two fields below they never leave the solver, so
     /// no exit path of a solve can lose them.
     eig_cache: Mutex<HashMap<usize, EigWorkspace>>,
-    /// Preplanned multigrid V-cycle scratch for the global Hartree solve,
-    /// persisted across MD steps (replanned only if the global grid
-    /// changes).
-    mg_hier: Option<MgHierarchy>,
+    /// Everything a solve derives from the cell and the configuration
+    /// alone — domain geometries, the global↔domain transfer tables, the
+    /// global Hartree solver — built at the first solve and kept until its
+    /// key changes. Scratch: survives [`Self::reset_job_state`], is never
+    /// exported, and a checkpoint restore rebuilds it lazily.
+    plan: Option<SolvePlan>,
     /// Arena for global-grid FFT scratch (spectral Hartree path),
     /// persisted across MD steps.
     gws: Workspace,
     /// Cumulative SCF iterations across all `solve` calls.
     pub total_scf_iterations: usize,
+}
+
+/// What a [`SolvePlan`] is a function of: the cell and the configuration
+/// fields that shape grids, domains and the Hartree solver. `config` is a
+/// public field that callers edit in place, so every solve compares its key
+/// with the plan's.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct PlanKey {
+    cell: Vec3,
+    nd: (usize, usize, usize),
+    buffer: f64,
+    global_spacing: f64,
+    domain_spacing: f64,
+    ecut: f64,
+    hartree: HartreeSolver,
+}
+
+impl PlanKey {
+    fn of(cell: Vec3, cfg: &LdcConfig) -> Self {
+        Self {
+            cell,
+            nd: cfg.nd,
+            buffer: cfg.buffer,
+            global_spacing: cfg.global_spacing,
+            domain_spacing: cfg.domain_spacing,
+            ecut: cfg.ecut,
+            hartree: cfg.hartree,
+        }
+    }
+}
+
+/// The position-independent set-up of a solve, kept across solves.
+struct SolvePlan {
+    key: PlanKey,
+    transfer: TransferPlan,
+    hartree: HartreePlan,
+}
+
+impl SolvePlan {
+    fn new(key: PlanKey) -> Self {
+        let transfer = TransferPlan::new(
+            key.cell,
+            key.nd,
+            key.buffer,
+            key.global_spacing,
+            key.domain_spacing,
+            key.ecut,
+        );
+        let hartree = HartreePlan::new(key.hartree, transfer.global_grid());
+        Self {
+            key,
+            transfer,
+            hartree,
+        }
+    }
+}
+
+/// The global Hartree solver the configuration selects, planned for one
+/// global grid.
+enum HartreePlan {
+    /// The solver with its V-cycle scratch, reused by every SCF iteration's
+    /// two Hartree calls.
+    Multigrid(PoissonMultigrid, MgHierarchy),
+    Fft(Box<FftPoisson>),
+}
+
+impl HartreePlan {
+    fn new(kind: HartreeSolver, global_grid: &UniformGrid3) -> Self {
+        match kind {
+            HartreeSolver::Multigrid => {
+                let mg = PoissonMultigrid::with_defaults(global_grid.clone());
+                let hier = mg.plan();
+                Self::Multigrid(mg, hier)
+            }
+            HartreeSolver::Fft => Self::Fft(Box::new(FftPoisson::new(global_grid.clone()))),
+        }
+    }
+
+    /// Writes the Hartree potential of `rho` into `v`; the spectral solver
+    /// borrows its FFT field from `ws`.
+    fn solve(&mut self, rho: &[f64], v: &mut [f64], ws: &Workspace) -> Result<()> {
+        match self {
+            Self::Multigrid(mg, hier) => {
+                mg.hartree_with(rho, v, hier)?;
+            }
+            Self::Fft(fft) => fft.hartree_into(rho, v, ws),
+        }
+        Ok(())
+    }
 }
 
 /// Finds μ with `Σ_i f(ε_i; μ)·w_i = n_electrons` over core-weighted levels.
@@ -323,7 +414,7 @@ impl LdcSolver {
             psi_cache: HashMap::new(),
             rho_cache: HashMap::new(),
             eig_cache: Mutex::default(),
-            mg_hier: None,
+            plan: None,
             gws: Workspace::new(),
             total_scf_iterations: 0,
         }
@@ -335,12 +426,13 @@ impl LdcSolver {
         self.psi_cache.clear();
         self.rho_cache.clear();
         lock_cache(&self.eig_cache).clear();
-        self.mg_hier = None;
+        self.plan = None;
     }
 
     /// Drops per-*job* state (warm-start bands, cached densities, the SCF
     /// counter) while keeping geometry-keyed *plan* scratch — eigensolver
-    /// workspaces, the multigrid hierarchy, the Hartree arena. The service
+    /// workspaces, the solve plan (domain geometries, transfer tables,
+    /// Hartree solver), the Hartree arena. The service
     /// runtime calls this when handing a pooled solver to a new job with
     /// the same grid shape: pooled scratch is bitwise-inert (pinned by the
     /// PR 3 identity tests), so the next job's trajectory is independent
@@ -387,7 +479,7 @@ impl LdcSolver {
     }
 
     /// Restores state captured by [`LdcSolver::export_state`]. Eigensolver
-    /// workspaces and multigrid plans are scratch and rebuilt lazily.
+    /// workspaces and the solve plan are scratch and rebuilt lazily.
     pub fn import_state(&mut self, data: &[u8]) -> Result<()> {
         use bytes::Bytes;
         use mqmd_md::io::read_varint;
@@ -440,11 +532,13 @@ impl LdcSolver {
     /// rank must call this with the same `system` and configuration; every
     /// field of the result except `owned_domains` is bitwise-replicated.
     ///
-    /// **Warm starts.** Bands, eigensolver workspaces, the multigrid
-    /// hierarchy and the Hartree arena persist in the solver from one call
-    /// to the next. An aborted solve (cancelled, domain abort, transport
-    /// failure) drops the bands — some were consumed mid-iteration — and
-    /// keeps the scratch, which never leaves the solver.
+    /// **Warm starts.** Bands, eigensolver workspaces, the solve plan and
+    /// the Hartree arena persist in the solver from one call to the next;
+    /// the plan is rebuilt when the cell or a configuration field it was
+    /// built from has changed since. An aborted solve (cancelled, domain
+    /// abort, transport failure) drops the bands — some were consumed
+    /// mid-iteration — and keeps the scratch, which never leaves the
+    /// solver.
     ///
     /// **Rank rebirth.** On transports with a recovery supervisor, a peer
     /// death surfaces at the next collective as a typed
@@ -458,64 +552,38 @@ impl LdcSolver {
     /// same communicator shape.
     pub fn solve_on(&mut self, system: &AtomicSystem, comm: &dyn Comm) -> Result<LdcState> {
         let cfg = self.config;
-        let dd = DomainDecomposition::new(system.cell, cfg.nd, cfg.buffer);
-        let global_grid = grid_for_cell(system.cell, cfg.global_spacing);
+        let key = PlanKey::of(system.cell, &cfg);
+        match &self.plan {
+            Some(plan) if plan.key == key => workspace::record_reuse(),
+            _ => self.plan = Some(SolvePlan::new(key)),
+        }
+        let plan = self.plan.as_mut().expect("planned just above");
+        let (transfer, hartree) = (&plan.transfer, &mut plan.hartree);
+        let global_grid = transfer.global_grid();
         let n_electrons = system.valence_electrons() as f64;
         let atoms_global = atoms_of(system);
 
         // Global ionic potential (Eq. 3's V_ion), evaluated once and sampled
         // onto each domain grid during setup.
-        let v_ion_global = ionic_local_potential(&global_grid, &atoms_global);
+        let v_ion_global = ionic_local_potential(global_grid, &atoms_global);
 
-        // Geometry phase, replicated: every rank builds every setup so the
-        // partition-of-unity weights and grids agree bitwise; only the
-        // *solves* are striped. (Setups are cheap next to Davidson.)
-        let setups: Vec<DomainSetup> = dd
+        // Position-dependent half of the geometry phase, replicated: every
+        // rank places the atoms in every domain so the setups agree
+        // bitwise; only the *solves* are striped. (Setups are cheap next to
+        // Davidson.)
+        let setups: Vec<DomainSetup> = transfer
             .domains()
             .par_iter()
-            .filter_map(|d| {
-                DomainSetup::build(
-                    d,
-                    &dd,
-                    system,
-                    cfg.domain_spacing,
-                    cfg.ecut,
-                    cfg.extra_bands,
-                    &global_grid,
-                    &v_ion_global,
-                )
+            .filter_map(|geometry| {
+                DomainSetup::on(geometry, system, cfg.extra_bands, &v_ion_global)
             })
             .collect();
         if setups.is_empty() {
             return Err(MqmdError::Invalid("no atoms in any domain".into()));
         }
 
-        // Global Poisson machinery: the V-cycle hierarchy is planned once
-        // per grid shape and reused by every SCF iteration's two Hartree
-        // calls, this solve and the next.
-        let mg = PoissonMultigrid::with_defaults(global_grid.clone());
-        let fft_poisson = FftPoisson::new(global_grid.clone());
-        if cfg.hartree == HartreeSolver::Multigrid {
-            match &self.mg_hier {
-                Some(h)
-                    if h.fine_len() == global_grid.len()
-                        && h.coarse_levels() + 1 == mg.levels() =>
-                {
-                    workspace::record_reuse()
-                }
-                _ => self.mg_hier = Some(mg.plan()),
-            }
-        }
-        let (mg_hier, gws) = (&mut self.mg_hier, &self.gws);
-        let mut hartree = |rho: &[f64], v: &mut [f64]| -> Result<()> {
-            match (cfg.hartree, mg_hier.as_mut()) {
-                (HartreeSolver::Multigrid, Some(hier)) => {
-                    mg.hartree_with(rho, v, hier)?;
-                }
-                _ => fft_poisson.hartree_into(rho, v, gws),
-            }
-            Ok(())
-        };
+        let gws = &self.gws;
+        let mut hartree = |rho: &[f64], v: &mut [f64]| hartree.solve(rho, v, gws);
 
         let ion_positions: Vec<Vec3> = atoms_global.iter().map(|(_, r)| *r).collect();
         let ion_charges: Vec<f64> = atoms_global.iter().map(|(p, _)| p.z_val).collect();
@@ -526,7 +594,7 @@ impl LdcSolver {
             None,
         );
 
-        let rho0 = initial_density(&global_grid, &atoms_global, n_electrons);
+        let rho0 = initial_density(global_grid, &atoms_global, n_electrons);
         // Warm-start bands leave the solver for the duration of the solve
         // and return when it finishes; an aborted solve drops them.
         let psi_cache = Mutex::new(std::mem::take(&mut self.psi_cache));
@@ -614,7 +682,8 @@ impl LdcSolver {
                     .par_iter()
                     .map(|&(idx, setup)| {
                         let id = setup.domain.id;
-                        let v_hxc_local = setup.sample_global_field(&global_grid, &v_hxc);
+                        let mut v_hxc_local = vec![0.0; setup.grid.len()];
+                        setup.sample_global_field(&v_hxc, &mut v_hxc_local);
                         let v_bc = match (cfg.mode, rho_domains.get(&id)) {
                             (BoundaryMode::DensityAdaptive { xi }, Some(rho_prev)) => {
                                 // Eq. (2) with the correction confined to the
@@ -623,8 +692,8 @@ impl LdcSolver {
                                 // density error lives and vanishes deep in
                                 // the core (where the lagged Δρ is noise,
                                 // not signal).
-                                let rho_global_local =
-                                    setup.sample_global_field(&global_grid, &rho);
+                                let mut rho_global_local = vec![0.0; setup.grid.len()];
+                                setup.sample_global_field(&rho, &mut rho_global_local);
                                 Some(
                                     rho_prev
                                         .iter()
@@ -739,7 +808,12 @@ impl LdcSolver {
                 let gd_span = mqmd_util::trace::span("global_density");
                 let comm_bytes: u64 = rho_domains.values().map(|r| 8 * r.len() as u64).sum();
                 mqmd_util::trace::add_comm(rho_domains.len() as u64, comm_bytes, 0.0);
-                let partial = partial_density(&global_grid, &dd, &owned, &rho_domains);
+                let mut rho_of = vec![None; transfer.domains().len()];
+                for (&id, rho_a) in &rho_domains {
+                    rho_of[id] = Some(rho_a.as_slice());
+                }
+                let mut partial = vec![0.0; n_g];
+                transfer.partial_density(&rho_of, &mut partial);
                 let mut rho_out = fence!(comm.allreduce_sum(partial));
                 for r in &mut rho_out {
                     *r = r.max(0.0);
@@ -851,7 +925,7 @@ impl LdcSolver {
             // non-local term of core-owned atoms, summed from zero over the
             // owned domains and across ranks (each atom has exactly one
             // core-owning domain, so the sum adds zeros to one value).
-            let mut forces = local_forces(&global_grid, &atoms_global, &out.density);
+            let mut forces = local_forces(global_grid, &atoms_global, &out.density);
             for (f, fe) in forces.iter_mut().zip(&ew.forces) {
                 *f += *fe;
             }
@@ -974,44 +1048,6 @@ fn core_band_occupations(setup: &DomainSetup, n_bands: usize) -> Vec<f64> {
     occ
 }
 
-/// This rank's share of the global density `ρ(r) = Σα pα(r)·ρα(r)` before
-/// clamping: at every global grid point, the partition-of-unity sum over
-/// the owned domains. The caller sums the shares over ranks, clamps at
-/// zero and rescales to the electron count.
-fn partial_density(
-    global_grid: &UniformGrid3,
-    dd: &DomainDecomposition,
-    owned: &[(usize, &DomainSetup)],
-    rho_domains: &HashMap<usize, Vec<f64>>,
-) -> Vec<f64> {
-    let by_id: HashMap<usize, (&DomainSetup, &Vec<f64>)> = owned
-        .iter()
-        .filter_map(|&(_, setup)| {
-            let id = setup.domain.id;
-            Some((id, (setup, rho_domains.get(&id)?)))
-        })
-        .collect();
-    // A grid point costs a few hundred FLOPs: the partition weights of the
-    // domains covering it and one trilinear interpolation in each.
-    (0..global_grid.len())
-        .into_par_iter()
-        .with_min_len(par_min_len(256))
-        .map(|flat| {
-            let (ix, iy, iz) = global_grid.coords(flat);
-            let r = global_grid.position(ix, iy, iz);
-            let mut acc = 0.0;
-            for (id, p) in dd.support_at(r) {
-                if let Some((setup, rho_a)) = by_id.get(&id) {
-                    if let Some(local) = setup.domain.to_local(r) {
-                        acc += p * setup.grid.interpolate(rho_a, local);
-                    }
-                }
-            }
-            acc
-        })
-        .collect()
-}
-
 impl ForceField for LdcSolver {
     fn try_compute(&mut self, system: &AtomicSystem) -> Result<ForceResult> {
         let state = self.solve(system)?;
@@ -1025,6 +1061,7 @@ impl ForceField for LdcSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqmd_dft::solver::grid_for_cell;
     use mqmd_parallel::comm::CommResult;
     use mqmd_parallel::executor::run_ranks;
     use mqmd_util::constants::Element;
@@ -1171,6 +1208,85 @@ mod tests {
         let (first, second, total) = iters[0];
         assert!(second <= first, "warm {second} vs cold {first}");
         assert_eq!(total, first + second);
+    }
+
+    /// Energy, μ, density and forces of a solve, as bits.
+    fn bits(state: &LdcState) -> Vec<u64> {
+        let forces = state.forces.iter().flat_map(|f| f.to_array());
+        [state.energy, state.mu]
+            .into_iter()
+            .chain(state.density.iter().copied())
+            .chain(forces)
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// Address of the plan's first domain geometry: equal addresses of two
+    /// live plans mean one plan.
+    fn plan_identity(ldc: &LdcSolver) -> *const crate::transfer::DomainGeometry {
+        let plan = ldc.plan.as_ref().expect("a solve has planned");
+        std::sync::Arc::as_ptr(&plan.transfer.domains()[0])
+    }
+
+    #[test]
+    fn plan_follows_the_cell_and_in_place_config_edits() {
+        // One solver meets cell 8.0, then 9.6, then has `config.buffer`
+        // edited under it: each solve must equal a fresh solver's bitwise
+        // (a stale plan would sample with the wrong tables), and the plan
+        // must be rebuilt exactly when its key moved.
+        let mut pooled = LdcSolver::new(split_cfg());
+        let mut cfg = split_cfg();
+        let mut last_plan = std::ptr::null();
+        for (cell, buffer, replanned) in [
+            (8.0, 2.0, true),
+            (8.0, 2.0, false),
+            (9.6, 2.0, true),
+            (9.6, 1.0, true),
+        ] {
+            let sys = h2(cell);
+            cfg.buffer = buffer;
+            pooled.config.buffer = buffer;
+            pooled.reset_job_state();
+            let warm = pooled.solve(&sys).unwrap();
+            let fresh = LdcSolver::new(cfg).solve(&sys).unwrap();
+            assert_eq!(bits(&warm), bits(&fresh), "cell {cell}, buffer {buffer}");
+            let plan = plan_identity(&pooled);
+            assert_eq!(plan != last_plan, replanned, "cell {cell}, buffer {buffer}");
+            last_plan = plan;
+        }
+    }
+
+    #[test]
+    fn plan_is_scratch_for_jobs_and_checkpoints() {
+        let sys = h2(8.0);
+        let mut ldc = LdcSolver::new(split_cfg());
+        ldc.solve(&sys).unwrap();
+        let plan = plan_identity(&ldc);
+        let exported = ldc.export_state();
+
+        // A checkpoint carries no plan: a solver restored from one has
+        // none until it solves, and exports the same bytes.
+        let mut restored = LdcSolver::new(split_cfg());
+        restored.import_state(&exported).unwrap();
+        assert!(restored.plan.is_none());
+        assert_eq!(restored.export_state(), exported);
+        // Importing into a planned solver leaves its plan alone.
+        ldc.import_state(&exported).unwrap();
+        assert_eq!(plan_identity(&ldc), plan);
+        assert_eq!(ldc.export_state(), exported);
+
+        // A new job keeps the plan and exports what a new solver exports.
+        ldc.reset_job_state();
+        assert_eq!(plan_identity(&ldc), plan);
+        assert_eq!(
+            ldc.export_state(),
+            LdcSolver::new(split_cfg()).export_state()
+        );
+        ldc.solve(&sys).unwrap();
+        assert_eq!(plan_identity(&ldc), plan);
+
+        ldc.clear_cache();
+        assert!(ldc.plan.is_none());
     }
 
     /// Delegates to a [`ThreadComm`](mqmd_parallel::executor::ThreadComm)

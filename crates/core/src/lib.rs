@@ -27,6 +27,11 @@
 //! the same lines. [`LdcSolver::solve`] is its single-rank case and
 //! [`distributed::solve_distributed`] its cold one-shot form.
 //!
+//! [`transfer`] plans the two grid transfers of that loop — sampling global
+//! fields onto domain grids, and `ρ = Σ_α pα·ρα` back — once per geometry:
+//! per-axis interpolation taps and the partition of unity in CSR form, kept
+//! in the solver across SCF iterations, MD steps and pooled jobs.
+//!
 //! [`complexity`] implements the §3.1 cost model: `T(l) = (L/l)³(l+2b)^{3ν}`,
 //! the optimal domain size `l* = 2b/(ν−1)`, the buffer-for-tolerance rule of
 //! Eq. (1), and the O(N)↔O(N³) crossover analysis of §5.2.
@@ -46,6 +51,7 @@ pub mod distributed;
 pub mod domain_solver;
 pub mod global;
 pub mod qmd;
+pub mod transfer;
 
 pub use complexity::{crossover_length, optimal_core_length, CostModel};
 pub use global::{BoundaryMode, LdcConfig, LdcSolver, LdcState};

@@ -10,6 +10,7 @@
 
 use crate::support::weight_3d;
 use crate::ugrid::UniformGrid3;
+use mqmd_util::vec3::wrap_coord;
 use mqmd_util::Vec3;
 
 /// One DC domain: core box plus buffer shell.
@@ -53,20 +54,33 @@ impl Domain {
     /// `[0, l+2b)³` if the (periodically wrapped) point lies inside the
     /// domain box, else `None`.
     pub fn to_local(&self, r: Vec3) -> Option<Vec3> {
-        let d = self.domain_len();
-        // Work relative to the domain corner, minimum-image style per axis.
-        let rel = (r - self.domain_origin()).wrap(self.cell);
-        let inside = |x: f64, len: f64| x < len;
-        if inside(rel.x, d.x) && inside(rel.y, d.y) && inside(rel.z, d.z) {
-            Some(rel)
-        } else {
-            None
-        }
+        Some(Vec3::new(
+            self.to_local_axis(0, r.x)?,
+            self.to_local_axis(1, r.y)?,
+            self.to_local_axis(2, r.z)?,
+        ))
+    }
+
+    /// One axis (`0`, `1`, `2` = x, y, z) of [`Self::to_local`]: the box is
+    /// a product of intervals, so each coordinate maps on its own.
+    pub fn to_local_axis(&self, axis: usize, x: f64) -> Option<f64> {
+        // Relative to the domain corner, minimum-image style.
+        let rel = wrap_coord(x - self.domain_origin()[axis], self.cell[axis]);
+        (rel < self.domain_len()[axis]).then_some(rel)
     }
 
     /// Maps domain-local coordinates back to a wrapped global position.
     pub fn to_global(&self, local: Vec3) -> Vec3 {
-        (self.domain_origin() + local).wrap(self.cell)
+        Vec3::new(
+            self.to_global_axis(0, local.x),
+            self.to_global_axis(1, local.y),
+            self.to_global_axis(2, local.z),
+        )
+    }
+
+    /// One axis of [`Self::to_global`].
+    pub fn to_global_axis(&self, axis: usize, local: f64) -> f64 {
+        wrap_coord(self.domain_origin()[axis] + local, self.cell[axis])
     }
 
     /// Returns whether the wrapped point lies in the (half-open) core box.
@@ -420,6 +434,31 @@ mod tests {
         let d = &dd.domains()[0];
         assert!((d.buffer - Vec3::splat(2.0)).norm() < 1e-12);
         assert!((d.domain_len() - Vec3::splat(8.0)).norm() < 1e-12);
+    }
+
+    #[test]
+    fn point_a_hair_below_zero_belongs_to_a_domain() {
+        // x − origin = −ε wraps to the cell length under a bare
+        // `rem_euclid`, which a whole-cell domain's `x < len` then rejects:
+        // no domain held the point and `support_at` divided by zero.
+        // (Not asserted here: with nd > 1 a point half an ulp below a
+        // *core* face can still round onto the face from both sides and
+        // have no core owner. MD positions are wrapped into [0, l) by the
+        // integrator, so the solver never sees one.)
+        let eps = -f64::EPSILON;
+        for nd in [(1, 1, 1), (2, 1, 1), (3, 3, 3)] {
+            let dd = DomainDecomposition::new(Vec3::splat(8.0), nd, 1.0);
+            for r in [
+                Vec3::new(eps, 4.0, 4.0),
+                Vec3::new(4.0, eps, 4.0),
+                Vec3::new(4.0, 4.0, -1e-18),
+                Vec3::splat(eps),
+            ] {
+                let p = dd.support_at(r);
+                let sum: f64 = p.iter().map(|&(_, w)| w).sum();
+                assert!((sum - 1.0).abs() < 1e-12, "nd {nd:?}, {r:?}: Σpα = {sum}");
+            }
+        }
     }
 
     #[test]

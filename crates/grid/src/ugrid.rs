@@ -17,6 +17,20 @@ pub struct UniformGrid3 {
     lz: f64,
 }
 
+/// One axis of a trilinear stencil: the two periodic grid indices that
+/// bracket a coordinate, and the weight of each.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AxisTap {
+    /// Index of the grid plane at or below the coordinate.
+    pub i0: usize,
+    /// Index of the next plane up (periodic).
+    pub i1: usize,
+    /// Weight of `i0`: one minus the fractional offset.
+    pub w0: f64,
+    /// Weight of `i1`: the fractional offset.
+    pub w1: f64,
+}
+
 impl UniformGrid3 {
     /// Creates a grid.
     ///
@@ -128,28 +142,61 @@ impl UniformGrid3 {
         field.iter().sum::<f64>() * self.dv()
     }
 
-    /// Trilinear periodic interpolation of a sampled field at an arbitrary
-    /// position (Bohr, wrapped into the cell).
-    pub fn interpolate(&self, field: &[f64], r: Vec3) -> f64 {
-        assert_eq!(field.len(), self.len());
-        let (hx, hy, hz) = self.spacing();
-        let fx = (r.x / hx).rem_euclid(self.nx as f64);
-        let fy = (r.y / hy).rem_euclid(self.ny as f64);
-        let fz = (r.z / hz).rem_euclid(self.nz as f64);
-        let (ix, iy, iz) = (fx.floor() as i64, fy.floor() as i64, fz.floor() as i64);
-        let (tx, ty, tz) = (fx - ix as f64, fy - iy as f64, fz - iz as f64);
+    /// One axis (`0`, `1`, `2` = x, y, z) of the trilinear stencil at a
+    /// position, from that axis's coordinate alone (Bohr, wrapped into the
+    /// cell). The stencil is separable, so a transfer between two grids
+    /// whose positions are themselves separable tabulates one tap per axis
+    /// index instead of eight weights per point.
+    pub fn axis_tap(&self, axis: usize, x: f64) -> AxisTap {
+        let (n, l) = match axis {
+            0 => (self.nx, self.lx),
+            1 => (self.ny, self.ly),
+            2 => (self.nz, self.lz),
+            _ => panic!("grid axis {axis} out of range"),
+        };
+        let f = (x / (l / n as f64)).rem_euclid(n as f64);
+        let i = f.floor() as i64;
+        let t = f - i as f64;
+        AxisTap {
+            i0: i.rem_euclid(n as i64) as usize,
+            i1: (i + 1).rem_euclid(n as i64) as usize,
+            w0: 1.0 - t,
+            w1: t,
+        }
+    }
+
+    /// Applies a trilinear stencil to a sampled field: the sum of
+    /// `wx·wy·wz·field[ix, iy, iz]` over the eight corners, x outermost and
+    /// z innermost, corners of zero weight skipped. Every interpolation in
+    /// the workspace goes through this one loop, so a tabulated transfer
+    /// adds the same products in the same order as [`Self::interpolate`].
+    #[inline]
+    pub fn apply_taps(&self, field: &[f64], [tx, ty, tz]: [&AxisTap; 3]) -> f64 {
         let mut acc = 0.0;
-        for (dx, wx) in [(0i64, 1.0 - tx), (1, tx)] {
-            for (dy, wy) in [(0i64, 1.0 - ty), (1, ty)] {
-                for (dz, wz) in [(0i64, 1.0 - tz), (1, tz)] {
+        for (ix, wx) in [(tx.i0, tx.w0), (tx.i1, tx.w1)] {
+            for (iy, wy) in [(ty.i0, ty.w0), (ty.i1, ty.w1)] {
+                let row = (ix * self.ny + iy) * self.nz;
+                for (iz, wz) in [(tz.i0, tz.w0), (tz.i1, tz.w1)] {
                     let w = wx * wy * wz;
                     if w != 0.0 {
-                        acc += w * field[self.index_wrapped(ix + dx, iy + dy, iz + dz)];
+                        acc += w * field[row + iz];
                     }
                 }
             }
         }
         acc
+    }
+
+    /// Trilinear periodic interpolation of a sampled field at an arbitrary
+    /// position (Bohr, wrapped into the cell).
+    pub fn interpolate(&self, field: &[f64], r: Vec3) -> f64 {
+        assert_eq!(field.len(), self.len());
+        let taps = [
+            &self.axis_tap(0, r.x),
+            &self.axis_tap(1, r.y),
+            &self.axis_tap(2, r.z),
+        ];
+        self.apply_taps(field, taps)
     }
 
     /// Evaluates a function on every grid point into a flat field.

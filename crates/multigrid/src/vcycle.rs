@@ -72,20 +72,6 @@ pub struct MgHierarchy {
     factors: Vec<f64>,
 }
 
-impl MgHierarchy {
-    /// Fine-grid point count this hierarchy was planned for — lets callers
-    /// that cache a hierarchy across solves check it still matches the
-    /// solver's grid before reusing it.
-    pub fn fine_len(&self) -> usize {
-        self.rhs.len()
-    }
-
-    /// Number of coarse levels planned below the fine grid.
-    pub fn coarse_levels(&self) -> usize {
-        self.levels.len()
-    }
-}
-
 impl PoissonMultigrid {
     /// Builds the grid hierarchy under the given fine grid.
     pub fn new(fine: UniformGrid3, config: MgConfig) -> Self {

@@ -13,6 +13,22 @@ pub struct Vec3 {
     pub z: f64,
 }
 
+/// Maps one coordinate into `[0, l)` for a periodic axis of length `l`.
+///
+/// `f64::rem_euclid` alone does not: for a negative `x` smaller in magnitude
+/// than half an ulp of `l` it returns `l − |x|` rounded, which is `l` itself
+/// (`(-f64::EPSILON).rem_euclid(8.0) == 8.0`). That value is the periodic
+/// image of 0.
+#[inline]
+pub fn wrap_coord(x: f64, l: f64) -> f64 {
+    let w = x.rem_euclid(l);
+    if w == l {
+        0.0
+    } else {
+        w
+    }
+}
+
 impl Vec3 {
     /// The zero vector.
     pub const ZERO: Self = Self {
@@ -105,9 +121,9 @@ impl Vec3 {
     /// `l = (lx, ly, lz)`.
     pub fn wrap(self, l: Self) -> Self {
         Self {
-            x: self.x.rem_euclid(l.x),
-            y: self.y.rem_euclid(l.y),
-            z: self.z.rem_euclid(l.z),
+            x: wrap_coord(self.x, l.x),
+            y: wrap_coord(self.y, l.y),
+            z: wrap_coord(self.z, l.z),
         }
     }
 
@@ -323,6 +339,24 @@ mod tests {
         assert!((v.x - 2.5).abs() < 1e-12);
         assert!((v.y - 9.5).abs() < 1e-12);
         assert!(v.z < 10.0 && v.z >= 0.0);
+    }
+
+    #[test]
+    fn wrap_never_returns_the_box_length() {
+        // rem_euclid rounds l − ε up to l on each of these.
+        for l in [8.0, 9.6, 8.237] {
+            assert_eq!((-f64::EPSILON).rem_euclid(l), l, "the case being fixed");
+            let v = Vec3::splat(-f64::EPSILON).wrap(Vec3::splat(l));
+            for axis in 0..3 {
+                assert_eq!(v[axis], 0.0, "axis {axis}, l = {l}");
+            }
+        }
+        // Mixed: only the offending axis moves.
+        let v = Vec3::new(3.0, -1e-18, 8.0).wrap(Vec3::splat(8.0));
+        assert_eq!(v, Vec3::new(3.0, 0.0, 0.0));
+        // A negative input big enough to be representable below l is kept.
+        let w = wrap_coord(-1e-9, 8.0);
+        assert!(w < 8.0 && w > 7.99);
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! `tests/workspace_reuse.rs` proves that no *workspace borrow* misses in
 //! steady state; a `vec!` inside a kernel is invisible to that ledger (the
 //! 1-D transform used to make one per pencil, 4.6 M a QMD step). This file
-//! counts what the allocator itself sees, so it holds one test and installs
-//! a counting `#[global_allocator]` for its process.
+//! counts what the allocator itself sees: it installs a counting
+//! `#[global_allocator]` for its process, and counts per thread, so its
+//! tests do not see one another. The LDC transfer plan's two table walks
+//! (global → domain sampling, `ρ = Σα pα·ρα`) are held to the same zero.
 
+use metascale_qmd::core::transfer::TransferPlan;
 use metascale_qmd::dft::density::density_into;
 use metascale_qmd::dft::hamiltonian::{build_projectors, ionic_local_potential, KsHamiltonian};
 use metascale_qmd::dft::pw::PlaneWaveBasis;
@@ -20,12 +23,10 @@ use metascale_qmd::util::workspace::Workspace;
 use metascale_qmd::util::{Complex64, Vec3};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Allocations (and reallocations) made by a thread while it is `COUNTING`.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
+    /// Allocations (and reallocations) this thread made while `COUNTING`.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -35,7 +36,7 @@ fn note() {
     // `try_with`: the allocator also runs while a thread's locals are torn
     // down, when there is nothing to count.
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -64,11 +65,11 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Heap allocations this thread makes inside `f`.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]
@@ -124,5 +125,41 @@ fn warm_hamiltonian_density_and_fft_allocate_nothing_at_one_thread() {
                 "{n}³ grid: warm kernels made {made} heap allocations"
             );
         });
+    }
+}
+
+#[test]
+fn warm_transfer_tables_allocate_nothing_at_one_thread() {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the shim's pool construction cannot fail");
+    // The benchmark's SiC-8 decomposition (two overlapping domains) and its
+    // H₂ one (a single whole-cell domain).
+    for (cell, nd, buffer) in [(8.24, (2, 1, 1), 1.0), (8.0, (1, 1, 1), 0.0)] {
+        let plan = TransferPlan::new(Vec3::splat(cell), nd, buffer, 1.2, 1.2, 2.0);
+        let global: Vec<f64> = (0..plan.global_grid().len())
+            .map(|i| (i as f64).sin())
+            .collect();
+        let mut locals: Vec<Vec<f64>> = plan
+            .domains()
+            .iter()
+            .map(|g| vec![0.0; g.grid.len()])
+            .collect();
+        let mut out = vec![0.0; global.len()];
+        pool.install(|| {
+            let made = allocations(|| {
+                for (geometry, local) in plan.domains().iter().zip(&mut locals) {
+                    geometry.sample_global_field(&global, local);
+                }
+            });
+            assert_eq!(made, 0, "nd {nd:?}: gather made {made} heap allocations");
+            let rho_of: Vec<Option<&[f64]>> = locals.iter().map(|l| Some(l.as_slice())).collect();
+            let made = allocations(|| plan.partial_density(&rho_of, &mut out));
+            assert_eq!(made, 0, "nd {nd:?}: recombine made {made} heap allocations");
+        });
+        // A partition of unity over fields that agree with the global one
+        // to interpolation accuracy: the walk produced numbers, not zeros.
+        assert!(out.iter().any(|&x| x != 0.0));
     }
 }
