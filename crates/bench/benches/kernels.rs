@@ -1,18 +1,24 @@
 //! Micro-benchmarks of the numerical substrates: FFT, GEMM, multigrid
-//! V-cycle, Cholesky band orthonormalisation, Ewald, Hilbert encoding, and
-//! the LDC transfer plan's two table walks.
+//! V-cycle, Cholesky band orthonormalisation, Ewald, Hilbert encoding, the
+//! LDC transfer plan's two table walks, and the domain block-Davidson solve.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mqmd_bench::tiny_ldc_config;
+use mqmd_core::domain_solver::DomainSetup;
 use mqmd_core::transfer::TransferPlan;
+use mqmd_dft::eigensolver::{block_davidson_with, EigWorkspace};
 use mqmd_dft::ewald::ewald;
+use mqmd_dft::hamiltonian::{ionic_local_potential, KsHamiltonian};
+use mqmd_dft::solver::atoms_of;
 use mqmd_fft::Fft3d;
 use mqmd_grid::hilbert::hilbert_encode;
 use mqmd_grid::UniformGrid3;
 use mqmd_linalg::orthonorm::cholesky_orthonormalize;
 use mqmd_linalg::CMatrix;
 use mqmd_md::builders::sic_supercell;
+use mqmd_md::AtomicSystem;
 use mqmd_multigrid::PoissonMultigrid;
+use mqmd_util::constants::Element;
 use mqmd_util::{Complex64, Vec3, Xoshiro256pp};
 use std::hint::black_box;
 
@@ -141,5 +147,65 @@ fn bench_transfer(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench, bench_transfer);
+/// One domain eigensolve of an SCF iteration — the bare-ion Hamiltonian of
+/// domain 0, `davidson_iters` sweeps from the same random bands every time
+/// (running out of iterations is the normal outcome and costs the same
+/// work) — on the repo benchmark's two shapes: the SiC-8 `(2,1,1)` domain
+/// (18 bands on 8³) and the whole-cell H₂ domain (6 bands on 8³).
+fn bench_davidson(c: &mut Criterion) {
+    let cfg = tiny_ldc_config();
+    let h2 = AtomicSystem::new(
+        Vec3::splat(8.0),
+        vec![Element::H, Element::H],
+        vec![Vec3::new(3.3, 4.0, 4.0), Vec3::new(4.7, 4.0, 4.0)],
+    );
+    let mut g = c.benchmark_group("davidson");
+    for (name, system, nd, buffer, extra_bands) in [
+        (
+            "sic8_2x1x1",
+            sic_supercell((1, 1, 1)),
+            cfg.nd,
+            cfg.buffer,
+            cfg.extra_bands,
+        ),
+        ("h2_1x1x1", h2, (1, 1, 1), 0.0, 4),
+    ] {
+        let plan = TransferPlan::new(
+            system.cell,
+            nd,
+            buffer,
+            cfg.global_spacing,
+            cfg.domain_spacing,
+            cfg.ecut,
+        );
+        let v_ion = ionic_local_potential(plan.global_grid(), &atoms_of(&system));
+        let setup = DomainSetup::on(&plan.domains()[0], &system, extra_bands, &v_ion)
+            .expect("domain 0 holds atoms");
+        let h = KsHamiltonian::new(&setup.basis, setup.v_ion.clone(), setup.nonlocal.as_ref());
+        let psi0 = setup.basis.random_bands(setup.n_bands, 7);
+        let mut psi = psi0.clone();
+        let mut ew = EigWorkspace::new();
+        g.throughput(Throughput::Elements(
+            (setup.n_bands * cfg.davidson_iters) as u64,
+        ));
+        g.bench_function(
+            &format!("{name}_{}bands_{}cubed", setup.n_bands, setup.grid.dims().0),
+            |b| {
+                b.iter(|| {
+                    psi.data_mut().copy_from_slice(psi0.data());
+                    let _ = black_box(block_davidson_with(
+                        black_box(&h),
+                        &mut psi,
+                        cfg.davidson_iters,
+                        cfg.davidson_tol,
+                        &mut ew,
+                    ));
+                })
+            },
+        );
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench, bench_transfer, bench_davidson);
 criterion_main!(benches);

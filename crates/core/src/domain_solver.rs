@@ -10,12 +10,11 @@
 //! block-Davidson solver of `mqmd-dft`.
 
 use crate::transfer::DomainGeometry;
-use mqmd_dft::eigensolver::{block_davidson_with, EigWorkspace};
+use mqmd_dft::eigensolver::{block_davidson_with, ritz_recovery, EigWorkspace};
 use mqmd_dft::hamiltonian::{build_projectors, KsHamiltonian, Nonlocal};
 use mqmd_dft::pw::band_panel;
 use mqmd_dft::species::Pseudopotential;
 use mqmd_grid::{Domain, DomainDecomposition, UniformGrid3};
-use mqmd_linalg::gemm::{zgemm, zgemm_dagger_a_into};
 use mqmd_linalg::CMatrix;
 use mqmd_md::AtomicSystem;
 use mqmd_util::{events, faults, MqmdError, Result, Vec3};
@@ -235,11 +234,9 @@ pub fn solve_domain_with(
         *o = a + b + c;
     }
     let h = KsHamiltonian::new(&setup.basis, v_eff, setup.nonlocal.as_ref());
-    let np = setup.basis.len();
     let nb = setup.n_bands;
-    let report = match block_davidson_with(&h, &mut psi, max_iter, tol, ew) {
-        Ok(r) => r,
-        Err(mqmd_util::MqmdError::Convergence {
+    let solved = match block_davidson_with(&h, &mut psi, max_iter, tol, ew) {
+        Err(MqmdError::Convergence {
             iterations,
             residual,
             ..
@@ -257,36 +254,12 @@ pub fn solve_domain_with(
                 value: residual,
                 bound: tol,
             });
-            let mut h_psi = CMatrix::from_vec(np, nb, ew.ws.take_c64(np * nb));
-            h.apply_into(&psi, &mut h_psi, &ew.ws);
-            let mut hs = CMatrix::from_vec(nb, nb, ew.ws.take_c64(nb * nb));
-            zgemm_dagger_a_into(&psi, &h_psi, &mut hs, &ew.ws);
-            let eig = mqmd_linalg::eigen::zheev(&hs);
-            ew.ws.give_c64(hs.into_data());
-            ew.ws.give_c64(h_psi.into_data());
-            let (vals, v) = match eig {
-                Ok(x) => x,
-                Err(e) => {
-                    ew.ws.give_f64(h.v_local);
-                    return Err(e);
-                }
-            };
-            let mut rot = CMatrix::from_vec(np, nb, ew.ws.take_c64(np * nb));
-            zgemm(
-                mqmd_util::Complex64::ONE,
-                &psi,
-                &v,
-                mqmd_util::Complex64::ZERO,
-                &mut rot,
-            );
-            psi.data_mut().copy_from_slice(rot.data());
-            ew.ws.give_c64(rot.into_data());
-            mqmd_dft::eigensolver::EigenReport {
-                eigenvalues: vals,
-                iterations,
-                residual: f64::NAN,
-            }
+            ritz_recovery(&mut psi, iterations, ew)
         }
+        other => other,
+    };
+    let report = match solved {
+        Ok(r) => r,
         Err(e) => {
             ew.ws.give_f64(h.v_local);
             return Err(e);
@@ -298,20 +271,9 @@ pub fn solve_domain_with(
     let mut band_densities = Vec::with_capacity(setup.n_bands);
     let mut weights = Vec::with_capacity(setup.n_bands);
     let mut h_weights = Vec::with_capacity(setup.n_bands);
-    // H·ψ band by band (the BLAS2 path, whose bits the weights have always
-    // carried), then ψ and H·ψ to real space a panel of bands at a time.
-    let mut h_psi = CMatrix::from_vec(np, nb, ew.ws.take_c64(np * nb));
-    {
-        let mut band = ew.ws.borrow_c64(np);
-        let mut h_band = ew.ws.borrow_c64(np);
-        for n in 0..nb {
-            psi.col_into(n, &mut band);
-            h.apply_band_into(&band, &mut h_band, &ew.ws);
-            for (g, &v) in h_band.iter().enumerate() {
-                h_psi[(g, n)] = v;
-            }
-        }
-    }
+    // ψ and the H·ψ Davidson carried for it, to real space a panel of bands
+    // at a time.
+    let h_psi = ew.h_psi();
     let width = band_panel(nb);
     for first in (0..nb).step_by(width) {
         let bands = first..(first + width).min(nb);
@@ -320,7 +282,7 @@ pub fn solve_domain_with(
         let mut h_real = ew.ws.borrow_c64(grid_len * lanes);
         let basis = &setup.basis;
         basis.to_real_panel(&psi, bands.clone(), &mut real, None, &ew.ws);
-        basis.to_real_panel(&h_psi, bands, &mut h_real, None, &ew.ws);
+        basis.to_real_panel(h_psi, bands, &mut h_real, None, &ew.ws);
         for l in 0..lanes {
             let band = || real.iter().skip(l).step_by(lanes);
             let dens: Vec<f64> = band().map(|z| z.norm_sqr()).collect();
@@ -341,7 +303,6 @@ pub fn solve_domain_with(
             h_weights.push(hw);
         }
     }
-    ew.ws.give_c64(h_psi.into_data());
     ew.ws.give_f64(h.v_local);
     // Output validation: NaN anywhere in the bands poisons the weights
     // (w = Σ |ψ|²·pα), so the O(n_bands) scan below catches corrupted
@@ -504,6 +465,63 @@ mod tests {
                 .grid
                 .sample(|local| gg.interpolate(&vion, setup.domain.to_global(local)))
         );
+    }
+
+    /// The two overlapping domains of the benchmark's divided SiC-8 cell.
+    fn sic8_setups() -> Vec<DomainSetup> {
+        let sys = mqmd_md::builders::sic_supercell((1, 1, 1));
+        let dd = DomainDecomposition::new(sys.cell, (2, 1, 1), 1.0);
+        let (gg, vion) = global_ionic(&sys, 1.2);
+        dd.domains()
+            .iter()
+            .filter_map(|d| DomainSetup::build(d, &dd, &sys, 1.2, 2.0, 2, &gg, &vion))
+            .collect()
+    }
+
+    /// `h_weights` come from the `H·ψ` Davidson carried through its
+    /// rotations; an explicit application to the returned bands must give
+    /// the same `∫pα·Re[ψ*·Hψ]`, whether the solve converged or went
+    /// through the Ritz recovery.
+    #[test]
+    fn h_weights_match_explicit_application_on_divided_sic8() {
+        let setups = sic8_setups();
+        assert_eq!(setups.len(), 2);
+        for setup in &setups {
+            let zeros = vec![0.0; setup.grid.len()];
+            let h = KsHamiltonian::new(&setup.basis, setup.v_ion.clone(), setup.nonlocal.as_ref());
+            for (max_iter, tol) in [(80, 1e-2), (4, 0.0)] {
+                let bands = solve_domain(setup, &zeros, &zeros, None, max_iter, tol).unwrap();
+                let h_psi = h.apply(&bands.psi);
+                for (n, &hw) in bands.h_weights.iter().enumerate() {
+                    let psi_r = setup.basis.to_real(&bands.psi.col(n));
+                    let h_r = setup.basis.to_real(&h_psi.col(n));
+                    let explicit: f64 = psi_r
+                        .iter()
+                        .zip(&h_r)
+                        .zip(&setup.p_alpha)
+                        .map(|((a, b), p)| p * (a.conj() * *b).re)
+                        .sum::<f64>()
+                        * setup.grid.dv();
+                    assert!(
+                        (hw - explicit).abs() < 1e-10,
+                        "domain {} band {n} (max_iter {max_iter}): {hw} vs {explicit}",
+                        setup.domain.id
+                    );
+                }
+            }
+        }
+    }
+
+    /// A one-iteration budget always ends in the shared Ritz recovery, which
+    /// must hand back orthonormal bands and ascending Ritz values.
+    #[test]
+    fn budget_exhausted_domain_solve_recovers_orthonormal_ascending_bands() {
+        let setup = &sic8_setups()[0];
+        let zeros = vec![0.0; setup.grid.len()];
+        let bands = solve_domain(setup, &zeros, &zeros, None, 1, 1e-30).unwrap();
+        assert_eq!(bands.iterations, 1);
+        assert!(mqmd_linalg::orthonorm::orthonormality_defect(&bands.psi) < 1e-10);
+        assert!(bands.eigenvalues.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

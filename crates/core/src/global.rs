@@ -600,6 +600,9 @@ impl LdcSolver {
         let psi_cache = Mutex::new(std::mem::take(&mut self.psi_cache));
         let eig_cache = &self.eig_cache;
 
+        // What a domain without a boundary potential is handed as `v_bc`.
+        let zeros = vec![0.0; setups.iter().map(|s| s.grid.len()).max().unwrap_or(0)];
+
         // Global-grid potential fields, allocated once and rewritten in
         // place each SCF iteration.
         let n_g = global_grid.len();
@@ -682,8 +685,8 @@ impl LdcSolver {
                     .par_iter()
                     .map(|&(idx, setup)| {
                         let id = setup.domain.id;
-                        let mut v_hxc_local = vec![0.0; setup.grid.len()];
-                        setup.sample_global_field(&v_hxc, &mut v_hxc_local);
+                        let n_local = setup.grid.len();
+                        let mut ew = lock_cache(eig_cache).remove(&id).unwrap_or_default();
                         let v_bc = match (cfg.mode, rho_domains.get(&id)) {
                             (BoundaryMode::DensityAdaptive { xi }, Some(rho_prev)) => {
                                 // Eq. (2) with the correction confined to the
@@ -692,12 +695,12 @@ impl LdcSolver {
                                 // density error lives and vanishes deep in
                                 // the core (where the lagged Δρ is noise,
                                 // not signal).
-                                let mut rho_global_local = vec![0.0; setup.grid.len()];
+                                let mut rho_global_local = ew.ws.borrow_f64(n_local);
                                 setup.sample_global_field(&rho, &mut rho_global_local);
                                 Some(
                                     rho_prev
                                         .iter()
-                                        .zip(&rho_global_local)
+                                        .zip(rho_global_local.iter())
                                         .zip(&setup.p_alpha)
                                         .map(|((a, b), p)| -(1.0 - p) * (a - b) / xi)
                                         .collect::<Vec<f64>>(),
@@ -705,20 +708,11 @@ impl LdcSolver {
                             }
                             _ => None,
                         };
-                        let zeros;
-                        let v_bc_or_zeros = match &v_bc {
-                            Some(v) => v,
-                            None => {
-                                zeros = vec![0.0; setup.grid.len()];
-                                &zeros
-                            }
-                        };
                         let psi0 = lock_cache(&psi_cache).remove(&id);
-                        let mut ew = lock_cache(eig_cache).remove(&id).unwrap_or_default();
                         let bands = solve_domain_resilient(
                             setup,
-                            &v_hxc_local,
-                            v_bc_or_zeros,
+                            &v_hxc,
+                            v_bc.as_deref().unwrap_or(&zeros[..n_local]),
                             psi0,
                             &cfg,
                             &mut ew,
@@ -994,10 +988,12 @@ impl LdcSolver {
 /// 1, if the fault plane kept a copy), then from scratch (rung 2) — both on
 /// a fresh workspace, since the failed solve may have left `ew`
 /// inconsistent — and every rung is booked on the fault ledger. The first
-/// error is returned if no rung rescues the domain.
+/// error is returned if no rung rescues the domain. `v_hxc_global` is the
+/// global-grid field; each attempt samples it onto the domain grid in a
+/// buffer of the workspace it runs on.
 fn solve_domain_resilient(
     setup: &DomainSetup,
-    v_hxc: &[f64],
+    v_hxc_global: &[f64],
     v_bc: &[f64],
     psi0: Option<CMatrix>,
     cfg: &LdcConfig,
@@ -1008,15 +1004,19 @@ fn solve_domain_resilient(
     // the rescue path.
     let backup = if faults::active() { psi0.clone() } else { None };
     let solve = |start: Option<CMatrix>, ew: &mut EigWorkspace| {
-        solve_domain_with(
+        let mut v_hxc = ew.ws.take_f64(setup.grid.len());
+        setup.sample_global_field(v_hxc_global, &mut v_hxc);
+        let bands = solve_domain_with(
             setup,
-            v_hxc,
+            &v_hxc,
             v_bc,
             start,
             cfg.davidson_iters,
             cfg.davidson_tol,
             ew,
-        )
+        );
+        ew.ws.give_f64(v_hxc);
+        bands
     };
     let first_err = match solve(psi0, ew) {
         Ok(bands) => return Ok(bands),

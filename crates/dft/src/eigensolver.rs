@@ -8,6 +8,13 @@
 //! **band-by-band** minimiser ([`band_by_band`]) the paper replaced — kept
 //! as the BLAS2 baseline for the §3.4 ablation benchmark.
 //!
+//! The FFT-based `H·ψ` is paid once per vector: Davidson applies `H` to the
+//! bands it is handed and to each augmented block, carries `H·Ψ` through
+//! its Ritz rotations as plain GEMMs, and leaves the pair `(Ψ, H·Ψ)` to its
+//! caller ([`EigWorkspace::h_psi`]) — for [`ritz_recovery`] when the
+//! iteration budget ran out, and for the domain solver's band weights
+//! (DESIGN §4l).
+//!
 //! Preconditioning uses the Teter–Payne–Allan polynomial filter, the
 //! standard choice for plane-wave CG (paper refs [2, 47]).
 
@@ -75,6 +82,14 @@ impl EigWorkspace {
         }
     }
 
+    /// `H·Ψ` of the bands the last [`block_davidson_with`] call (and a
+    /// [`ritz_recovery`] after it) left in `psi`, for the Hamiltonian of
+    /// that call: the carried half of the `(Ψ, H·Ψ)` pair, rotated along
+    /// with Ψ rather than re-applied. The next call overwrites it.
+    pub fn h_psi(&self) -> &CMatrix {
+        &self.h_psi
+    }
+
     /// Shapes every block matrix for an `Np × Nb` problem, reallocating only
     /// on shape change (counted as plan allocations in the global stats).
     fn ensure(&mut self, np: usize, nb: usize) {
@@ -101,8 +116,9 @@ impl EigWorkspace {
 /// `psi` toward the lowest eigenpairs of `h`.
 ///
 /// Each outer iteration performs a Rayleigh–Ritz step in
-/// `span{Ψ, K·(H·Ψ − Ψ·Θ)}` — two all-band `H` applications and a handful
-/// of BLAS3 products, matching the paper's computational profile.
+/// `span{Ψ, K·(H·Ψ − Ψ·Θ)}`: one all-band `H` application, to the `2·Nb`
+/// columns of the augmented block, and a handful of BLAS3 products — the
+/// paper's computational profile, `H·ψ` paid once per vector.
 pub fn block_davidson(
     h: &KsHamiltonian,
     psi: &mut CMatrix,
@@ -116,6 +132,16 @@ pub fn block_davidson(
 /// Allocation-free form of [`block_davidson`]: all block matrices live in
 /// `ew` and rotations land in `psi` via buffer swaps, so steady-state
 /// iterations of a warm workspace perform no hot-path allocations.
+///
+/// `(Ψ, H·Ψ)` is a pair for the length of the call. `H` is applied to the
+/// incoming Ψ once on entry and to the augmented block `[Ψ, K·R]` once per
+/// iteration; every other `H·Ψ` is a rotation of one already held
+/// (`H·(Ψ·V) = (H·Ψ)·V`, `H·(A·V_keep) = (H·A)·V_keep`). A solve that
+/// converges in iteration `k` therefore makes `k` applications, one that
+/// exhausts its budget `max_iter + 1`. On return — `Ok`, or the
+/// `Convergence` error of an exhausted budget — [`EigWorkspace::h_psi`]
+/// holds `H·Ψ` of the bands left in `psi`. Nothing is carried *between*
+/// calls: the Hamiltonian changes with every SCF iteration.
 pub fn block_davidson_with(
     h: &KsHamiltonian,
     psi: &mut CMatrix,
@@ -128,43 +154,27 @@ pub fn block_davidson_with(
     assert_eq!(np, h.basis().len());
     ew.ensure(np, nb);
     let mut last_res = f64::INFINITY;
-    let mut eigenvalues = vec![0.0; nb];
 
+    h.apply_into(psi, &mut ew.h_psi, &ew.ws);
     for iter in 1..=max_iter {
         // Rayleigh–Ritz on the current block.
-        h.apply_into(psi, &mut ew.h_psi, &ew.ws);
-        let mut hs = CMatrix::from_vec(nb, nb, ew.ws.take_c64(nb * nb));
-        zgemm_dagger_a_into(psi, &ew.h_psi, &mut hs, &ew.ws);
-        let eig = zheev(&hs);
-        ew.ws.give_c64(hs.into_data());
-        let (theta, v) = eig?;
-        zgemm(Complex64::ONE, psi, &v, Complex64::ZERO, &mut ew.psi_rot);
-        zgemm(
-            Complex64::ONE,
-            &ew.h_psi,
-            &v,
-            Complex64::ZERO,
-            &mut ew.h_psi_rot,
-        );
+        let theta = rayleigh_ritz(psi, ew)?;
 
         // Residuals R = H·Ψ − Ψ·Θ.
         let mut max_res: f64 = 0.0;
-        for (n, &theta_n) in theta.iter().enumerate().take(nb) {
+        for (n, &theta_n) in theta.iter().enumerate() {
             let mut norm2 = 0.0;
             for g in 0..np {
-                let r = ew.h_psi_rot[(g, n)] - ew.psi_rot[(g, n)].scale(theta_n);
+                let r = ew.h_psi[(g, n)] - psi[(g, n)].scale(theta_n);
                 norm2 += r.norm_sqr();
                 ew.res[(g, n)] = r;
             }
             max_res = max_res.max(norm2.sqrt());
         }
-        eigenvalues.copy_from_slice(&theta[..nb]);
-        // Adopt the rotated block by swapping storage — no copy, no alloc.
-        std::mem::swap(psi, &mut ew.psi_rot);
         last_res = max_res;
         if max_res < tol {
             return Ok(EigenReport {
-                eigenvalues,
+                eigenvalues: theta,
                 iterations: iter,
                 residual: max_res,
             });
@@ -201,7 +211,8 @@ pub fn block_davidson_with(
         let eig2 = zheev(&hs2);
         ew.ws.give_c64(hs2.into_data());
         let (_, v2) = eig2?;
-        // Keep the lowest nb Ritz vectors.
+        // Keep the lowest nb Ritz vectors, and the same combination of the
+        // H·aug columns as their H·Ψ.
         for i in 0..2 * nb {
             for n in 0..nb {
                 ew.v_keep[(i, n)] = v2[(i, n)];
@@ -215,12 +226,66 @@ pub fn block_davidson_with(
             &mut ew.psi_rot,
         );
         std::mem::swap(psi, &mut ew.psi_rot);
+        zgemm(
+            Complex64::ONE,
+            &ew.h_aug,
+            &ew.v_keep,
+            Complex64::ZERO,
+            &mut ew.h_psi,
+        );
     }
 
     Err(MqmdError::Convergence {
         what: "block Davidson".into(),
         iterations: max_iter,
         residual: last_res,
+    })
+}
+
+/// Rayleigh–Ritz within span Ψ on the carried pair: diagonalises
+/// `Ψ†·(H·Ψ)` and rotates Ψ and `H·Ψ` by the same eigenvectors, adopting
+/// both by swapping storage — no copy, no allocation, no `H` application.
+/// Returns the Ritz values (ascending).
+fn rayleigh_ritz(psi: &mut CMatrix, ew: &mut EigWorkspace) -> Result<Vec<f64>> {
+    let nb = psi.cols();
+    let mut hs = CMatrix::from_vec(nb, nb, ew.ws.take_c64(nb * nb));
+    zgemm_dagger_a_into(psi, &ew.h_psi, &mut hs, &ew.ws);
+    let eig = zheev(&hs);
+    ew.ws.give_c64(hs.into_data());
+    let (theta, v) = eig?;
+    zgemm(Complex64::ONE, psi, &v, Complex64::ZERO, &mut ew.psi_rot);
+    zgemm(
+        Complex64::ONE,
+        &ew.h_psi,
+        &v,
+        Complex64::ZERO,
+        &mut ew.h_psi_rot,
+    );
+    std::mem::swap(psi, &mut ew.psi_rot);
+    std::mem::swap(&mut ew.h_psi, &mut ew.h_psi_rot);
+    Ok(theta)
+}
+
+/// What both SCF loops do when [`block_davidson_with`] runs out of
+/// iterations: the partially converged bands still advance the SCF, so
+/// rotate the pair it left in `psi` and `ew` to its Ritz vectors and report
+/// the Ritz values. `iterations` is passed through; `residual` is `NaN`,
+/// the marker of a recovered report. `psi` must be the block that call
+/// returned, untouched since.
+pub fn ritz_recovery(
+    psi: &mut CMatrix,
+    iterations: usize,
+    ew: &mut EigWorkspace,
+) -> Result<EigenReport> {
+    assert_eq!(
+        (ew.h_psi.rows(), ew.h_psi.cols()),
+        (psi.rows(), psi.cols()),
+        "ritz_recovery needs the H·Ψ of a block_davidson_with call on this block"
+    );
+    Ok(EigenReport {
+        eigenvalues: rayleigh_ritz(psi, ew)?,
+        iterations,
+        residual: f64::NAN,
     })
 }
 

@@ -19,17 +19,16 @@
 //! exactly these paths.
 
 use crate::density::{density_into, entropy_term, fermi_occupations};
-use crate::eigensolver::{band_by_band_with, block_davidson_with, EigWorkspace};
+use crate::eigensolver::{band_by_band_with, block_davidson_with, ritz_recovery, EigWorkspace};
 use crate::ewald::ewald;
 use crate::hamiltonian::{build_projectors, ionic_local_potential, KsHamiltonian};
 use crate::pw::PlaneWaveBasis;
 use crate::species::Pseudopotential;
 use crate::xc;
-use mqmd_linalg::gemm::{zgemm, zgemm_dagger_a_into};
 use mqmd_linalg::CMatrix;
 use mqmd_multigrid::FftPoisson;
 use mqmd_util::workspace::{self, Workspace};
-use mqmd_util::{events, faults, Complex64, MqmdError, Result, Vec3};
+use mqmd_util::{events, faults, MqmdError, Result, Vec3};
 
 /// SCF algorithm parameters.
 #[derive(Clone, Copy, Debug)]
@@ -325,21 +324,20 @@ pub fn run_scf_with(
             &mut sw.v_xc,
             &sw.eig.ws,
         );
-        let davidson_result = if injected_davidson_failure {
-            Err(MqmdError::Convergence {
-                what: "Davidson (injected fault)".into(),
-                iterations: 0,
-                residual: f64::INFINITY,
-            })
+        // An injected breakdown is a zero-iteration budget: Davidson applies
+        // H once and fails, leaving the recovery below its (Ψ, H·Ψ) pair.
+        let davidson_budget = if injected_davidson_failure {
+            0
         } else {
-            block_davidson_with(
-                &h,
-                &mut psi,
-                config.davidson_iters,
-                config.davidson_tol,
-                &mut sw.eig,
-            )
+            config.davidson_iters
         };
+        let davidson_result = block_davidson_with(
+            &h,
+            &mut psi,
+            davidson_budget,
+            config.davidson_tol,
+            &mut sw.eig,
+        );
         let report = match davidson_result {
             Ok(r) => {
                 davidson_streak = 0;
@@ -391,41 +389,21 @@ pub fn run_scf_with(
                         residual: f64::NAN,
                     }
                 } else {
-                    let (np, nb) = (psi.rows(), psi.cols());
-                    let ws = &sw.eig.ws;
-                    let mut h_psi = CMatrix::from_vec(np, nb, ws.take_c64(np * nb));
-                    h.apply_into(&psi, &mut h_psi, ws);
-                    let mut hs = CMatrix::from_vec(nb, nb, ws.take_c64(nb * nb));
-                    zgemm_dagger_a_into(&psi, &h_psi, &mut hs, ws);
-                    let eig = mqmd_linalg::eigen::zheev(&hs);
-                    ws.give_c64(hs.into_data());
-                    ws.give_c64(h_psi.into_data());
-                    let (vals, v) = match eig {
-                        Ok(x) => x,
-                        Err(e) => {
+                    let report = ritz_recovery(&mut psi, config.davidson_iters, &mut sw.eig)
+                        .inspect_err(|_| {
                             faults::record_abort(
                                 "scf_eigensolver_abort",
                                 faults::Site::Scf.describe(),
                                 iter as u32,
-                            );
-                            return Err(e);
-                        }
-                    };
-                    let mut rot = CMatrix::from_vec(np, nb, ws.take_c64(np * nb));
-                    zgemm(Complex64::ONE, &psi, &v, Complex64::ZERO, &mut rot);
-                    psi.data_mut().copy_from_slice(rot.data());
-                    ws.give_c64(rot.into_data());
+                            )
+                        })?;
                     faults::record_recovery(
                         "scf_ritz_recovery",
                         faults::Site::Scf.describe(),
                         iter as u32,
                         rescue_start.elapsed().as_secs_f64(),
                     );
-                    crate::eigensolver::EigenReport {
-                        eigenvalues: vals,
-                        iterations: config.davidson_iters,
-                        residual: f64::NAN,
-                    }
+                    report
                 }
             }
             Err(e) => return Err(e),
@@ -787,6 +765,26 @@ mod tests {
         };
         let out = run_scf(&basis, &h2_atoms(Vec3::ZERO), 2.0, &strict, None);
         assert!(matches!(out, Err(MqmdError::Convergence { .. })));
+    }
+
+    /// A one-sweep Davidson against an impossible tolerance ends every SCF
+    /// iteration in the shared Ritz recovery; the first one's bands must
+    /// come back orthonormal with ascending Ritz values.
+    #[test]
+    fn budget_exhausted_davidson_recovers_orthonormal_ascending_bands() {
+        let basis = small_basis();
+        let cfg = ScfConfig {
+            davidson_iters: 1,
+            davidson_tol: 1e-30,
+            // Any residual passes: the outcome is the first iteration's.
+            tol_density: f64::INFINITY,
+            extra_bands: 3,
+            ..Default::default()
+        };
+        let out = run_scf(&basis, &h2_atoms(Vec3::ZERO), 2.0, &cfg, None).unwrap();
+        assert_eq!(out.scf_iterations, 1);
+        assert!(mqmd_linalg::orthonorm::orthonormality_defect(&out.psi) < 1e-10);
+        assert!(out.eigenvalues.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! counts what the allocator itself sees: it installs a counting
 //! `#[global_allocator]` for its process, and counts per thread, so its
 //! tests do not see one another. The LDC transfer plan's two table walks
-//! (global → domain sampling, `ρ = Σα pα·ρα`) are held to the same zero.
+//! (global → domain sampling, `ρ = Σα pα·ρα`) are held to the same zero, as
+//! is the sampling into a domain's eigensolver arena the conquer step does.
 
 use metascale_qmd::core::transfer::TransferPlan;
 use metascale_qmd::dft::density::density_into;
+use metascale_qmd::dft::eigensolver::EigWorkspace;
 use metascale_qmd::dft::hamiltonian::{build_projectors, ionic_local_potential, KsHamiltonian};
 use metascale_qmd::dft::pw::PlaneWaveBasis;
 use metascale_qmd::dft::species::Pseudopotential;
@@ -154,6 +156,27 @@ fn warm_transfer_tables_allocate_nothing_at_one_thread() {
                 }
             });
             assert_eq!(made, 0, "nd {nd:?}: gather made {made} heap allocations");
+            // The conquer step samples ρ and V_Hxc into buffers of each
+            // domain's eigensolver arena, not into fresh `vec!`s.
+            let arenas: Vec<EigWorkspace> =
+                plan.domains().iter().map(|_| EigWorkspace::new()).collect();
+            let conquer = || {
+                for (geometry, ew) in plan.domains().iter().zip(&arenas) {
+                    let n = geometry.grid.len();
+                    let mut rho_local = ew.ws.borrow_f64(n);
+                    geometry.sample_global_field(&global, &mut rho_local);
+                    drop(rho_local);
+                    let mut v_hxc = ew.ws.take_f64(n);
+                    geometry.sample_global_field(&global, &mut v_hxc);
+                    ew.ws.give_f64(v_hxc);
+                }
+            };
+            conquer();
+            let made = allocations(conquer);
+            assert_eq!(
+                made, 0,
+                "nd {nd:?}: arena-backed gather made {made} heap allocations"
+            );
             let rho_of: Vec<Option<&[f64]>> = locals.iter().map(|l| Some(l.as_slice())).collect();
             let made = allocations(|| plan.partial_density(&rho_of, &mut out));
             assert_eq!(made, 0, "nd {nd:?}: recombine made {made} heap allocations");
