@@ -12,8 +12,10 @@
 //! - **Deadlines and retries** — per-job wall-clock budgets enforced at SCF
 //!   iteration granularity through [`mqmd_util::cancel`]; transient
 //!   failures are retried with seeded exponential backoff and a capped
-//!   attempt ladder that escalates the SCF configuration (bigger iteration
-//!   budget, softer mixing) before a typed abort.
+//!   attempt ladder before a typed abort. The first attempt runs the SCF
+//!   settings chosen for speed inside the accuracy [`contract`]; retries
+//!   fall back to conservative ones (softer mixing, tight eigensolver,
+//!   bigger iteration budget).
 //! - **Checkpoint-backed preemption** — higher-priority arrivals preempt
 //!   running work at MD-step boundaries via [`mqmd_md::io::CheckpointStore`];
 //!   the shed job is requeued (never lost) and resumes bitwise-identically.
@@ -22,6 +24,7 @@
 //!   requeued or failed with a typed error; every terminal state is
 //!   accounted in the [`Ledger`], which `repro_serve` audits under chaos.
 
+pub mod contract;
 pub mod ledger;
 pub mod runtime;
 pub mod spec;

@@ -299,7 +299,11 @@ impl ServiceRuntime {
     }
 
     /// Blocks until every admitted job is terminal. Returns immediately
-    /// if the runtime has no workers.
+    /// if the runtime has no workers. A settled job's checkpoint directory
+    /// may outlive its terminal state by the one `remove_dir_all` its
+    /// worker makes after publishing it, so it can still exist when this
+    /// returns; [`shutdown`](Self::shutdown) joins the workers and leaves
+    /// none behind.
     pub fn drain(&self) {
         if self.shared.cfg.workers == 0 {
             return;
@@ -656,7 +660,8 @@ fn job_dir(cfg: &ServiceConfig, id: u64) -> PathBuf {
 /// Applies an attempt's outcome under the scheduler lock: terminal states
 /// settle the ledger and tenant accounting; preemptions and retryable
 /// failures requeue. Every path lands in exactly one of those — no
-/// outcome leaves a job unaccounted.
+/// outcome leaves a job unaccounted. The lock covers the bookkeeping only;
+/// a settled job's checkpoint directory is deleted after it is released.
 fn finish_attempt(
     shared: &Arc<Shared>,
     wid: usize,
@@ -756,7 +761,7 @@ fn finish_attempt(
         }
     };
 
-    let (state_label, detail) = match settle {
+    let (state_label, detail, settled) = match settle {
         Settle::Terminal(state, label, detail) => {
             if let Some(rec) = inner.ledger.records.get_mut(&id) {
                 rec.state = state;
@@ -764,16 +769,14 @@ fn finish_attempt(
             if let Some(active) = inner.tenant_active.get_mut(&tenant) {
                 *active = active.saturating_sub(1);
             }
-            // The job is settled; its checkpoint store is garbage now.
-            std::fs::remove_dir_all(job_dir(cfg, id)).ok();
-            (label, detail)
+            (label, detail, true)
         }
         Settle::Requeue(label, detail) => {
             if let Some(rec) = inner.ledger.records.get_mut(&id) {
                 rec.state = JobState::Queued;
             }
             inner.queue.push(job);
-            (label, detail)
+            (label, detail, false)
         }
     };
     let depth = inner.queue.len() as u32;
@@ -782,6 +785,13 @@ fn finish_attempt(
     emit_job_state(id, tenant, state_label, detail);
     events::emit(Event::QueueDepth { depth, running });
     shared.cv.notify_all();
+    if settled {
+        // The job's checkpoint store is garbage now. Deleted only after the
+        // terminal state is published and the waiters are woken: filesystem
+        // time under the scheduler lock would stall every submit, ledger
+        // poll and the other workers' pickups.
+        std::fs::remove_dir_all(job_dir(cfg, id)).ok();
+    }
 }
 
 #[cfg(test)]

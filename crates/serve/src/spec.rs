@@ -155,8 +155,13 @@ impl JobSpec {
         sys
     }
 
-    /// Baseline LDC solver configuration for this spec (attempt 1; the
-    /// retry ladder escalates it via [`escalate`]).
+    /// The LDC solver configuration of this spec's first attempt (the retry
+    /// ladder's later rungs are [`escalate`]'s). Every field is written
+    /// out, so a change of `LdcConfig::default()` cannot retune the
+    /// service: the SCF settings are the ones `repro_serve --sweep` selects
+    /// under the accuracy contract of [`crate::contract`] — the fewest SCF
+    /// iterations per force evaluation that keep energy and forces inside
+    /// it on every geometry the service admits.
     pub fn ldc_config(&self) -> LdcConfig {
         let nd = match self.geometry {
             Geometry::H2 { .. } => (1, 1, 1),
@@ -170,24 +175,49 @@ impl JobSpec {
             global_spacing: self.spacing,
             domain_spacing: self.spacing,
             ecut: self.ecut,
+            kt: 0.01,
+            // Linear mixing contracts fastest near 0.8 on these cells (the
+            // SCF loop's sloshing back-off is the guard above it), and a
+            // density converged to 1e-4 needs bands no tighter than 1e-5.
+            mix_alpha: 0.8,
+            max_scf: 60,
             tol_density: 1e-4,
-            ..Default::default()
+            davidson_iters: 6,
+            davidson_tol: 1e-5,
+            extra_bands: EXTRA_BANDS,
         }
     }
 }
 
-/// The retry ladder's configuration escalation: attempt 1 is the spec's
-/// baseline; each further attempt grows the SCF iteration budget and
-/// softens the density mixing, the same knobs the in-solver rescue ladder
-/// reaches for, so a retried job re-enters that ladder with more headroom.
-/// Grid shapes are untouched — an escalated config still matches the
-/// spec's plan key.
+/// Extra bands per domain, the same on every rung of the retry ladder: a
+/// retried job may resume from a checkpoint whose bands an earlier attempt
+/// wrote.
+pub(crate) const EXTRA_BANDS: usize = 4;
+/// Density mixing of the first retry (attempt 2); each later attempt halves
+/// it.
+pub(crate) const RETRY_MIX_ALPHA: f64 = 0.4;
+/// Davidson budget and residual tolerance of every retry.
+pub(crate) const RETRY_DAVIDSON: (usize, f64) = (12, 1e-7);
+
+/// The retry ladder's configuration escalation. Attempt 1 is the spec's
+/// own configuration, tuned for speed inside the accuracy contract; every
+/// retry falls back to conservative settings — `RETRY_MIX_ALPHA` halved
+/// per further attempt, the tight `RETRY_DAVIDSON` eigensolver, an SCF
+/// iteration budget that grows with the attempt — so a job the tuned
+/// settings cannot converge re-enters the in-solver rescue ladder with more
+/// headroom. Grid shapes and band counts are untouched: an escalated config
+/// still matches the spec's plan key and its checkpoints.
 pub fn escalate(base: &LdcConfig, attempt: u32) -> LdcConfig {
-    let a = attempt.max(1) as usize;
-    let mut cfg = *base;
-    cfg.max_scf = base.max_scf * a;
-    cfg.mix_alpha = base.mix_alpha * 0.5f64.powi(a as i32 - 1);
-    cfg
+    if attempt <= 1 {
+        return *base;
+    }
+    LdcConfig {
+        mix_alpha: RETRY_MIX_ALPHA * 0.5f64.powi(attempt as i32 - 2),
+        max_scf: base.max_scf * attempt as usize,
+        davidson_iters: RETRY_DAVIDSON.0,
+        davidson_tol: RETRY_DAVIDSON.1,
+        ..*base
+    }
 }
 
 #[cfg(test)]
@@ -261,11 +291,20 @@ mod tests {
     #[test]
     fn escalation_grows_budget_and_softens_mixing() {
         let base = JobSpec::default().ldc_config();
-        let e2 = escalate(&base, 2);
-        assert_eq!(e2.max_scf, base.max_scf * 2);
-        assert!(e2.mix_alpha < base.mix_alpha);
-        // Shape-relevant fields untouched.
-        assert_eq!(e2.ecut, base.ecut);
-        assert_eq!(e2.nd, base.nd);
+        let scf = |c: &LdcConfig| (c.mix_alpha, c.max_scf, c.davidson_iters, c.davidson_tol);
+        assert_eq!(scf(&escalate(&base, 1)), scf(&base));
+        // Attempt 2 is the configuration every job ran at before the first
+        // attempt was tuned, attempt 3 its halved-mixing successor.
+        let (e2, e3) = (escalate(&base, 2), escalate(&base, 3));
+        assert_eq!(scf(&e2), (0.4, 120, 12, 1e-7));
+        assert_eq!(scf(&e3), (0.2, 180, 12, 1e-7));
+        for e in [e2, e3] {
+            assert!(e.mix_alpha < base.mix_alpha && e.davidson_tol < base.davidson_tol);
+            // Shape- and checkpoint-relevant fields untouched.
+            assert_eq!(e.extra_bands, base.extra_bands);
+            assert_eq!(e.ecut, base.ecut);
+            assert_eq!(e.nd, base.nd);
+            assert_eq!(e.tol_density, base.tol_density);
+        }
     }
 }

@@ -7,6 +7,10 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
+use mqmd_core::global::LdcSolver;
+use mqmd_core::qmd::QmdDriver;
+use mqmd_md::thermostat::NoseHoover;
+use mqmd_serve::spec::escalate;
 use mqmd_serve::{Admission, JobSpec, JobState, RejectReason, ServiceConfig, ServiceRuntime};
 use mqmd_util::faults::{self, FaultKind, FaultPlan, Site};
 
@@ -195,6 +199,60 @@ fn scf_fault_walks_retry_ladder_to_completion() {
         "fault ledger unbalanced: {stats:?}"
     );
     assert!(ledger.audit(4, 16).is_empty(), "{:?}", ledger.audit(4, 16));
+}
+
+#[test]
+fn failed_first_attempt_retries_at_the_conservative_rung_bitwise() {
+    let _gate = fault_gate();
+    faults::reset_stats();
+    // The first domain solve of attempt 1 breaks down, and so does the one
+    // rung the in-solver ladder has for a cold start (from scratch on a
+    // fresh workspace): the domain aborts, the solve fails typed, and the
+    // service retries the job.
+    let mut plan = FaultPlan::new();
+    plan.push(FaultKind::DavidsonDiverge, Site::Domain(0), 1);
+    plan.push(FaultKind::DavidsonDiverge, Site::Domain(0), 2);
+    faults::install(plan);
+    let spec = JobSpec {
+        steps: 2,
+        ..Default::default()
+    };
+    let rt = ServiceRuntime::start(ServiceConfig::new(tmp("retry_rung"))).unwrap();
+    let id = rt.submit(spec.clone()).id().unwrap();
+    let ledger = rt.shutdown();
+    let stats = faults::stats();
+    faults::clear();
+
+    let rec = &ledger.records[&id];
+    assert_eq!(stats.injected, 2, "both planned breakdowns fired");
+    assert_eq!((rec.attempts, ledger.retries), (2, 1), "{:?}", rec.state);
+    let JobState::Completed(got) = rec.state.clone() else {
+        panic!("job must complete on attempt 2: {:?}", rec.state);
+    };
+    assert!(
+        stats.injected <= stats.recovered + stats.aborted,
+        "{stats:?}"
+    );
+    assert!(ledger.audit(4, 16).is_empty(), "{:?}", ledger.audit(4, 16));
+
+    // The same trajectory, driven directly (thermostat as in the runtime's
+    // job loop, one step per call) at the attempt-2 configuration — and at
+    // the tuned first rung, which must not be what ran.
+    let direct = |cfg| -> Vec<f64> {
+        let mut solver = LdcSolver::new(cfg);
+        let mut system = spec.build_system();
+        let thermostat = NoseHoover::new(spec.temperature, 2, 200.0);
+        let mut driver = QmdDriver::new(spec.dt, Some(thermostat));
+        (0..spec.steps)
+            .map(|_| driver.run(&mut system, &mut solver, 1).energies[0])
+            .collect()
+    };
+    let bits = |e: &[f64]| e.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(
+        bits(&got.energies),
+        bits(&direct(escalate(&spec.ldc_config(), 2)))
+    );
+    assert_ne!(bits(&got.energies), bits(&direct(spec.ldc_config())));
 }
 
 #[test]
