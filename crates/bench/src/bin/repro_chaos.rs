@@ -4,15 +4,16 @@
 //! Four legs, all driven by one `FaultPlan::generate(seed, faults)` so a
 //! failing campaign replays bitwise from its seed:
 //!
-//! 1. **Reference** (plane idle): the fault-free H₂ SCF energy and an
-//!    uninterrupted LDC QMD trajectory.
+//! 1. **Reference** (plane idle): the fault-free one-domain H₂ SCF energy
+//!    and an uninterrupted LDC QMD trajectory.
 //! 2. **Checkpoint kill-and-resume** (plane idle): the same QMD run is
 //!    killed halfway, checkpointed through the on-disk store (atomic
 //!    write + FNV-64 checksum), restored into a fresh driver/solver, and
 //!    must replay **bitwise** against the uninterrupted reference.
-//! 3. **Chaos**: the plan is installed and the SCF (Site::Scf faults),
-//!    the QMD run (Site::Domain faults), and a rank/torus leg
-//!    (Site::Rank stragglers, machine faults) all execute under it;
+//! 3. **Chaos**: the plan is installed and the one-domain H₂ SCF and the
+//!    two-domain QMD run (Site::Domain faults) and a rank/torus leg
+//!    (Site::Rank stragglers, machine faults) all execute under it, after
+//!    which every planned fault must have fired;
 //!    then a real-transport leg kills a seeded victim rank mid-collective
 //!    (allreduce, allgather, halo exchange) with the recovery supervisor
 //!    armed — every run must heal by respawn and finish bitwise-equal to
@@ -27,14 +28,10 @@
 //! Exit codes: 0 = all invariants hold, 1 = an invariant failed,
 //! 2 = bad arguments.
 
-use mqmd_bench::real_ranks::{run_thread_reference, worker_bin};
+use mqmd_bench::real_ranks::{h2_system, run_thread_reference, worker_bin};
 use mqmd_bench::{row, tiny_ldc_config};
-use mqmd_core::global::LdcSolver;
+use mqmd_core::global::{BoundaryMode, HartreeSolver, LdcConfig, LdcSolver, LdcState};
 use mqmd_core::qmd::QmdDriver;
-use mqmd_dft::pw::PlaneWaveBasis;
-use mqmd_dft::scf::{run_scf, ScfConfig};
-use mqmd_dft::species::Pseudopotential;
-use mqmd_grid::UniformGrid3;
 use mqmd_md::builders::sic_supercell;
 use mqmd_md::io::{Checkpoint, CheckpointStore};
 use mqmd_md::thermostat::NoseHoover;
@@ -45,9 +42,8 @@ use mqmd_parallel::process::{run_processes, ProcessOpts, RecoveryOpts};
 use mqmd_parallel::topology::{FaultyTorus, Torus};
 use mqmd_parallel::Comm;
 use mqmd_parallel::MachineSpec;
-use mqmd_util::constants::Element;
 use mqmd_util::faults::{self, CampaignSpec, FaultKind, FaultPlan, Site};
-use mqmd_util::{events, MqmdError, Vec3, Xoshiro256pp};
+use mqmd_util::{events, MqmdError, Xoshiro256pp};
 
 /// Energy drift allowed for a *recovered* chaos trajectory relative to
 /// the fault-free reference, per step (Hartree). Recovery retries may
@@ -71,13 +67,17 @@ fn parse_u64(args: &mut std::env::Args, flag: &str) -> u64 {
     }
 }
 
-fn h2_atoms() -> Vec<(Pseudopotential, Vec3)> {
-    let p = Pseudopotential::for_element(Element::H);
-    vec![(p, Vec3::new(3.3, 4.0, 4.0)), (p, Vec3::new(4.7, 4.0, 4.0))]
-}
-
-fn h2_basis() -> PlaneWaveBasis {
-    PlaneWaveBasis::new(UniformGrid3::cubic(10, 8.0), 3.0)
+/// One domain, no buffer, spectral Hartree: the conventional solve, whose
+/// only domain is domain 0.
+fn h2_solve() -> mqmd_util::Result<LdcState> {
+    LdcSolver::new(LdcConfig {
+        nd: (1, 1, 1),
+        buffer: 0.0,
+        mode: BoundaryMode::Periodic,
+        hartree: HartreeSolver::Fft,
+        ..Default::default()
+    })
+    .solve(&h2_system())
 }
 
 fn qmd_system() -> AtomicSystem {
@@ -111,9 +111,7 @@ fn main() {
     faults::reset_stats();
 
     // ---- Leg 1: fault-free references -----------------------------------
-    let e_scf_ref = run_scf(&h2_basis(), &h2_atoms(), 2.0, &ScfConfig::default(), None)
-        .expect("fault-free H2 SCF must converge")
-        .energy;
+    let e_scf_ref = h2_solve().expect("fault-free H2 SCF must converge").energy;
     println!("reference H2 SCF energy: {e_scf_ref:.6} Ha");
 
     let mut sys_ref = qmd_system();
@@ -206,6 +204,7 @@ fn main() {
         torus_dims: 5,
     };
     let plan = FaultPlan::generate(seed, n_faults as usize, &spec);
+    let planned = plan.faults.len() as u64;
     println!("installing plan:");
     for f in &plan.faults {
         println!(
@@ -221,11 +220,11 @@ fn main() {
     faults::reset_stats();
     faults::install(plan);
 
-    // 3a. Conventional SCF under Site::Scf faults.
-    match run_scf(&h2_basis(), &h2_atoms(), 2.0, &ScfConfig::default(), None) {
+    // 3a. One-domain H₂ SCF under the plan's domain-0 faults.
+    match h2_solve() {
         Ok(out) => {
             if !out.energy.is_finite() || out.density.iter().any(|r| !r.is_finite()) {
-                violations.push("NaN escaped the SCF rescue ladder".into());
+                violations.push("NaN escaped the SCF retry ladder".into());
             } else if (out.energy - e_scf_ref).abs() > 1e-3 {
                 violations.push(format!(
                     "rescued SCF energy {} strayed from reference {}",
@@ -291,6 +290,12 @@ fn main() {
         t_allreduce,
         t_recompute
     );
+    // Every leg has run: each event fault's site was polled past its
+    // occurrence, and the torus has counted the machine faults.
+    let fired = faults::stats().injected;
+    if fired < planned {
+        violations.push(format!("only {fired} of {planned} planned faults fired"));
+    }
 
     // 3d. Real-transport rank kills mid-collective: the plane SIGKILLs a
     // seeded victim during each collective family; the recovery

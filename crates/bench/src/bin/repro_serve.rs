@@ -13,15 +13,16 @@
 //!    over-deadline, invalid specs); an executing runtime then fails
 //!    nanosecond-budget jobs with typed deadline errors while unbounded
 //!    siblings complete.
-//! 3. **Chaos** (`--chaos`): worker kills, stragglers, and SCF faults are
-//!    injected under a seeded plan while every tenant's jobs run; the
-//!    supervisor must requeue or fail each victim and the campaign ledger
-//!    must balance.
+//! 3. **Chaos** (`--chaos`): worker kills, stragglers, and domain-solve
+//!    faults are injected under a seeded plan while every tenant's jobs
+//!    run; every planned fault must fire, the supervisor must requeue or
+//!    fail each victim and the campaign ledger must balance.
 //!
 //! Invariants (exit 0 iff all hold): no lost jobs (every admitted job
 //! terminal and recorded), no quota or capacity violation at any peak,
-//! typed rejections only, preempted jobs resume bitwise, and
-//! `injected <= recovered + aborted` in the fault ledger. On failure the
+//! typed rejections only, preempted jobs resume bitwise, every planned
+//! fault injected, and `injected <= recovered + aborted` in the fault
+//! ledger. On failure the
 //! full ledger audit is printed.
 //!
 //! `--sweep` runs none of those legs. It prints the table the service's SCF
@@ -335,14 +336,16 @@ fn deadline_storm(seed: u64, tenants: u64, violations: &mut Vec<String>) {
     audit_into("deadline", &ledger, quota, capacity, violations);
 }
 
-/// Leg 3: the chaos campaign — kills, stragglers, and SCF faults under a
-/// seeded plan while a full tenant matrix runs.
+/// Leg 3: the chaos campaign — kills, stragglers, and domain-solve faults
+/// under a seeded plan while a full tenant matrix runs.
 fn chaos_leg(seed: u64, tenants: u64, jobs: u64, violations: &mut Vec<String>) {
     let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xC4A0_55E1);
     let mut plan = FaultPlan::new();
     // Two worker kills (one per worker lane, early pickups), a straggler,
-    // and SCF-level poison: the supervisor, the retry ladder, and the
-    // in-solver rescue ladder all get exercised in one campaign.
+    // and two poisoned domain solves: the supervisor, the service's retry
+    // ladder, and the solver's own retry ladder all get exercised in one
+    // campaign. Every job is one domain, so `Site::Domain(0)` counts the
+    // domain solves of all of them.
     plan.push(FaultKind::WorkerKill, Site::Rank(0), 1 + rng.below(2));
     plan.push(FaultKind::WorkerKill, Site::Rank(1), 2 + rng.below(2));
     plan.push(
@@ -352,8 +355,9 @@ fn chaos_leg(seed: u64, tenants: u64, jobs: u64, violations: &mut Vec<String>) {
         Site::Rank(0),
         3 + rng.below(2),
     );
-    plan.push(FaultKind::DensityNan, Site::Scf, 2 + rng.below(4));
+    plan.push(FaultKind::DensityNan, Site::Domain(0), 2 + rng.below(2));
     plan.push(FaultKind::DensityNan, Site::Domain(0), 4 + rng.below(6));
+    let planned = plan.faults.len() as u64;
     println!("chaos leg: installing plan:");
     for f in &plan.faults {
         println!(
@@ -417,6 +421,12 @@ fn chaos_leg(seed: u64, tenants: u64, jobs: u64, violations: &mut Vec<String>) {
         }
     }
     let stats = faults::stats();
+    if stats.injected < planned {
+        violations.push(format!(
+            "only {} of {planned} planned faults fired",
+            stats.injected
+        ));
+    }
     if stats.injected > stats.recovered + stats.aborted {
         violations.push(format!(
             "fault ledger unbalanced: {} injected > {} recovered + {} aborted",

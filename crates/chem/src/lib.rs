@@ -17,7 +17,8 @@
 //! this surrogate reproduces while exercising the same analysis pipeline
 //! (rate extraction, Arrhenius fits, N_surf normalisation). The
 //! `tests/verification.rs` integration test ties the surrogate back to the
-//! real LDC-DFT/conventional-DFT solvers on a tiny system (§5.5 analogue).
+//! real LDC-DFT solver, divided and undivided, on a tiny system (§5.5
+//! analogue).
 //!
 //! * [`nanoparticle`] — LiₙAlₙ cluster and water-box builders;
 //! * [`surface`] — coordination-based surface and Lewis-pair detection;

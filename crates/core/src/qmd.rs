@@ -16,20 +16,14 @@ use mqmd_util::events;
 use mqmd_util::timer::Stopwatch;
 use mqmd_util::Result;
 
-/// A force backend that also reports cumulative SCF iterations — both the
-/// conventional O(N³) solver and the LDC solver qualify.
+/// A force backend that also reports cumulative SCF iterations, such as the
+/// LDC solver (at one domain, the conventional O(N³) solve).
 pub trait ScfForceField: ForceField {
     /// Total SCF iterations executed so far.
     fn scf_iterations(&self) -> usize;
 }
 
 impl ScfForceField for LdcSolver {
-    fn scf_iterations(&self) -> usize {
-        self.total_scf_iterations
-    }
-}
-
-impl ScfForceField for mqmd_dft::DftSolver {
     fn scf_iterations(&self) -> usize {
         self.total_scf_iterations
     }

@@ -13,14 +13,10 @@
 use mqmd_core::domain_solver::{solve_domain_with, DomainSetup};
 use mqmd_dft::eigensolver::{block_davidson_with, ritz_recovery, EigWorkspace};
 use mqmd_dft::hamiltonian::{ionic_local_potential, KsHamiltonian};
-use mqmd_dft::pw::PlaneWaveBasis;
-use mqmd_dft::scf::{run_scf, ScfConfig};
 use mqmd_dft::solver::{atoms_of, grid_for_cell};
-use mqmd_dft::species::Pseudopotential;
-use mqmd_grid::{DomainDecomposition, UniformGrid3};
+use mqmd_grid::DomainDecomposition;
 use mqmd_md::builders::sic_supercell;
-use mqmd_util::constants::Element;
-use mqmd_util::{trace, MqmdError, Vec3};
+use mqmd_util::{trace, MqmdError};
 
 /// `hamiltonian` spans opened while `f` runs.
 fn applications<R>(f: impl FnOnce() -> R) -> (R, u64) {
@@ -54,13 +50,6 @@ fn davidson_applies_h_once_per_vector_at_any_thread_count() {
     let zeros = vec![0.0; setup.grid.len()];
     let h = KsHamiltonian::new(&setup.basis, setup.v_ion.clone(), setup.nonlocal.as_ref());
     let psi0 = setup.basis.random_bands(setup.n_bands, 7);
-
-    let h_atom = Pseudopotential::for_element(Element::H);
-    let h2 = [
-        (h_atom, Vec3::new(3.3, 4.0, 4.0)),
-        (h_atom, Vec3::new(4.7, 4.0, 4.0)),
-    ];
-    let h2_basis = PlaneWaveBasis::new(UniformGrid3::cubic(10, 8.0), 3.0);
 
     trace::set_enabled(true);
     for threads in [1, 2, 4] {
@@ -115,18 +104,6 @@ fn davidson_applies_h_once_per_vector_at_any_thread_count() {
             });
             assert_eq!(bands.expect("recovered domain solve").iterations, 3);
             assert_eq!(calls, 4, "{threads} threads: recovered domain");
-
-            // The conventional SCF loop goes through the same recovery: one
-            // iteration of a one-sweep Davidson that cannot converge.
-            let cfg = ScfConfig {
-                davidson_iters: 1,
-                davidson_tol: 1e-30,
-                max_scf: 1,
-                ..Default::default()
-            };
-            let (out, calls) = applications(|| run_scf(&h2_basis, &h2, 2.0, &cfg, None));
-            assert!(matches!(out, Err(MqmdError::Convergence { .. })));
-            assert_eq!(calls, 2, "{threads} threads: SCF iteration with recovery");
         });
     }
     trace::set_enabled(false);

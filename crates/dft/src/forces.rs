@@ -9,7 +9,8 @@
 //! * the point-ion **Ewald** term.
 //!
 //! The match against the numerical gradient of the self-consistent total
-//! energy is the gold-standard test at the bottom of this file.
+//! energy, on the production SCF loop, is the gold-standard test in
+//! `crates/core/tests/forces_gradient.rs`.
 
 use crate::ewald::ewald;
 use crate::pw::PlaneWaveBasis;
@@ -136,96 +137,4 @@ pub fn total_forces(
         *f += fe;
     }
     forces
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scf::{run_scf, ScfConfig};
-    use mqmd_grid::UniformGrid3;
-    use mqmd_util::constants::Element;
-
-    fn tight_cfg() -> ScfConfig {
-        ScfConfig {
-            tol_density: 1e-8,
-            davidson_tol: 1e-9,
-            davidson_iters: 25,
-            max_scf: 120,
-            ..Default::default()
-        }
-    }
-
-    fn scf_energy_and_forces(
-        basis: &PlaneWaveBasis,
-        atoms: &[(Pseudopotential, Vec3)],
-        ne: f64,
-    ) -> (f64, Vec<Vec3>) {
-        let out = run_scf(basis, atoms, ne, &tight_cfg(), None).expect("SCF converges");
-        let f = total_forces(basis, atoms, &out.density, &out.psi, &out.occupations);
-        (out.energy, f)
-    }
-
-    #[test]
-    fn hf_force_matches_numerical_gradient_h2() {
-        let basis = PlaneWaveBasis::new(UniformGrid3::cubic(10, 8.0), 3.0);
-        let p = Pseudopotential::for_element(Element::H);
-        let make = |x: f64| vec![(p, Vec3::new(3.3, 4.0, 4.0)), (p, Vec3::new(x, 4.0, 4.0))];
-        let x0 = 4.9;
-        let (_, forces) = scf_energy_and_forces(&basis, &make(x0), 2.0);
-        let h = 0.02;
-        let (ep, _) = scf_energy_and_forces(&basis, &make(x0 + h), 2.0);
-        let (em, _) = scf_energy_and_forces(&basis, &make(x0 - h), 2.0);
-        let f_num = -(ep - em) / (2.0 * h);
-        let f_ana = forces[1].x;
-        assert!(
-            (f_num - f_ana).abs() < 0.02 * f_num.abs().max(0.05),
-            "numerical {f_num} vs analytic {f_ana}"
-        );
-    }
-
-    #[test]
-    fn hf_force_matches_numerical_gradient_with_nonlocal() {
-        // Li has an active nonlocal channel: exercises the projector force.
-        let basis = PlaneWaveBasis::new(UniformGrid3::cubic(10, 9.0), 3.0);
-        let p = Pseudopotential::for_element(Element::Li);
-        let make = |x: f64| vec![(p, Vec3::new(3.5, 4.5, 4.5)), (p, Vec3::new(x, 4.5, 4.5))];
-        let x0 = 6.0;
-        let (_, forces) = scf_energy_and_forces(&basis, &make(x0), 2.0);
-        let h = 0.02;
-        let (ep, _) = scf_energy_and_forces(&basis, &make(x0 + h), 2.0);
-        let (em, _) = scf_energy_and_forces(&basis, &make(x0 - h), 2.0);
-        let f_num = -(ep - em) / (2.0 * h);
-        let f_ana = forces[1].x;
-        assert!(
-            (f_num - f_ana).abs() < 0.03 * f_num.abs().max(0.05),
-            "numerical {f_num} vs analytic {f_ana}"
-        );
-    }
-
-    #[test]
-    fn symmetric_dimer_forces_opposite() {
-        let basis = PlaneWaveBasis::new(UniformGrid3::cubic(10, 8.0), 3.0);
-        let p = Pseudopotential::for_element(Element::H);
-        let atoms = vec![(p, Vec3::new(3.0, 4.0, 4.0)), (p, Vec3::new(5.0, 4.0, 4.0))];
-        let (_, forces) = scf_energy_and_forces(&basis, &atoms, 2.0);
-        assert!(
-            (forces[0] + forces[1]).norm() < 1e-3,
-            "sum {:?}",
-            forces[0] + forces[1]
-        );
-        // Transverse components vanish by symmetry.
-        assert!(forces[0].y.abs() < 1e-3 && forces[0].z.abs() < 1e-3);
-    }
-
-    #[test]
-    fn crystal_equilibrium_forces_vanish() {
-        // An atom at a symmetric site of a uniform lattice feels no net force.
-        let basis = PlaneWaveBasis::new(UniformGrid3::cubic(8, 8.0), 2.5);
-        let p = Pseudopotential::for_element(Element::Al);
-        // Simple cubic, one atom per cell: every atom is an inversion centre.
-        let atoms = vec![(p, Vec3::splat(4.0))];
-        let out = run_scf(&basis, &atoms, 3.0, &tight_cfg(), None).unwrap();
-        let f = total_forces(&basis, &atoms, &out.density, &out.psi, &out.occupations);
-        assert!(f[0].norm() < 1e-4, "symmetric site force {:?}", f[0]);
-    }
 }

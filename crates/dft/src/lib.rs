@@ -1,8 +1,9 @@
 //! # mqmd-dft
 //!
-//! A from-scratch plane-wave Kohn–Sham density functional theory substrate —
-//! the "conventional O(N³) DFT" the SC14 paper builds on and compares
-//! against, and the in-domain solver of its GSLF scheme (§3.2).
+//! A from-scratch plane-wave Kohn–Sham density functional theory substrate:
+//! the in-domain solver of the SC14 paper's GSLF scheme (§3.2). Its one SCF
+//! loop is `mqmd_core::global::LdcSolver`, which with a single domain is the
+//! paper's "conventional O(N³) DFT" reference (§5.5).
 //!
 //! The implementation follows the structure of production plane-wave codes
 //! (Payne et al., Rev. Mod. Phys. 64, 1045 — the paper's ref [2]) with a
@@ -21,10 +22,10 @@
 //!   band-by-band CG eigensolvers;
 //! * [`density`] — density construction and Fermi occupations with
 //!   Newton–Raphson chemical potential (Fig 2, Eq. (c));
-//! * [`scf`] — the self-consistent-field driver with Anderson/linear mixing;
+//! * [`scf`] — the SCF starting density (superposed atomic Gaussians);
 //! * [`forces`] — Hellmann–Feynman + Ewald ionic forces;
-//! * [`solver`] — the user-facing [`solver::DftSolver`], which also
-//!   implements `mqmd_md::ForceField` so the MD driver can run on it.
+//! * [`solver`] — the grid covering a cell and the `(pseudopotential,
+//!   position)` pairs of an `mqmd_md::AtomicSystem`.
 
 pub mod density;
 pub mod eigensolver;
@@ -38,5 +39,4 @@ pub mod species;
 pub mod xc;
 
 pub use pw::PlaneWaveBasis;
-pub use solver::{DftConfig, DftSolver, SolvedState};
 pub use species::Pseudopotential;

@@ -1,74 +1,11 @@
-//! User-facing conventional DFT solver.
-//!
-//! [`DftSolver`] bundles grid/basis construction, the SCF loop and the
-//! Hellmann–Feynman forces behind one call, caches the converged bands to
-//! warm-start the next ionic step, and implements
-//! [`mqmd_md::ForceField`] so the velocity-Verlet driver runs QMD on it
-//! directly — this is the O(N³) reference path of the paper's §5.5
-//! verification.
+//! Discretisation helpers shared by every solver built on this crate: the
+//! grid that covers a cell, and the `(pseudopotential, position)` pairs of
+//! an [`AtomicSystem`].
 
-use crate::forces::total_forces;
-use crate::pw::PlaneWaveBasis;
-use crate::scf::{run_scf_with, EnergyBreakdown, ScfConfig, ScfWorkspace};
 use crate::species::Pseudopotential;
 use mqmd_grid::UniformGrid3;
-use mqmd_linalg::CMatrix;
-use mqmd_md::{AtomicSystem, ForceField, ForceResult};
-use mqmd_util::{Result, Vec3};
-
-/// Discretisation and SCF parameters of a conventional DFT run.
-#[derive(Clone, Copy, Debug)]
-pub struct DftConfig {
-    /// Target real-space grid spacing (Bohr); actual dims round up to the
-    /// next power of two per axis.
-    pub grid_spacing: f64,
-    /// Plane-wave kinetic-energy cutoff (Hartree).
-    pub ecut: f64,
-    /// SCF parameters.
-    pub scf: ScfConfig,
-}
-
-impl Default for DftConfig {
-    fn default() -> Self {
-        Self {
-            grid_spacing: 0.9,
-            ecut: 4.0,
-            scf: ScfConfig::default(),
-        }
-    }
-}
-
-/// Converged electronic state of one ionic configuration.
-pub struct SolvedState {
-    /// Total free energy (Hartree).
-    pub energy: f64,
-    /// Energy components.
-    pub breakdown: EnergyBreakdown,
-    /// Forces on the ions (Hartree/Bohr).
-    pub forces: Vec<Vec3>,
-    /// Kohn–Sham eigenvalues.
-    pub eigenvalues: Vec<f64>,
-    /// Occupations.
-    pub occupations: Vec<f64>,
-    /// Chemical potential.
-    pub mu: f64,
-    /// Real-space density.
-    pub density: Vec<f64>,
-    /// SCF iterations used.
-    pub scf_iterations: usize,
-}
-
-/// Conventional O(N³) plane-wave DFT solver with band caching across calls.
-pub struct DftSolver {
-    config: DftConfig,
-    psi_cache: Option<CMatrix>,
-    /// Preplanned SCF/eigensolver storage, persisted across ionic steps so
-    /// steady-state QMD steps run allocation-free on the hot path.
-    scf_ws: ScfWorkspace,
-    /// Cumulative SCF iterations across calls (QMD bookkeeping, cf. the
-    /// paper's 129,208 SCF iterations over 21,140 steps).
-    pub total_scf_iterations: usize,
-}
+use mqmd_md::AtomicSystem;
+use mqmd_util::Vec3;
 
 /// Builds the power-of-two grid covering `cell` at the target spacing.
 pub fn grid_for_cell(cell: Vec3, spacing: f64) -> UniformGrid3 {
@@ -90,127 +27,9 @@ pub fn atoms_of(system: &AtomicSystem) -> Vec<(Pseudopotential, Vec3)> {
         .collect()
 }
 
-impl DftSolver {
-    /// Creates a solver with the given configuration.
-    pub fn new(config: DftConfig) -> Self {
-        Self {
-            config,
-            psi_cache: None,
-            scf_ws: ScfWorkspace::new(),
-            total_scf_iterations: 0,
-        }
-    }
-
-    /// Creates a solver with default parameters.
-    pub fn with_defaults() -> Self {
-        Self::new(DftConfig::default())
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &DftConfig {
-        &self.config
-    }
-
-    /// Solves the electronic structure for the given ionic configuration.
-    pub fn solve(&mut self, system: &AtomicSystem) -> Result<SolvedState> {
-        let grid = grid_for_cell(system.cell, self.config.grid_spacing);
-        let basis = PlaneWaveBasis::new(grid, self.config.ecut);
-        let atoms = atoms_of(system);
-        let n_electrons = system.valence_electrons() as f64;
-
-        // Warm start only if the band/basis shape still matches.
-        let n_bands = ((n_electrons / 2.0).ceil() as usize + self.config.scf.extra_bands).max(1);
-        let psi0 = self
-            .psi_cache
-            .take()
-            .filter(|p| p.rows() == basis.len() && p.cols() == n_bands);
-
-        let out = run_scf_with(
-            &basis,
-            &atoms,
-            n_electrons,
-            &self.config.scf,
-            psi0,
-            &mut self.scf_ws,
-        )?;
-        let forces = total_forces(&basis, &atoms, &out.density, &out.psi, &out.occupations);
-        self.total_scf_iterations += out.scf_iterations;
-        let state = SolvedState {
-            energy: out.energy,
-            breakdown: out.breakdown,
-            forces,
-            eigenvalues: out.eigenvalues,
-            occupations: out.occupations,
-            mu: out.mu,
-            density: out.density,
-            scf_iterations: out.scf_iterations,
-        };
-        self.psi_cache = Some(out.psi);
-        Ok(state)
-    }
-}
-
-impl ForceField for DftSolver {
-    fn try_compute(&mut self, system: &AtomicSystem) -> Result<ForceResult> {
-        let state = self.solve(system)?;
-        Ok(ForceResult {
-            energy: state.energy,
-            forces: state.forces,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mqmd_md::integrator::{energy_drift, VelocityVerlet};
-    use mqmd_util::constants::Element;
-    use mqmd_util::Xoshiro256pp;
-
-    fn h2_system() -> AtomicSystem {
-        AtomicSystem::new(
-            Vec3::splat(8.0),
-            vec![Element::H, Element::H],
-            vec![Vec3::new(3.3, 4.0, 4.0), Vec3::new(4.7, 4.0, 4.0)],
-        )
-    }
-
-    fn fast_cfg() -> DftConfig {
-        DftConfig {
-            grid_spacing: 0.9,
-            ecut: 3.0,
-            scf: ScfConfig {
-                tol_density: 1e-5,
-                ..Default::default()
-            },
-        }
-    }
-
-    #[test]
-    fn solve_h2_end_to_end() {
-        let mut solver = DftSolver::new(fast_cfg());
-        let state = solver.solve(&h2_system()).unwrap();
-        assert!(state.energy.is_finite());
-        assert_eq!(state.forces.len(), 2);
-        assert_eq!(state.eigenvalues.len(), 1 + solver.config.scf.extra_bands);
-        assert!(state.scf_iterations > 0);
-    }
-
-    #[test]
-    fn warm_start_reduces_scf_iterations() {
-        let mut solver = DftSolver::new(fast_cfg());
-        let s1 = solver.solve(&h2_system()).unwrap();
-        // Tiny perturbation: warm start should reconverge fast.
-        let mut sys = h2_system();
-        sys.positions[1].x += 0.01;
-        let s2 = solver.solve(&sys).unwrap();
-        assert!(
-            s2.scf_iterations <= s1.scf_iterations,
-            "warm {} vs cold {}",
-            s2.scf_iterations,
-            s1.scf_iterations
-        );
-    }
 
     #[test]
     fn grid_for_cell_pow2_dims() {
@@ -218,20 +37,5 @@ mod tests {
         let (nx, ny, nz) = g.dims();
         assert!(nx.is_power_of_two() && ny.is_power_of_two() && nz.is_power_of_two());
         assert!(nx >= 8 && ny >= 16 && nz >= 32);
-    }
-
-    #[test]
-    fn qmd_two_steps_via_forcefield() {
-        // A short honest QMD trajectory: DFT forces inside velocity Verlet.
-        let mut solver = DftSolver::new(fast_cfg());
-        let mut sys = h2_system();
-        let mut rng = Xoshiro256pp::seed_from_u64(21);
-        sys.thermalize(300.0, &mut rng);
-        let mut vv = VelocityVerlet::new(10.0); // the paper's 0.242 fs step
-        let energies = vv.run(&mut sys, &mut solver, 3);
-        assert_eq!(energies.len(), 3);
-        let drift = energy_drift(&energies);
-        assert!(drift < 5e-3, "QMD energy drift {drift}");
-        assert!(solver.total_scf_iterations >= 3);
     }
 }

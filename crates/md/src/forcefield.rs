@@ -1,7 +1,8 @@
 //! Force-field abstraction and classical reference potentials.
 //!
-//! The QMD driver is generic over [`ForceField`]; `mqmd-dft` (conventional
-//! O(N³) plane-wave DFT) and `mqmd-core` (O(N) LDC-DFT) both implement it.
+//! The QMD driver is generic over [`ForceField`]; `mqmd-core`'s O(N)
+//! LDC-DFT solver implements it (with one domain, the conventional O(N³)
+//! plane-wave DFT).
 //! The classical pair potentials here serve three purposes: integration
 //! tests of the MD machinery with strict energy-conservation budgets, the
 //! water bath dynamics of the science application, and a cheap stand-in

@@ -204,8 +204,8 @@ pub(crate) const RETRY_DAVIDSON: (usize, f64) = (12, 1e-7);
 /// retry falls back to conservative settings — `RETRY_MIX_ALPHA` halved
 /// per further attempt, the tight `RETRY_DAVIDSON` eigensolver, an SCF
 /// iteration budget that grows with the attempt — so a job the tuned
-/// settings cannot converge re-enters the in-solver rescue ladder with more
-/// headroom. Grid shapes and band counts are untouched: an escalated config
+/// settings cannot converge re-enters the solver's own retry ladder with
+/// more headroom. Grid shapes and band counts are untouched: an escalated config
 /// still matches the spec's plan key and its checkpoints.
 pub fn escalate(base: &LdcConfig, attempt: u32) -> LdcConfig {
     if attempt <= 1 {

@@ -177,11 +177,12 @@ fn injected_worker_kill_is_supervised_and_job_retried() {
 fn scf_fault_walks_retry_ladder_to_completion() {
     let _gate = fault_gate();
     faults::reset_stats();
-    // Poison the first attempt's SCF; the rescue ladder may absorb it,
-    // and if the attempt still fails the service ladder retries it. In
-    // both cases the job must end Completed with a balanced ledger.
+    // Poison the domain solve of the first attempt's second SCF iteration;
+    // the solver's retry ladder may absorb it, and if the attempt still
+    // fails the service ladder retries it. In both cases the job must end
+    // Completed with a balanced ledger.
     let mut plan = FaultPlan::new();
-    plan.push(FaultKind::DensityNan, Site::Scf, 2);
+    plan.push(FaultKind::DensityNan, Site::Domain(0), 2);
     faults::install(plan);
     let rt = ServiceRuntime::start(ServiceConfig::new(tmp("scf_fault"))).unwrap();
     let id = rt.submit(quick_spec()).id().unwrap();
@@ -194,6 +195,10 @@ fn scf_fault_walks_retry_ladder_to_completion() {
         ledger.records[&id].state
     );
     let stats = faults::stats();
+    assert_eq!(
+        stats.injected, 1,
+        "the planned fault never fired: {stats:?}"
+    );
     assert!(
         stats.injected <= stats.recovered + stats.aborted,
         "fault ledger unbalanced: {stats:?}"

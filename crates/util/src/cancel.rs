@@ -6,8 +6,8 @@
 //! (**shutdown**). All three are cooperative — the solver polls at
 //! well-defined points instead of being killed, so state is never torn:
 //!
-//! * **SCF-iteration granularity** — [`poll_abort`] sits at the top of the
-//!   global and conventional SCF loops. Deadline and shutdown abort there
+//! * **SCF-iteration granularity** — [`poll_abort`] sits at the top of
+//!   each iteration of the SCF loop. Deadline and shutdown abort there
 //!   with a typed [`MqmdError::Cancelled`](crate::MqmdError::Cancelled);
 //!   the solve is abandoned mid-job, which is fine because the job is
 //!   failed (or retried from its last checkpoint).
@@ -21,11 +21,11 @@
 //! * **Inert when idle** — [`poll_abort`] costs one relaxed atomic load
 //!   when no token is installed anywhere in the process. Library users who
 //!   never run the service pay nothing in the SCF hot loop.
-//! * **No signature churn** — the token reaches the SCF loops through a
+//! * **No signature churn** — the token reaches the SCF loop through a
 //!   thread-local installed by the RAII [`CancelScope`] (the same pattern
-//!   as [`crate::events::LaneGuard`]), so `run_scf_with` and
-//!   `LdcSolver::solve` keep their signatures. Workers run one job per
-//!   thread, which makes the thread-local the natural carrier.
+//!   as [`crate::events::LaneGuard`]), so `LdcSolver::solve` keeps its
+//!   signature. Workers run one job per thread, which makes the
+//!   thread-local the natural carrier.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};

@@ -94,8 +94,7 @@ pub enum Event {
     },
     /// A physics/convergence watchdog fired.
     WatchdogTrip {
-        /// Watchdog identifier (e.g. `"energy_drift"`, `"scf_stall"`,
-        /// `"davidson_failure"`).
+        /// Watchdog identifier (e.g. `"energy_drift"`, `"davidson_failure"`).
         watchdog: &'static str,
         /// Human-readable context.
         message: String,
@@ -108,14 +107,14 @@ pub enum Event {
     FaultInjected {
         /// Fault class label (e.g. `"density_nan"`, `"davidson_diverge"`).
         fault: &'static str,
-        /// Injection site (e.g. `"scf"`, `"domain 3"`, `"rank 2"`).
+        /// Injection site (e.g. `"domain 3"`, `"rank 2"`).
         site: String,
         /// 1-based poll count at which the fault fired at its site.
         at: u64,
     },
     /// A recovery rung handled a failure (injected or genuine).
     RecoveryAction {
-        /// Rung label (e.g. `"scf_restart_last_good"`, `"domain_retry_cached"`).
+        /// Rung label (e.g. `"domain_retry_cached"`, `"serve_retry_backoff"`).
         action: &'static str,
         /// Site the recovery acted on.
         site: String,
@@ -772,7 +771,7 @@ mod tests {
                 lane: Lane::Rank(3).encode(),
                 span: "scf_iter",
                 event: Event::WatchdogTrip {
-                    watchdog: "scf_stall",
+                    watchdog: "energy_drift",
                     message: "res \"stuck\" at 1e-3\nline2 — ünïcode".into(),
                     value: 1e-3,
                     bound: 1e-5,
@@ -897,8 +896,8 @@ mod tests {
                 lane: 0,
                 span: "scf_iter",
                 event: Event::RecoveryAction {
-                    action: "scf_restart_last_good",
-                    site: "scf".into(),
+                    action: "domain_retry_cached",
+                    site: "domain 0".into(),
                     attempt: 1,
                     seconds: 0.25,
                 },

@@ -1,11 +1,11 @@
 //! Deterministic fault-injection plane.
 //!
 //! Production QMD runs at Blue Gene/Q scale only complete because the code
-//! survives transient failures — diverging SCF mixing, eigensolver
+//! survives transient failures — poisoned densities, eigensolver
 //! breakdowns, node and link faults, straggler ranks. This module supplies
 //! the *injection* half of that story: a process-wide [`FaultPlan`] of
 //! planned faults, each addressed by **site + occurrence** ("the 3rd solve
-//! of domain 2", "the 7th global SCF iteration"), generated from a seeded
+//! of domain 2", "the 2nd spawn of rank 1"), generated from a seeded
 //! [`Xoshiro256pp`] stream so an entire chaos campaign replays bitwise.
 //!
 //! Design constraints, mirroring [`crate::events`]:
@@ -19,12 +19,12 @@
 //! * **Fire-once** — a fault is consumed when it fires, so a recovery
 //!   retry of the same site succeeds instead of looping forever.
 //!
-//! The *recovery* half lives where the failures do (`scf.rs` rescue
-//! ladder, per-domain retry in `global.rs`, rerouting in the machine
-//! model); it reports back here through [`record_recovery`] /
-//! [`record_abort`] so campaigns can account injected vs recovered vs
-//! aborted faults and their recomputation cost. Those counters are
-//! exported into the `mqmd-profile-v4` recovery block.
+//! The *recovery* half lives where the failures do (per-domain retry in
+//! `mqmd-core`'s SCF loop, worker supervision and job retries in
+//! `mqmd-serve`, rerouting in the machine model); it reports back here
+//! through [`record_recovery`] / [`record_abort`] so campaigns can account
+//! injected vs recovered vs aborted faults and their recomputation cost.
+//! Those counters are exported into the `mqmd-profile-v4` recovery block.
 
 use crate::events::{self, Event};
 use crate::rng::Xoshiro256pp;
@@ -39,12 +39,6 @@ pub enum FaultKind {
     DensityNan,
     /// Force a Davidson solve to report non-convergence.
     DavidsonDiverge,
-    /// Kick the density with a high-frequency charge-sloshing component
-    /// of the given relative amplitude (mixing divergence).
-    MixingKick {
-        /// Relative amplitude of the sloshing perturbation.
-        factor: f64,
-    },
     /// A node of the simulated machine is lost.
     NodeLoss {
         /// Flat node index in the torus.
@@ -76,7 +70,6 @@ impl FaultKind {
         match self {
             FaultKind::DensityNan => "density_nan",
             FaultKind::DavidsonDiverge => "davidson_diverge",
-            FaultKind::MixingKick { .. } => "mixing_kick",
             FaultKind::NodeLoss { .. } => "node_loss",
             FaultKind::DegradedLink { .. } => "degraded_link",
             FaultKind::Straggler { .. } => "straggler",
@@ -100,9 +93,6 @@ impl FaultKind {
 /// environment state returned by [`machine_faults`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Site {
-    /// The sequential (global or conventional) SCF loop; occurrences are
-    /// SCF iterations.
-    Scf,
     /// A per-domain Kohn–Sham solve; occurrences count that domain's
     /// solves, so the address is stable under rayon scheduling.
     Domain(u64),
@@ -116,7 +106,6 @@ impl Site {
     /// Human-readable site label for events.
     pub fn describe(&self) -> String {
         match self {
-            Site::Scf => "scf".to_string(),
             Site::Domain(d) => format!("domain {d}"),
             Site::Rank(r) => format!("rank {r}"),
             Site::Machine => "machine".to_string(),
@@ -142,7 +131,7 @@ pub struct Fault {
 pub struct CampaignSpec {
     /// Domain ids eligible for per-domain faults.
     pub domains: Vec<u64>,
-    /// Upper bound (inclusive) on the SCF/domain occurrence index drawn
+    /// Upper bound (inclusive) on the domain occurrence index drawn
     /// for event faults; keep within the expected total poll count so
     /// every planned fault actually fires.
     pub max_occurrence: u64,
@@ -185,33 +174,34 @@ impl FaultPlan {
     }
 
     /// Draws `n` faults from a seeded stream. Equal `(seed, n, spec)`
-    /// yields an identical plan, so campaigns replay bitwise.
+    /// yields an identical plan, so campaigns replay bitwise. Event faults
+    /// on one site are at least three occurrences apart: a failed domain
+    /// solve is retried at most twice, and a fault that struck a retry
+    /// would share the rung that answers the fault before it.
+    ///
+    /// Besides faults on any listed domain, two classes strike the first
+    /// listed domain, which every decomposition has: with one domain it is
+    /// the whole cell, so these are the faults of a conventional solve.
     pub fn generate(seed: u64, n: usize, spec: &CampaignSpec) -> Self {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut plan = Self::new();
-        for _ in 0..n {
+        while plan.faults.len() < n {
             let at = 1 + rng.below(spec.max_occurrence.max(1));
+            let first = Site::Domain(spec.domains[0]);
             let domain = spec.domains[rng.below(spec.domains.len().max(1) as u64) as usize];
-            let (kind, site, at) = match rng.below(8) {
-                0 => (FaultKind::DensityNan, Site::Scf, at),
-                1 => (FaultKind::DavidsonDiverge, Site::Scf, at),
-                2 => (
-                    FaultKind::MixingKick {
-                        factor: rng.uniform_in(0.5, 2.0),
-                    },
-                    Site::Scf,
-                    at,
-                ),
-                3 => (FaultKind::DavidsonDiverge, Site::Domain(domain), at),
-                4 => (FaultKind::DensityNan, Site::Domain(domain), at),
-                5 => (
+            let (kind, site, at) = match rng.below(7) {
+                0 => (FaultKind::DensityNan, first, at),
+                1 => (FaultKind::DavidsonDiverge, first, at),
+                2 => (FaultKind::DavidsonDiverge, Site::Domain(domain), at),
+                3 => (FaultKind::DensityNan, Site::Domain(domain), at),
+                4 => (
                     FaultKind::Straggler {
                         delay_us: 200 + rng.below(800),
                     },
                     Site::Rank(rng.below(spec.ranks.max(1))),
                     1,
                 ),
-                6 => (
+                5 => (
                     FaultKind::NodeLoss {
                         node: rng.below(spec.nodes.max(1)) as u32,
                     },
@@ -227,7 +217,13 @@ impl FaultPlan {
                     0,
                 ),
             };
-            plan.push(kind, site, at);
+            let crowded = plan
+                .faults
+                .iter()
+                .any(|f| f.site == site && f.at.abs_diff(at) < 3);
+            if kind.is_machine() || !crowded {
+                plan.push(kind, site, at);
+            }
         }
         plan
     }
@@ -521,7 +517,7 @@ mod tests {
         let _g = gate();
         clear();
         assert!(!active());
-        assert_eq!(poll(Site::Scf), None);
+        assert_eq!(poll(Site::Domain(0)), None);
         assert!(machine_faults().is_healthy());
     }
 
@@ -552,6 +548,21 @@ mod tests {
         let c = FaultPlan::generate(43, 8, &spec);
         assert_ne!(a, c);
         assert_eq!(a.faults.len(), 8);
+
+        // Dense enough that draws collide: event faults on one site stay
+        // three occurrences apart.
+        let dense = FaultPlan::generate(7, 40, &spec);
+        assert_eq!(dense.faults.len(), 40);
+        let events: Vec<_> = dense
+            .faults
+            .iter()
+            .filter(|f| !f.kind.is_machine())
+            .collect();
+        for (i, f) in events.iter().enumerate() {
+            assert!(events[..i]
+                .iter()
+                .all(|g| g.site != f.site || g.at.abs_diff(f.at) >= 3));
+        }
     }
 
     #[test]
@@ -583,9 +594,9 @@ mod tests {
         let _g = gate();
         clear();
         reset_stats();
-        record_recovery("scf_restart_last_good", "scf".into(), 1, 0.5);
+        record_recovery("domain_retry_scratch", "domain 1".into(), 2, 0.5);
         record_recovery("domain_retry_cached", "domain 0".into(), 1, 0.25);
-        record_abort("scf_abort", "scf".into(), 3);
+        record_abort("domain_abort", "domain 2".into(), 2);
         let s = stats();
         assert_eq!(s.recovered, 2);
         assert_eq!(s.aborted, 1);

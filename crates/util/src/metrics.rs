@@ -1188,7 +1188,7 @@ mod tests {
             ..Default::default()
         };
         stats.by_kind.insert("density_nan".into(), 3);
-        stats.by_action.insert("scf_restart_last_good".into(), 4);
+        stats.by_action.insert("domain_retry_cached".into(), 4);
         let doc = Json::obj([
             ("schema", Json::Str(PROFILE_SCHEMA.into())),
             ("kernels", Json::Obj(vec![])),

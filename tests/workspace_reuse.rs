@@ -16,9 +16,6 @@
 
 use metascale_qmd::core::global::{BoundaryMode, HartreeSolver, LdcConfig, LdcSolver};
 use metascale_qmd::core::qmd::QmdDriver;
-use metascale_qmd::dft::pw::PlaneWaveBasis;
-use metascale_qmd::dft::scf::{run_scf_with, ScfConfig, ScfWorkspace};
-use metascale_qmd::dft::species::Pseudopotential;
 use metascale_qmd::grid::UniformGrid3;
 use metascale_qmd::md::thermostat::Berendsen;
 use metascale_qmd::md::AtomicSystem;
@@ -48,33 +45,37 @@ fn alloc_delta(
     workspace::global_stats().snapshot().since(&before)
 }
 
-fn h2_atoms() -> Vec<(Pseudopotential, Vec3)> {
-    let p = Pseudopotential::for_element(Element::H);
-    vec![(p, Vec3::new(3.3, 4.0, 4.0)), (p, Vec3::new(4.7, 4.0, 4.0))]
+fn h2_system() -> AtomicSystem {
+    AtomicSystem::new(
+        Vec3::splat(8.0),
+        vec![Element::H, Element::H],
+        vec![Vec3::new(3.3, 4.0, 4.0), Vec3::new(4.7, 4.0, 4.0)],
+    )
 }
 
-/// Conventional plane-wave SCF: a second `run_scf_with` call against a
-/// persisted [`ScfWorkspace`] — the unit of work every steady-state QMD
-/// step repeats — must not miss the arena once.
+/// The one-domain plane-wave SCF (the conventional solve): a second `solve`
+/// of a solver that kept its workspaces — the unit of work every
+/// steady-state QMD step repeats, without the integrator — must not miss
+/// the arena once.
 #[test]
 fn steady_state_scf_has_zero_workspace_misses() {
     let _g = ledger_lock();
-    let basis = PlaneWaveBasis::new(UniformGrid3::cubic(10, 8.0), 3.0);
-    let atoms = h2_atoms();
-    let cfg = ScfConfig::default();
-    let mut sw = ScfWorkspace::new();
+    let system = h2_system();
+    let mut ldc = LdcSolver::new(LdcConfig {
+        nd: (1, 1, 1),
+        buffer: 0.0,
+        mode: BoundaryMode::Periodic,
+        hartree: HartreeSolver::Fft,
+        ..Default::default()
+    });
 
-    let mut psi = None;
     let warm = alloc_delta(1, || {
-        let out = run_scf_with(&basis, &atoms, 2.0, &cfg, None, &mut sw)
-            .expect("cold H2 SCF must converge");
-        psi = Some(out.psi);
+        ldc.solve(&system).expect("cold H2 SCF must converge");
     });
     assert!(warm.misses > 0, "cold run must populate the arena");
 
     let steady = alloc_delta(1, || {
-        run_scf_with(&basis, &atoms, 2.0, &cfg, psi.take(), &mut sw)
-            .expect("warm H2 SCF must converge");
+        ldc.solve(&system).expect("warm H2 SCF must converge");
     });
     assert_eq!(
         steady.misses, 0,
@@ -93,11 +94,7 @@ fn steady_state_scf_has_zero_workspace_misses() {
 /// Hartree scratch, multigrid hierarchy) serve the next step entirely.
 fn qmd_second_step_is_miss_free(hartree: HartreeSolver) {
     let _g = ledger_lock();
-    let mut system = AtomicSystem::new(
-        Vec3::splat(8.0),
-        vec![Element::H, Element::H],
-        vec![Vec3::new(3.3, 4.0, 4.0), Vec3::new(4.7, 4.0, 4.0)],
-    );
+    let mut system = h2_system();
     let mut ldc = LdcSolver::new(LdcConfig {
         nd: (1, 1, 1),
         buffer: 0.0,
