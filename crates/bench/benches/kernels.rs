@@ -18,6 +18,7 @@ use mqmd_linalg::CMatrix;
 use mqmd_md::builders::sic_supercell;
 use mqmd_md::AtomicSystem;
 use mqmd_multigrid::PoissonMultigrid;
+use mqmd_serve::JobSpec;
 use mqmd_util::constants::Element;
 use mqmd_util::{Complex64, Vec3, Xoshiro256pp};
 use std::hint::black_box;
@@ -151,7 +152,8 @@ fn bench_transfer(c: &mut Criterion) {
 /// domain 0, `davidson_iters` sweeps from the same random bands every time
 /// (running out of iterations is the normal outcome and costs the same
 /// work) — on the repo benchmark's two shapes: the SiC-8 `(2,1,1)` domain
-/// (18 bands on 8³) and the whole-cell H₂ domain (6 bands on 8³).
+/// (18 bands on 8³) and the whole-cell H₂ domain at the service's band
+/// count (3 bands on 8³).
 fn bench_davidson(c: &mut Criterion) {
     let cfg = tiny_ldc_config();
     let h2 = AtomicSystem::new(
@@ -168,7 +170,13 @@ fn bench_davidson(c: &mut Criterion) {
             cfg.buffer,
             cfg.extra_bands,
         ),
-        ("h2_1x1x1", h2, (1, 1, 1), 0.0, 4),
+        (
+            "h2_1x1x1",
+            h2,
+            (1, 1, 1),
+            0.0,
+            JobSpec::default().ldc_config().extra_bands,
+        ),
     ] {
         let plan = TransferPlan::new(
             system.cell,

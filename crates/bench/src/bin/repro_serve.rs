@@ -29,12 +29,13 @@
 //! settings (`JobSpec::ldc_config`) are chosen from: mixing fraction ×
 //! Davidson budget/tolerance × extra bands, each candidate measured on the
 //! H₂ cells and bonds the service is benchmarked on and on the two SiC
-//! geometries it admits — SCF iterations and milliseconds per warm force
-//! evaluation, and the distance of energy and forces from the tight
-//! reference of `mqmd_serve::contract`. With `--check` it exits 1 if the
-//! committed settings leave the contract or a neighbouring candidate
-//! inside it needs two or more fewer SCF iterations per evaluation. The
-//! gate reads iteration counts and deviations only, which repeat exactly.
+//! geometries it admits — SCF iterations, milliseconds and analytic MFLOP
+//! per warm force evaluation, and the distance of energy and forces from
+//! the tight reference of `mqmd_serve::contract`. With `--check` it exits 1
+//! if the committed settings leave the contract or a neighbouring candidate
+//! inside it does [`WORK_MARGIN`] less work (cold + warm FLOPs over the H₂
+//! geometries). The gate reads FLOP counts and deviations only, which
+//! repeat exactly; iteration counts alone cannot see the band count.
 //!
 //! Usage: `repro_serve [--soak] [--chaos] [--seed N] [--tenants N] [--jobs N]`
 //!        `repro_serve --sweep [--check]`
@@ -456,11 +457,14 @@ fn chaos_leg(seed: u64, tenants: u64, jobs: u64, violations: &mut Vec<String>) {
 /// The sweep's axes. The committed settings must be one of the candidates.
 const SWEEP_ALPHAS: [f64; 5] = [0.4, 0.6, 0.8, 0.9, 1.0];
 const SWEEP_DAVIDSON: [(usize, f64); 3] = [(12, 1e-7), (6, 1e-5), (4, 1e-4)];
-const SWEEP_EXTRA_BANDS: [usize; 2] = [4, 2];
+const SWEEP_EXTRA_BANDS: [usize; 4] = [4, 2, 1, 0];
 /// The H₂ geometries of the repo benchmark's `serve_h2_mix` job mix.
 const SWEEP_CELLS: [f64; 2] = [8.0, 9.6];
 const SWEEP_BONDS: [f64; 3] = [1.3, 1.4, 1.5];
 const SWEEP_SIC: [(usize, usize, usize); 2] = [(1, 1, 1), (2, 1, 1)];
+/// A neighbour beats the committed row when it is inside the contract and
+/// does at least this fraction less work.
+const WORK_MARGIN: f64 = 0.10;
 
 /// One candidate: its place on the three axes.
 #[derive(Clone, Copy)]
@@ -578,16 +582,21 @@ fn sweep() -> Vec<String> {
     let on_h2 = |i: usize| -> Option<Vec<&Measured>> {
         h2.iter().map(|(_, _, column)| column[i].as_ref()).collect()
     };
-    let warm_iters = |ms: &[&Measured]| ms.iter().map(|m| m.eval.warm_iterations).sum::<usize>();
+    let work = |ms: &[&Measured]| {
+        ms.iter()
+            .map(|m| m.eval.cold_flops + m.eval.warm_flops)
+            .sum::<u64>()
+    };
+    let mflop = |flops: u64| flops as f64 * 1e-6;
     let in_contract = |ms: &[&Measured]| ms.iter().all(|m| m.dev.within_contract());
     let worst =
         |ms: &[&Measured], f: fn(&Measured) -> f64| ms.iter().map(|m| f(m)).fold(0.0, f64::max);
 
     println!(
         "== service SCF sweep: tol_density {:e}; contract |dE| <= {:e} Ha, |dF| <= {:e} Ha/Bohr ==\n\n\
-         H2 columns: warm SCF iterations (min-max over {} cells x {} bonds), ms per warm\n\
-         evaluation (mean over bonds) at each cell, largest |dE| and |dF| against the\n\
-         reference. SiC columns: cold/warm SCF iterations, |dE|, |dF|.\n",
+         H2 columns: warm SCF iterations (min-max over {} cells x {} bonds), ms and MFLOP\n\
+         per warm evaluation (mean over bonds) at each cell, largest |dE| and |dF| against\n\
+         the reference. SiC columns: cold/warm SCF iterations, |dE|, |dF|.\n",
         committed_cfg.tol_density,
         contract::ENERGY_TOL,
         contract::FORCE_TOL,
@@ -596,6 +605,7 @@ fn sweep() -> Vec<String> {
     );
     let mut header = vec!["H2 iters".to_string()];
     header.extend(SWEEP_CELLS.iter().map(|c| format!("ms @{c}")));
+    header.extend(SWEEP_CELLS.iter().map(|c| format!("MFLOP @{c}")));
     header.extend(["max |dE|", "max |dF|", "contract"].map(String::from));
     for nc in SWEEP_SIC {
         header.push(format!("SiC{}{}{} c/w", nc.0, nc.1, nc.2));
@@ -613,12 +623,16 @@ fn sweep() -> Vec<String> {
                     let s: f64 = chunk.iter().map(|m| m.eval.warm_seconds).sum();
                     cols.push(format!("{:.2}", s * 1e3 / chunk.len() as f64));
                 }
+                for chunk in ms.chunks(SWEEP_BONDS.len()) {
+                    let f: u64 = chunk.iter().map(|m| m.eval.warm_flops).sum();
+                    cols.push(format!("{:.1}", mflop(f) / chunk.len() as f64));
+                }
                 cols.push(format!("{:.1e}", worst(&ms, |m| m.dev.energy)));
                 cols.push(format!("{:.1e}", worst(&ms, |m| m.dev.force)));
                 cols.push(if in_contract(&ms) { "in" } else { "OUT" }.into());
                 cols
             }
-            None => vec!["-".to_string(); 4 + SWEEP_CELLS.len()],
+            None => vec!["-".to_string(); 4 + 2 * SWEEP_CELLS.len()],
         };
         for column in &sic {
             cols.extend(match &column[i] {
@@ -653,12 +667,14 @@ fn sweep() -> Vec<String> {
         .collect();
 
     println!(
-        "\nper cell/bond, the committed row and its neighbours (warm iterations, |dE|, |dF|):"
+        "\nper cell/bond, the committed row and its neighbours (warm iterations, |dE|, |dF|),\n\
+         and the gate's measure: cold + warm MFLOP summed over the H2 geometries:"
     );
-    let geometries: Vec<String> = h2.iter().map(|(c, b, _)| format!("{c}/{b}")).collect();
+    let mut geometries: Vec<String> = h2.iter().map(|(c, b, _)| format!("{c}/{b}")).collect();
+    geometries.push("MFLOP".into());
     println!("{}", row("candidate", &geometries));
     for &i in [ci].iter().chain(&near) {
-        let cols: Vec<String> = h2
+        let mut cols: Vec<String> = h2
             .iter()
             .map(|(_, _, column)| match &column[i] {
                 Some(m) => format!(
@@ -668,6 +684,7 @@ fn sweep() -> Vec<String> {
                 None => "-".into(),
             })
             .collect();
+        cols.push(on_h2(i).map_or("-".into(), |ms| format!("{:.1}", mflop(work(&ms)))));
         let mark = if i == ci { "* " } else { "  " };
         println!(
             "{}",
@@ -697,17 +714,17 @@ fn sweep() -> Vec<String> {
         ));
     }
     for i in near {
-        // Two iterations per evaluation, on every geometry's evaluation.
         let better = on_h2(i)
             .filter(|theirs| in_contract(theirs))
-            .map(|theirs| warm_iters(&theirs))
-            .filter(|&theirs| theirs + 2 * h2.len() <= warm_iters(&mine));
+            .map(|theirs| work(&theirs))
+            .filter(|&theirs| theirs as f64 <= (1.0 - WORK_MARGIN) * work(&mine) as f64);
         if let Some(theirs) = better {
             violations.push(format!(
-                "neighbour [{}] is inside the contract with {theirs} warm SCF iterations over \
-                 the H2 geometries against the committed {}",
+                "neighbour [{}] is inside the contract with {:.1} MFLOP (cold + warm) over the \
+                 H2 geometries against the committed {:.1}",
                 candidates[i].label(),
-                warm_iters(&mine)
+                mflop(theirs),
+                mflop(work(&mine))
             ));
         }
     }

@@ -241,9 +241,6 @@ pub struct LdcSolver {
     /// Configuration (public: benches sweep `buffer`/`mode` in place).
     pub config: LdcConfig,
     psi_cache: HashMap<usize, CMatrix>,
-    /// Last solve's per-domain densities ρα — checkpoint payload only
-    /// (never seeds the next solve, so restart determinism is preserved).
-    rho_cache: HashMap<usize, Vec<f64>>,
     /// Per-domain eigensolver workspaces, persisted across SCF iterations
     /// and MD steps so steady-state domain solves run allocation-free.
     /// Behind a lock because the rayon domain loop checks them out and
@@ -412,7 +409,6 @@ impl LdcSolver {
         Self {
             config,
             psi_cache: HashMap::new(),
-            rho_cache: HashMap::new(),
             eig_cache: Mutex::default(),
             plan: None,
             gws: Workspace::new(),
@@ -424,13 +420,12 @@ impl LdcSolver {
     /// domain topology or basis parameters between calls).
     pub fn clear_cache(&mut self) {
         self.psi_cache.clear();
-        self.rho_cache.clear();
         lock_cache(&self.eig_cache).clear();
         self.plan = None;
     }
 
-    /// Drops per-*job* state (warm-start bands, cached densities, the SCF
-    /// counter) while keeping geometry-keyed *plan* scratch — eigensolver
+    /// Drops per-*job* state (warm-start bands and the SCF counter) while
+    /// keeping geometry-keyed *plan* scratch — eigensolver
     /// workspaces, the solve plan (domain geometries, transfer tables,
     /// Hartree solver), the Hartree arena. The service
     /// runtime calls this when handing a pooled solver to a new job with
@@ -439,13 +434,13 @@ impl LdcSolver {
     /// of pool history while still sharing plans.
     pub fn reset_job_state(&mut self) {
         self.psi_cache.clear();
-        self.rho_cache.clear();
         self.total_scf_iterations = 0;
     }
 
     /// Serialises the solver's restartable state (warm-start wave functions
-    /// per domain, last per-domain densities, cumulative SCF count) for a
-    /// [`mqmd_md::io::Checkpoint`]'s opaque solver payload. Domains are
+    /// per domain and the cumulative SCF count) for a
+    /// [`mqmd_md::io::Checkpoint`]'s opaque solver payload: the bands
+    /// alone, since every solve restarts its densities. Domains are
     /// written in id order so equal states produce equal bytes.
     pub fn export_state(&self) -> Vec<u8> {
         use bytes::{BufMut, BytesMut};
@@ -464,29 +459,20 @@ impl LdcSolver {
                 buf.put_f64(z.im);
             }
         }
-        let mut rho_ids: Vec<usize> = self.rho_cache.keys().copied().collect();
-        rho_ids.sort_unstable();
-        mqmd_md::io::write_varint(&mut buf, rho_ids.len() as u64);
-        for id in rho_ids {
-            let rho = &self.rho_cache[&id];
-            mqmd_md::io::write_varint(&mut buf, id as u64);
-            mqmd_md::io::write_varint(&mut buf, rho.len() as u64);
-            for &x in rho {
-                buf.put_f64(x);
-            }
-        }
         buf.freeze().to_vec()
     }
 
     /// Restores state captured by [`LdcSolver::export_state`]. Eigensolver
-    /// workspaces and the solve plan are scratch and rebuilt lazily.
+    /// workspaces and the solve plan are scratch and rebuilt lazily. Never
+    /// panics: a band block that overflows or runs past the payload, and
+    /// bytes after the last block, are [`MqmdError::Io`] and leave the
+    /// solver as it was.
     pub fn import_state(&mut self, data: &[u8]) -> Result<()> {
-        use bytes::Bytes;
+        use bytes::{Buf, Bytes};
         use mqmd_md::io::read_varint;
         let mut buf = Bytes::from(data.to_vec());
-        self.total_scf_iterations = read_varint(&mut buf)? as usize;
-        self.psi_cache.clear();
-        self.rho_cache.clear();
+        let total_scf_iterations = read_varint(&mut buf)? as usize;
+        let mut psi_cache = HashMap::new();
         let n_psi = read_varint(&mut buf)? as usize;
         for _ in 0..n_psi {
             let id = read_varint(&mut buf)? as usize;
@@ -494,30 +480,21 @@ impl LdcSolver {
             let cols = read_varint(&mut buf)? as usize;
             let n = rows
                 .checked_mul(cols)
-                .filter(|&n| buf.len() >= 16 * n)
+                .filter(|&n| n.checked_mul(16).is_some_and(|len| buf.len() >= len))
                 .ok_or_else(|| MqmdError::Io("truncated solver state (psi)".into()))?;
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                use bytes::Buf;
-                data.push(mqmd_util::Complex64::new(buf.get_f64(), buf.get_f64()));
-            }
-            self.psi_cache
-                .insert(id, CMatrix::from_vec(rows, cols, data));
+            let data = (0..n)
+                .map(|_| mqmd_util::Complex64::new(buf.get_f64(), buf.get_f64()))
+                .collect();
+            psi_cache.insert(id, CMatrix::from_vec(rows, cols, data));
         }
-        let n_rho = read_varint(&mut buf)? as usize;
-        for _ in 0..n_rho {
-            let id = read_varint(&mut buf)? as usize;
-            let len = read_varint(&mut buf)? as usize;
-            if buf.len() < 8 * len {
-                return Err(MqmdError::Io("truncated solver state (rho)".into()));
-            }
-            let mut rho = Vec::with_capacity(len);
-            for _ in 0..len {
-                use bytes::Buf;
-                rho.push(buf.get_f64());
-            }
-            self.rho_cache.insert(id, rho);
+        if buf.has_remaining() {
+            return Err(MqmdError::Io(format!(
+                "{} trailing bytes after the solver state",
+                buf.remaining()
+            )));
         }
+        self.total_scf_iterations = total_scf_iterations;
+        self.psi_cache = psi_cache;
         Ok(())
     }
 
@@ -892,7 +869,6 @@ impl LdcSolver {
             };
             if out.residual >= cfg.tol_density {
                 self.psi_cache = std::mem::take(&mut lock_cache(&psi_cache));
-                self.rho_cache = rho_domains;
                 return Err(MqmdError::Convergence {
                     what: "LDC-DFT SCF".into(),
                     iterations: cfg.max_scf,
@@ -964,7 +940,6 @@ impl LdcSolver {
             }
 
             self.psi_cache = std::mem::take(&mut lock_cache(&psi_cache));
-            self.rho_cache = rho_domains;
             self.total_scf_iterations += out.iterations;
             return Ok(LdcState {
                 energy: out.energy,

@@ -110,7 +110,7 @@ impl<T: Thermostat> QmdDriver<T> {
     /// Captures the full restartable state after `step` completed steps:
     /// atoms + velocities, the integrator's cached end-of-step forces,
     /// thermostat state, and the solver's opaque payload (for
-    /// [`LdcSolver`], its per-domain wave functions and densities via
+    /// [`LdcSolver`], its per-domain wave functions via
     /// [`LdcSolver::export_state`]). A run resumed from the result replays
     /// bitwise.
     pub fn checkpoint(

@@ -285,7 +285,7 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
 /// Full restartable state of a QMD run at a step boundary: atoms,
 /// velocities, the integrator's cached end-of-step forces, thermostat
 /// state, and an opaque solver payload (the LDC solver stores its
-/// per-domain bands and densities there) — everything needed for a resumed
+/// per-domain bands there) — everything needed for a resumed
 /// run to replay bitwise. Serialised with a trailing [`fnv1a64`] checksum
 /// so corruption is rejected at load instead of propagating into physics.
 #[derive(Clone, Debug)]
@@ -349,7 +349,9 @@ impl Checkpoint {
         buf.freeze()
     }
 
-    /// Deserialises, verifying magic and checksum.
+    /// Deserialises, verifying magic and checksum. Never panics: a length
+    /// field that overflows or runs past the body, a non-positive cell and
+    /// bytes after the solver payload are [`MqmdError::Io`].
     pub fn from_bytes(data: Bytes) -> Result<Self> {
         if data.len() < CKP_MAGIC.len() + 8 || &data[..CKP_MAGIC.len()] != CKP_MAGIC {
             return Err(MqmdError::Io("not a MQMD checkpoint (bad magic)".into()));
@@ -367,19 +369,29 @@ impl Checkpoint {
         let mut buf = buf.split_to(body_len);
         buf.advance(CKP_MAGIC.len());
         let step = read_varint(&mut buf)?;
-        let need = |buf: &Bytes, n: usize| -> Result<()> {
-            if buf.remaining() < n {
-                Err(MqmdError::Io("truncated checkpoint".into()))
-            } else {
-                Ok(())
+        // Every length field is checked against the bytes left before
+        // anything is allocated or read for it; a product that overflows
+        // is as oversize as one that does not fit.
+        let need = |buf: &Bytes, n: Option<usize>| -> Result<()> {
+            match n {
+                Some(n) if buf.remaining() >= n => Ok(()),
+                _ => Err(MqmdError::Io(
+                    "truncated checkpoint (a length exceeds the body)".into(),
+                )),
             }
         };
-        need(&buf, 24)?;
+        need(&buf, Some(24))?;
         let cell = Vec3::new(buf.get_f64(), buf.get_f64(), buf.get_f64());
-        let n = read_varint(&mut buf)? as usize;
-        if n > (1 << 32) {
-            return Err(MqmdError::Io(format!("implausible atom count {n}")));
+        if ![cell.x, cell.y, cell.z]
+            .iter()
+            .all(|l| l.is_finite() && *l > 0.0)
+        {
+            return Err(MqmdError::Io(format!("corrupt checkpoint cell {cell:?}")));
         }
+        let n = read_varint(&mut buf)? as usize;
+        // An atom takes at least one species byte and 48 bytes of position
+        // and velocity.
+        need(&buf, n.checked_mul(49))?;
         let mut species = Vec::with_capacity(n);
         for _ in 0..n {
             let z = read_varint(&mut buf)? as u32;
@@ -390,18 +402,18 @@ impl Checkpoint {
             species.push(e);
         }
         let read_vec3s = |buf: &mut Bytes, n: usize| -> Result<Vec<Vec3>> {
-            need(buf, 24 * n)?;
+            need(buf, n.checked_mul(24))?;
             Ok((0..n)
                 .map(|_| Vec3::new(buf.get_f64(), buf.get_f64(), buf.get_f64()))
                 .collect())
         };
         let positions = read_vec3s(&mut buf, n)?;
         let velocities = read_vec3s(&mut buf, n)?;
-        need(&buf, 1)?;
+        need(&buf, Some(1))?;
         let cached_forces = match buf.get_u8() {
             0 => None,
             1 => {
-                need(&buf, 8 + 24 * n)?;
+                need(&buf, Some(8))?;
                 let energy = buf.get_f64();
                 let forces = read_vec3s(&mut buf, n)?;
                 Some(ForceResult { energy, forces })
@@ -411,11 +423,17 @@ impl Checkpoint {
             }
         };
         let n_thermo = read_varint(&mut buf)? as usize;
-        need(&buf, 8 * n_thermo)?;
+        need(&buf, n_thermo.checked_mul(8))?;
         let thermostat = (0..n_thermo).map(|_| buf.get_f64()).collect();
         let n_solver = read_varint(&mut buf)? as usize;
-        need(&buf, n_solver)?;
+        need(&buf, Some(n_solver))?;
         let solver = buf.split_to(n_solver).to_vec();
+        if buf.has_remaining() {
+            return Err(MqmdError::Io(format!(
+                "{} trailing bytes after the checkpoint body",
+                buf.remaining()
+            )));
+        }
         let mut system = AtomicSystem::new(cell, species, positions);
         system.velocities = velocities;
         Ok(Self {

@@ -2,18 +2,20 @@
 //! choice of [`JobSpec::ldc_config`](crate::JobSpec::ldc_config) rests on.
 //!
 //! A job's SCF settings decide what its MD steps cost (SCF iterations ×
-//! cost per iteration) and how far its energies and forces sit from the
-//! converged answer. The service fixes the second and minimises the first:
-//! on every geometry it serves, a force evaluation at the attempt-1
-//! configuration must land within [`ENERGY_TOL`] and [`FORCE_TOL`] of the
-//! same evaluation at [`reference_config`]. `repro_serve --sweep` prints the
-//! table of candidates measured with [`evaluate`]; `--sweep --check` and
+//! work per iteration, which grows with the band count) and how far its
+//! energies and forces sit from the converged answer. The service fixes the
+//! second and minimises the first: on every geometry it serves, a force
+//! evaluation at the attempt-1 configuration must land within
+//! [`ENERGY_TOL`] and [`FORCE_TOL`] of the same evaluation at
+//! [`reference_config`]. `repro_serve --sweep` prints the table of
+//! candidates measured with [`evaluate`]; `--sweep --check` and
 //! `tests/scf_contract.rs` gate the committed choice against it.
 
 use std::time::Instant;
 
 use mqmd_core::global::{LdcConfig, LdcSolver};
 use mqmd_md::AtomicSystem;
+use mqmd_util::flops::read_flops;
 use mqmd_util::{Result, Vec3};
 
 /// Largest |ΔE| (Hartree) of a force evaluation against the reference.
@@ -22,10 +24,15 @@ pub const ENERGY_TOL: f64 = 1e-8;
 /// reference.
 pub const FORCE_TOL: f64 = 1e-6;
 
+/// Extra bands per domain of [`reference_config`]: its own constant, so
+/// the reference stays put when a candidate carries fewer bands.
+pub const REFERENCE_EXTRA_BANDS: usize = 4;
+
 /// The tight configuration the contract is stated against: `cfg`'s grids,
 /// cutoff and decomposition, converged four orders of magnitude further in
 /// the density and to 1e-10 in the bands, with the retry rung's
-/// conservative mixing and an iteration budget that cannot bind.
+/// conservative mixing, [`REFERENCE_EXTRA_BANDS`] and an iteration budget
+/// that cannot bind.
 pub fn reference_config(cfg: &LdcConfig) -> LdcConfig {
     LdcConfig {
         mix_alpha: crate::spec::RETRY_MIX_ALPHA,
@@ -33,7 +40,7 @@ pub fn reference_config(cfg: &LdcConfig) -> LdcConfig {
         tol_density: 1e-8,
         davidson_iters: 40,
         davidson_tol: 1e-10,
-        extra_bands: crate::spec::EXTRA_BANDS,
+        extra_bands: REFERENCE_EXTRA_BANDS,
         ..*cfg
     }
 }
@@ -51,24 +58,35 @@ pub struct Evaluation {
     pub cold_iterations: usize,
     /// SCF iterations of the warm solve.
     pub warm_iterations: usize,
+    /// Analytic FLOPs of the cold solve ([`mqmd_util::flops`]).
+    pub cold_flops: u64,
+    /// Analytic FLOPs of the warm solve.
+    pub warm_flops: u64,
     /// Wall seconds of the warm solve.
     pub warm_seconds: f64,
 }
 
-/// Solves `system` cold and then warm at `cfg`. Iteration counts, energy
-/// and forces are deterministic in the inputs; only `warm_seconds` is a
-/// measurement.
+/// Solves `system` cold and then warm at `cfg`. Iteration counts, FLOP
+/// counts, energy and forces are deterministic in the inputs; only
+/// `warm_seconds` is a measurement. The FLOPs are the change of the
+/// process-wide tally around each solve, so they are this evaluation's
+/// alone only while nothing else in the process runs kernels.
 pub fn evaluate(system: &AtomicSystem, cfg: LdcConfig) -> Result<Evaluation> {
     let mut solver = LdcSolver::new(cfg);
+    let flops0 = read_flops();
     let cold = solver.solve(system)?;
+    let flops1 = read_flops();
     let began = Instant::now();
     let warm = solver.solve(system)?;
+    let warm_seconds = began.elapsed().as_secs_f64();
     Ok(Evaluation {
         energy: warm.energy,
         forces: warm.forces,
         cold_iterations: cold.scf_iterations,
         warm_iterations: warm.scf_iterations,
-        warm_seconds: began.elapsed().as_secs_f64(),
+        cold_flops: flops1 - flops0,
+        warm_flops: read_flops() - flops1,
+        warm_seconds,
     })
 }
 

@@ -20,9 +20,10 @@ use mqmd_core::global::LdcSolver;
 use mqmd_core::qmd::QmdDriver;
 use mqmd_md::io::CheckpointStore;
 use mqmd_md::thermostat::NoseHoover;
+use mqmd_md::AtomicSystem;
 use mqmd_util::cancel::{CancelReason, CancelScope, CancelToken};
 use mqmd_util::events::{self, Event, LaneGuard};
-use mqmd_util::{faults, MqmdError, Xoshiro256pp};
+use mqmd_util::{faults, trace, MqmdError, Xoshiro256pp};
 
 use crate::ledger::{Admission, JobRecord, JobResult, JobState, Ledger, RejectReason};
 use crate::spec::{escalate, JobSpec};
@@ -596,8 +597,7 @@ fn execute_job(
         match token.status() {
             Some(CancelReason::Preempt) => {
                 // Step boundary: checkpoint and yield the worker.
-                let ckp = driver.checkpoint(step, &system, solver.export_state());
-                return match store.save(&ckp) {
+                return match save_checkpoint(&store, &driver, step, &system, solver) {
                     Ok(_) => ExecOutcome::Preempted { energies },
                     Err(e) => fail(e, synced, wrote),
                 };
@@ -635,8 +635,7 @@ fn execute_job(
         }
         let done = step + 1;
         if done < u64::from(spec.steps) && done % u64::from(spec.checkpoint_every) == 0 {
-            let ckp = driver.checkpoint(done, &system, solver.export_state());
-            match store.save(&ckp) {
+            match save_checkpoint(&store, &driver, done, &system, solver) {
                 Ok(_) => {
                     synced = energies.clone();
                     wrote = true;
@@ -651,6 +650,20 @@ fn execute_job(
         velocities: system.velocities.clone(),
         scf_iterations,
     })
+}
+
+/// Writes the resume checkpoint after `step` completed steps inside one
+/// `checkpoint` span: the solver's export and the durable save, which no
+/// solver span covers.
+fn save_checkpoint(
+    store: &CheckpointStore,
+    driver: &QmdDriver<NoseHoover>,
+    step: u64,
+    system: &AtomicSystem,
+    solver: &LdcSolver,
+) -> mqmd_util::Result<PathBuf> {
+    let _span = trace::span("checkpoint");
+    store.save(&driver.checkpoint(step, system, solver.export_state()))
 }
 
 fn job_dir(cfg: &ServiceConfig, id: u64) -> PathBuf {

@@ -159,9 +159,10 @@ impl JobSpec {
     /// ladder's later rungs are [`escalate`]'s). Every field is written
     /// out, so a change of `LdcConfig::default()` cannot retune the
     /// service: the SCF settings are the ones `repro_serve --sweep` selects
-    /// under the accuracy contract of [`crate::contract`] — the fewest SCF
-    /// iterations per force evaluation that keep energy and forces inside
-    /// it on every geometry the service admits.
+    /// under the accuracy contract of [`crate::contract`] — the least work
+    /// per force evaluation (SCF iterations × FLOPs per iteration, which
+    /// the band count sets) that keeps energy and forces inside it on every
+    /// geometry the service admits.
     pub fn ldc_config(&self) -> LdcConfig {
         let nd = match self.geometry {
             Geometry::H2 { .. } => (1, 1, 1),
@@ -191,8 +192,9 @@ impl JobSpec {
 
 /// Extra bands per domain, the same on every rung of the retry ladder: a
 /// retried job may resume from a checkpoint whose bands an earlier attempt
-/// wrote.
-pub(crate) const EXTRA_BANDS: usize = 4;
+/// wrote. One empty band above the occupied ones keeps the contract and
+/// halves an H₂ job's work against four; none leaves it.
+pub(crate) const EXTRA_BANDS: usize = 1;
 /// Density mixing of the first retry (attempt 2); each later attempt halves
 /// it.
 pub(crate) const RETRY_MIX_ALPHA: f64 = 0.4;
