@@ -2,29 +2,29 @@
 //! writes `BENCH_profile.json` (`mqmd-profile-v8`), a Chrome-trace
 //! timeline (`BENCH_trace.json`, loadable in `chrome://tracing` or
 //! Perfetto), and the structured event log (`BENCH_events.jsonl`).
-//! v7 adds the `twin` block: a real 4-process rank session's measured
-//! per-collective wall-clock against the calibrated cost model's
-//! prediction (plus `BENCH_ranks_trace.json`, the per-rank event streams
-//! merged into one Chrome trace — also available standalone via
-//! `repro_profile --merge-ranks <prefix> [out.json]`). v8 adds the
-//! `rank_recovery` block: a seeded kill drill through the recovery
-//! supervisor whose detect/respawn/rejoin latencies are measured on this
-//! host.
 //!
 //! The profile is the measured half of the DESIGN.md substitution: per-
 //! kernel wall-time and FLOP counts come from running this repository's
 //! real kernels (GEMM, FFT, Poisson, SCF, domain solve), and the scaling
-//! models of `mqmd-parallel` then consume those timings instead of any
-//! hand-entered wall-clock constant (`repro_scaling` reads the file back).
-//! The v2 schema adds per-kernel latency quantiles (p50/p95/p99) and the
-//! standard error `repro_compare` uses as its noise band; v3 adds
-//! per-kernel `alloc_count`/`alloc_bytes` and a top-level `alloc` block
-//! with the steady-state workspace-miss gauge that
-//! `repro_compare --gate-allocs` hard-fails on. The gauge is measured
-//! directly: the first QMD step warms every plan and workspace, and the
-//! second step's global workspace-miss delta is the number of hot-path
-//! allocations a steady-state step still pays (0 when the plan/workspace
-//! refactor holds).
+//! models of `mqmd-parallel` then consume the dedicated Fig 5 domain-solve
+//! time instead of any hand-entered wall-clock constant (`repro_scaling`
+//! reads the file back). Beside the span tree and the kernel table the
+//! document carries two measured blocks: `twin`, a real 4-process rank
+//! session's per-collective wall-clock against the host-calibrated cost
+//! model's prediction (plus `BENCH_ranks_trace.json`, the per-rank event
+//! streams merged into one Chrome trace — also available standalone via
+//! `repro_profile --merge-ranks <prefix> [out.json]`), and
+//! `rank_recovery`, the detect/respawn/rejoin latencies of a seeded kill
+//! drill through the recovery supervisor.
+//!
+//! Two gates run on the measurement itself, and either failing exits 1
+//! after every file is written:
+//!
+//! * **allocations** — the first QMD step warms every plan and
+//!   workspace; the global workspace-miss delta across the second step
+//!   must be 0 (`tests/workspace_reuse.rs` pins the same property);
+//! * **recovery ledger** — the run's own fault ledger must record no
+//!   abort and no injected fault left unrecovered.
 //!
 //! Usage:
 //! `cargo run --release -p mqmd-bench --bin repro_profile \
@@ -36,14 +36,15 @@ use mqmd_core::global::LdcSolver;
 use mqmd_core::qmd::QmdDriver;
 use mqmd_md::builders::sic_supercell;
 use mqmd_md::thermostat::Berendsen;
-use mqmd_parallel::collectives::{charge_alltoall, charge_octree_reduce};
 use mqmd_parallel::executor::run_ranks;
 use mqmd_parallel::measured::{MeasuredProfile, PROFILE_PATH};
-use mqmd_parallel::process::{run_processes, KillSpec, ProcessOpts, RecoveryOpts};
+use mqmd_parallel::process::{
+    rank_recovery_block, run_processes, KillSpec, ProcessOpts, RecoveryOpts,
+};
 use mqmd_parallel::twin::{calibrate_from_pingpong, twin_block, TwinModel};
-use mqmd_parallel::{Comm, MachineSpec};
-use mqmd_util::metrics::{alloc_block, profile_report, Json};
-use mqmd_util::{chrometrace, events, trace, workspace};
+use mqmd_parallel::Comm;
+use mqmd_util::metrics::{profile_report, Json};
+use mqmd_util::{chrometrace, events, faults, trace, workspace};
 use std::time::Duration;
 
 /// Default Chrome-trace output path.
@@ -101,8 +102,8 @@ fn merge_ranks_mode(prefix: &str, out: &str) -> ! {
 }
 
 /// Runs a small real-rank session and replays its traffic ledger
-/// through the host-calibrated digital twin: the `twin` block of
-/// `mqmd-profile-v7`, plus per-rank event streams merged into
+/// through the host-calibrated digital twin: the profile's `twin` block,
+/// plus per-rank event streams merged into
 /// [`RANK_TRACE_PATH`]. Returns `Json::Null` (with a warning) if the
 /// worker binary cannot run here — the profile stays valid without it.
 fn twin_validation_block() -> Json {
@@ -176,8 +177,8 @@ fn twin_validation_block() -> Json {
 }
 
 /// Runs a seeded kill drill through the recovery supervisor and returns
-/// the measured `rank_recovery` block of `mqmd-profile-v8` (restart
-/// counts plus detect/respawn/rejoin latencies on this host). Returns
+/// the profile's measured `rank_recovery` block (restart counts plus
+/// detect/respawn/rejoin latencies on this host). Returns
 /// `Json::Null` (with a warning) if the drill cannot run here.
 fn rank_recovery_drill_block() -> Json {
     let run = run_processes(
@@ -216,14 +217,7 @@ fn rank_recovery_drill_block() -> Json {
         mean(&stats.respawn_ms),
         mean(&stats.rejoin_ms)
     );
-    mqmd_util::metrics::rank_recovery_block(&mqmd_util::metrics::RankRecoveryCounters {
-        restarts: u64::from(stats.restarts),
-        quarantines: u64::from(stats.quarantines),
-        suspects: u64::from(stats.suspects),
-        detect_ms: stats.detect_ms,
-        respawn_ms: stats.respawn_ms,
-        rejoin_ms: stats.rejoin_ms,
-    })
+    rank_recovery_block(&stats)
 }
 
 /// The spans flattened into the profile's kernel table.
@@ -239,7 +233,6 @@ const KERNELS: &[&str] = &[
     "poisson",
     "global_density",
     "global_reduce",
-    "band_alltoall",
 ];
 
 fn main() {
@@ -283,7 +276,7 @@ fn main() {
     //    pipeline (domain decomposition, SCF, Davidson, Hartree solve).
     //    The first step warms every plan and workspace; the global
     //    workspace-miss delta across the second is the steady-state
-    //    hot-path allocation gauge the perf gate watches.
+    //    hot-path allocation gauge the allocation gate reads.
     println!("== repro_profile: tracing a two-step LDC-DFT QMD run ==\n");
     let mut sys = sic_supercell((1, 1, 1));
     let mut solver = LdcSolver::new(tiny_ldc_config());
@@ -307,9 +300,8 @@ fn main() {
     let t_domain = measure_domain_solve_seconds(2.0, 1.2, 6);
     println!("standalone Fig 5 domain solve: {t_domain:.2} s");
 
-    // 3. Executed + priced communication: a binomial-tree allreduce over 8
-    //    rank threads (the global-density reduction pattern), plus the
-    //    modelled octree reduction and band↔space all-to-all.
+    // 3. Executed communication: a binomial-tree allreduce over 8 rank
+    //    threads (the global-density reduction pattern).
     {
         let _span = trace::span("global_reduce");
         run_ranks(8, |rank, comm| {
@@ -317,22 +309,16 @@ fn main() {
                 .expect("in-process allreduce");
         });
     }
-    {
-        let _span = trace::span("band_alltoall");
-        let mira = MachineSpec::mira();
-        charge_alltoall(&mira, 4096.0, 64);
-        charge_octree_reduce(&mira, 16.0 * 16.0 * 16.0 * 8.0, 4);
-    }
 
     // 3b. Digital-twin validation: a real 4-process rank session over TCP,
     //     its measured per-collective wall-clock replayed through the
-    //     host-calibrated cost model (the v7 `twin` block), and the
+    //     host-calibrated cost model (the `twin` block), and the
     //     per-rank event streams merged into one Chrome trace.
     println!("\n== digital twin: real-rank session vs cost model ==\n");
     let twin = twin_validation_block();
 
     // 3c. Rank-recovery drill: a seeded kill healed by the supervisor,
-    //     measuring detect/respawn/rejoin latency on this host (the v8
+    //     measuring detect/respawn/rejoin latency on this host (the
     //     `rank_recovery` block).
     println!("\n== rank recovery: seeded kill through the supervisor ==\n");
     let rank_recovery = rank_recovery_drill_block();
@@ -342,8 +328,6 @@ fn main() {
     let node = trace::take();
     trace::set_enabled(false);
     events::set_enabled(false);
-    // Per-lane drop counts must be snapshotted before `drain` clears them.
-    let event_drops_by_lane = events::dropped_by_lane();
     let (records, dropped) = events::drain();
     if dropped > 0 {
         eprintln!("warning: event sink dropped {dropped} records");
@@ -367,7 +351,6 @@ fn main() {
             .unwrap_or(0),
         records.len()
     );
-    let total_alloc = workspace::global_stats().snapshot();
     let extra = vec![
         ("atoms".to_string(), Json::Num(sys.len() as f64)),
         (
@@ -375,27 +358,6 @@ fn main() {
             Json::Num(report.scf_iterations as f64),
         ),
         ("domain_solve_fig5_secs".to_string(), Json::Num(t_domain)),
-        (
-            "alloc".to_string(),
-            alloc_block(&total_alloc, steady.misses),
-        ),
-        // The plane stays idle here, so injected is 0 (the kill drill
-        // books its respawn as a recovery); chaos campaigns populate it
-        // and `repro_compare --gate-recovery` checks the ledger balances.
-        (
-            "recovery".to_string(),
-            mqmd_util::metrics::recovery_block(&mqmd_util::faults::stats()),
-        ),
-        // The job counters are all-zero here (this run drives the solver
-        // library directly, not the service plane); the per-lane telemetry
-        // drop counts apply to every instrumented run and must stay zero.
-        (
-            "service".to_string(),
-            mqmd_util::metrics::service_block(&mqmd_util::metrics::ServiceCounters {
-                event_drops_by_lane,
-                ..Default::default()
-            }),
-        ),
         // Model-predicted vs wall-clock per collective from a real-rank
         // session (Null when the worker binary cannot run here).
         ("twin".to_string(), twin),
@@ -441,10 +403,10 @@ fn main() {
             )
         );
     }
+    let total_alloc = workspace::global_stats().snapshot();
     println!(
-        "\nworkspace arena: {} hits / {} misses ({} miss bytes); \
-         steady-state SCF workspace misses: {}",
-        total_alloc.hits, total_alloc.misses, total_alloc.miss_bytes, steady.misses
+        "\nworkspace arena: {} hits / {} misses ({} miss bytes)",
+        total_alloc.hits, total_alloc.misses, total_alloc.miss_bytes
     );
 
     let t = profile
@@ -461,4 +423,26 @@ fn main() {
         "strong-scaling speedup at 16x cores from this profile: {:.2}",
         strong.speedup(786_432, 49_152)
     );
+
+    // 6. The gates on this run's own measurement.
+    let verdict = |ok: bool| if ok { "ok" } else { "FAIL" };
+    let allocs_ok = steady.misses == 0;
+    println!(
+        "\nallocation gate: steady-state QMD step workspace misses {} (must be 0)  [{}]",
+        steady.misses,
+        verdict(allocs_ok)
+    );
+    // No abort, and every injected fault recovered.
+    let ledger = faults::stats();
+    let ledger_ok = ledger.aborted == 0 && ledger.injected <= ledger.recovered;
+    println!(
+        "recovery gate: {} injected, {} recovered, {} aborted  [{}]",
+        ledger.injected,
+        ledger.recovered,
+        ledger.aborted,
+        verdict(ledger_ok)
+    );
+    if !(allocs_ok && ledger_ok) {
+        std::process::exit(1);
+    }
 }

@@ -12,6 +12,10 @@
 //! the model-vs-reality loop of DESIGN §4g.
 //!
 //! Usage: `cargo run --release -p mqmd-bench --bin repro_scaling [--real-ranks]`
+//!
+//! Without `BENCH_profile.json` in the working directory the per-domain
+//! solve is measured live; with one that does not parse under the
+//! current profile schema the binary exits 2.
 
 use mqmd_bench::real_ranks::worker_bin;
 use mqmd_bench::{measure_domain_solve_seconds, pct_dev, row};
@@ -19,6 +23,7 @@ use mqmd_parallel::measured::{MeasuredProfile, PROFILE_PATH};
 use mqmd_parallel::process::{run_processes, ProcessOpts, RecoveryOpts};
 use mqmd_parallel::twin::{calibrate_from_pingpong, TwinModel};
 use mqmd_parallel::{StrongScalingModel, WeakScalingModel};
+use mqmd_util::MqmdError;
 use std::time::Duration;
 
 /// Rank counts of the real-process sweeps.
@@ -137,23 +142,31 @@ fn main() {
         return;
     }
     println!("== Fig 5: weak scaling (64P-atom SiC on P cores of Blue Gene/Q) ==\n");
-    // The per-core domain solve time is always *measured*: preferably read
-    // from the BENCH_profile.json a prior `repro_profile` run wrote, else
-    // measured live here (3 SCF × 3 CG-like refinement, as in the paper's
-    // benchmark protocol).
-    let t_domain = match MeasuredProfile::load(PROFILE_PATH)
-        .ok()
-        .and_then(|p| p.domain_solve_seconds())
-    {
-        Some(t) => {
-            println!("per-domain solve from {PROFILE_PATH}: {t:.3} s\n");
-            t
+    // The per-core domain solve time is always *measured*: read from the
+    // BENCH_profile.json a prior `repro_profile` run wrote, or, when there
+    // is no such file, measured live here (3 SCF × 3 CG-like refinement,
+    // as in the paper's benchmark protocol). A file that is present but
+    // unreadable is an error, not a cue to switch protocols.
+    let t_domain = if std::path::Path::new(PROFILE_PATH).exists() {
+        let loaded = MeasuredProfile::load(PROFILE_PATH).and_then(|p| {
+            p.domain_solve_seconds()
+                .ok_or_else(|| MqmdError::Parse("no per-domain solve time".into()))
+        });
+        match loaded {
+            Ok(t) => {
+                println!("per-domain solve from {PROFILE_PATH}: {t:.3} s\n");
+                t
+            }
+            Err(e) => {
+                eprintln!("error: {PROFILE_PATH}: {e}");
+                std::process::exit(2);
+            }
         }
-        None => {
-            let t = measure_domain_solve_seconds(2.5, 1.0, 9);
-            println!("measured per-domain solve on this host: {t:.3} s\n");
-            t
-        }
+    } else {
+        println!("no {PROFILE_PATH} here: measuring the per-domain solve live");
+        let t = measure_domain_solve_seconds(2.5, 1.0, 9);
+        println!("measured per-domain solve on this host: {t:.3} s\n");
+        t
     };
 
     let model = WeakScalingModel::fig5(t_domain);

@@ -21,19 +21,70 @@
 //! `mqmd_util::flops` tallies the profiles report), so the
 //! fraction-of-peak is conservative: kernels whose working set sits in
 //! cache can exceed a DRAM-derived bandwidth roof, and that is fine — the
-//! `--gate-roofline` check is a *floor*, designed to catch a vectorized
-//! kernel silently collapsing back to far-below-roof throughput.
+//! `repro_flops` gate is a *floor*, designed to catch a vectorized kernel
+//! silently collapsing back to far-below-roof throughput.
 
 use mqmd_fft::{Direction, Fft3d};
 use mqmd_grid::UniformGrid3;
 use mqmd_linalg::gemm::dgemm;
 use mqmd_linalg::Matrix;
 use mqmd_multigrid::smoother::rbgs_sweep;
-use mqmd_util::metrics::Roofline;
 use mqmd_util::timer::Stopwatch;
 use mqmd_util::workspace::Workspace;
 use mqmd_util::Complex64;
 use rayon::prelude::*;
+use std::collections::BTreeMap;
+
+/// One kernel's placement under the measured roofline.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct RooflineKernel {
+    /// Sustained GFLOP/s the kernel achieved.
+    pub achieved_gflops: f64,
+    /// Arithmetic intensity: analytic FLOPs per byte of traffic.
+    pub intensity_flops_per_byte: f64,
+    /// The roofline at that intensity:
+    /// `min(peak_gflops, intensity · peak_bw_gbps)`.
+    pub roofline_gflops: f64,
+    /// `achieved_gflops / roofline_gflops` (0 when the roofline is 0).
+    pub fraction_of_peak: f64,
+}
+
+/// Machine peaks measured on the running host plus per-kernel placements.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Roofline {
+    /// Compute peak: FMA-ladder GFLOP/s across all cores.
+    pub peak_gflops: f64,
+    /// Memory peak: streaming-triad bandwidth in GB/s.
+    pub peak_bw_gbps: f64,
+    /// Kernel name → placement.
+    pub kernels: BTreeMap<String, RooflineKernel>,
+}
+
+impl Roofline {
+    /// The roofline value at a given arithmetic intensity (FLOPs/byte).
+    pub fn at_intensity(&self, intensity: f64) -> f64 {
+        (intensity * self.peak_bw_gbps).min(self.peak_gflops)
+    }
+
+    /// Records a kernel measurement, deriving its roofline placement.
+    pub fn place(&mut self, name: &str, achieved_gflops: f64, intensity: f64) {
+        let roofline_gflops = self.at_intensity(intensity);
+        let fraction_of_peak = if roofline_gflops > 0.0 {
+            achieved_gflops / roofline_gflops
+        } else {
+            0.0
+        };
+        self.kernels.insert(
+            name.to_string(),
+            RooflineKernel {
+                achieved_gflops,
+                intensity_flops_per_byte: intensity,
+                roofline_gflops,
+                fraction_of_peak,
+            },
+        );
+    }
+}
 
 /// Seconds each measurement loop aims to run. Long enough to amortise
 /// timer resolution, short enough that the whole roofline takes ~2 s.
@@ -296,6 +347,23 @@ pub fn measure_roofline() -> Roofline {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn placement_follows_the_roof() {
+        let mut r = Roofline {
+            peak_gflops: 100.0,
+            peak_bw_gbps: 20.0,
+            ..Default::default()
+        };
+        // Memory-bound placement: roofline = 0.25 · 20 = 5 GFLOP/s.
+        r.place("gemm", 4.0, 0.25);
+        // Compute-bound placement: roofline capped at peak_gflops.
+        r.place("fft", 50.0, 1000.0);
+        assert!((r.kernels["gemm"].roofline_gflops - 5.0).abs() < 1e-12);
+        assert!((r.kernels["gemm"].fraction_of_peak - 0.8).abs() < 1e-12);
+        assert!((r.kernels["fft"].roofline_gflops - 100.0).abs() < 1e-12);
+        assert!((r.kernels["fft"].fraction_of_peak - 0.5).abs() < 1e-12);
+    }
 
     #[test]
     fn peaks_are_positive_and_finite() {

@@ -778,7 +778,7 @@ impl LdcSolver {
                 // density payload (priced by mqmd-parallel's machine model).
                 let gd_span = mqmd_util::trace::span("global_density");
                 let comm_bytes: u64 = rho_domains.values().map(|r| 8 * r.len() as u64).sum();
-                mqmd_util::trace::add_comm(rho_domains.len() as u64, comm_bytes, 0.0);
+                mqmd_util::trace::add_comm(rho_domains.len() as u64, comm_bytes);
                 let mut rho_of = vec![None; transfer.domains().len()];
                 for (&id, rho_a) in &rho_domains {
                     rho_of[id] = Some(rho_a.as_slice());

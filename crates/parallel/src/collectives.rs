@@ -19,19 +19,6 @@ pub fn p2p_time(m: &MachineSpec, bytes: f64, hops: usize) -> f64 {
     m.mpi_latency + hops.saturating_sub(1) as f64 * PER_HOP + bytes / m.link_bandwidth
 }
 
-/// [`p2p_time`] on a degraded machine: lost nodes stretch the route by
-/// [`MachineFaults::extra_hops`] detour hops and degraded dimensions
-/// divide the usable link bandwidth by the worst remaining fraction.
-/// Identical to [`p2p_time`] when `mf` is healthy.
-pub fn p2p_time_faulty(m: &MachineSpec, bytes: f64, hops: usize, mf: &MachineFaults) -> f64 {
-    if mf.is_healthy() {
-        return p2p_time(m, bytes, hops);
-    }
-    m.mpi_latency
-        + (hops + mf.extra_hops()).saturating_sub(1) as f64 * PER_HOP
-        + bytes / (m.link_bandwidth * mf.worst_degrade())
-}
-
 /// [`allreduce_time`] on a degraded machine: every tree round pays the
 /// node-loss detour hops and runs at the worst surviving link bandwidth.
 pub fn allreduce_time_faulty(m: &MachineSpec, bytes: f64, p: usize, mf: &MachineFaults) -> f64 {
@@ -81,44 +68,6 @@ pub fn alltoall_time(m: &MachineSpec, bytes_per_pair: f64, p: usize) -> f64 {
     (p - 1) as f64 * (m.mpi_latency + bytes_per_pair / m.link_bandwidth)
 }
 
-/// [`allreduce_time`], additionally recording the collective's message
-/// count (`2·(p−1)`, the binomial reduce+broadcast), total bytes, and
-/// modelled (hop-weighted) cost to the ambient [`mqmd_util::trace`] span.
-pub fn charge_allreduce(m: &MachineSpec, bytes: f64, p: usize) -> f64 {
-    let t = allreduce_time(m, bytes, p);
-    if p > 1 {
-        let msgs = 2 * (p as u64 - 1);
-        mqmd_util::trace::add_comm(msgs, msgs * bytes as u64, t);
-    }
-    t
-}
-
-/// [`alltoall_time`], additionally recording the `p·(p−1)` pairwise
-/// messages, total bytes, and modelled cost to the ambient trace span.
-pub fn charge_alltoall(m: &MachineSpec, bytes_per_pair: f64, p: usize) -> f64 {
-    let t = alltoall_time(m, bytes_per_pair, p);
-    if p > 1 {
-        let msgs = (p * (p - 1)) as u64;
-        mqmd_util::trace::add_comm(msgs, msgs * bytes_per_pair as u64, t);
-    }
-    t
-}
-
-/// [`octree_reduce_time`], additionally recording one upward message per
-/// tree level (with the geometrically coarsening payload) and the modelled
-/// cost to the ambient trace span.
-pub fn charge_octree_reduce(m: &MachineSpec, leaf_bytes: f64, levels: usize) -> f64 {
-    let t = octree_reduce_time(m, leaf_bytes, levels);
-    let mut bytes_total = 0.0;
-    let mut bytes = leaf_bytes;
-    for _ in 0..levels {
-        bytes_total += bytes;
-        bytes /= 8.0;
-    }
-    mqmd_util::trace::add_comm(levels as u64, bytes_total as u64, t);
-    t
-}
-
 /// Hierarchical (octree) reduction of a field that coarsens by `8×` per
 /// level — the global-density assembly of the GSLF scheme. `leaf_bytes` is
 /// the per-domain payload, `levels` the tree depth.
@@ -158,7 +107,6 @@ mod tests {
     fn faulty_models_reduce_to_healthy_without_faults() {
         let m = bgq();
         let mf = MachineFaults::default();
-        assert_eq!(p2p_time_faulty(&m, 4096.0, 3, &mf), p2p_time(&m, 4096.0, 3));
         assert_eq!(
             allreduce_time_faulty(&m, 1024.0, 64, &mf),
             allreduce_time(&m, 1024.0, 64)
@@ -173,11 +121,7 @@ mod tests {
             lost_nodes: vec![3],
             degraded_links: vec![(1, 0.5)],
         };
-        // Half bandwidth roughly doubles the bandwidth term of a large
-        // message; two detour hops add router delay.
-        let healthy = p2p_time(&m, 2e9, 1);
-        let faulty = p2p_time_faulty(&m, 2e9, 1, &mf);
-        assert!(faulty > 1.9 * healthy, "{faulty} vs {healthy}");
+        // Half bandwidth and two detour hops slow every tree round.
         assert!(allreduce_time_faulty(&m, 1024.0, 64, &mf) > allreduce_time(&m, 1024.0, 64));
         // One lost node hosting 8 domains at 2 s each → 16 s recompute.
         assert_eq!(node_loss_recompute_time(2.0, 8, &mf), 16.0);

@@ -11,7 +11,7 @@
 //! * [`SingleRank`] — one rank, no transport: every collective is the
 //!   identity;
 //! * [`ThreadComm`](crate::executor::ThreadComm) — ranks as threads,
-//!   channels as links, every message priced by the machine model;
+//!   channels as links, every message counted;
 //! * [`SocketComm`](crate::process::SocketComm) — ranks as real
 //!   processes, length-prefixed frames over loopback TCP;
 //! * the measured cost model, retained as a **digital twin**

@@ -1,18 +1,17 @@
 //! The in-process backend: MPI-style rank programs on threads.
 //!
 //! Historically this executor *was* the architecture; after the
-//! [`Comm`](crate::comm::Comm) refactor it is one backend of three —
-//! ranks as threads, links as channels, every message priced with the
-//! Hockney point-to-point model of a
-//! [`MachineSpec`](crate::machine::MachineSpec). The multi-process
-//! backend lives in [`crate::process`]; the cost model replays recorded
-//! traffic as the digital twin in [`crate::twin`].
+//! [`Comm`](crate::comm::Comm) refactor it is one of two backends —
+//! ranks as threads, links as channels. The multi-process backend lives
+//! in [`crate::process`]. Neither prices messages: what a collective
+//! *should* cost on a machine is the digital twin's question
+//! ([`crate::twin`]), answered by replaying the measured traffic ledger.
 //!
 //! Every `send_to` is metered: the executor counts messages and payload
-//! bytes, prices each message, and reports all three to both a per-run
-//! [`CommStats`] (exact, test-friendly) and the ambient
-//! [`mqmd_util::trace`] span (so profiles attribute communication to
-//! the phase that performed it). The `MPI_COMM_SPLIT` of the domain
+//! bytes and reports both to a per-run [`CommStats`] (exact,
+//! test-friendly) and to the ambient [`mqmd_util::trace`] span (so
+//! profiles attribute communication to the phase that performed it).
+//! The `MPI_COMM_SPLIT` of the domain
 //! decomposition corresponds to constructing one executor per domain
 //! group.
 //!
@@ -23,9 +22,7 @@
 //! cancel token on a short slice, so a hung peer surfaces as a typed
 //! [`CommError::PeerTimeout`] instead of a stuck thread.
 
-use crate::collectives::{p2p_time, p2p_time_faulty};
 use crate::comm::{Comm, CommError, CommResult, TrafficStats, POLL_SLICE_MS};
-use crate::machine::MachineSpec;
 use mqmd_util::cancel::{self, CancelScope, CancelToken};
 use mqmd_util::faults;
 use std::collections::{HashMap, VecDeque};
@@ -43,13 +40,12 @@ use std::time::{Duration, Instant};
 /// executor launch with megabytes of zeroed buffer.
 pub const THREAD_INBOX_CAP: usize = 1_024;
 
-/// Message/byte/cost tally shared by every rank of one executor run.
+/// Message/byte tally shared by every rank of one executor run.
 #[derive(Debug, Default)]
 pub struct CommStats {
     msgs: AtomicU64,
     bytes: AtomicU64,
     deferred: AtomicU64,
-    cost_bits: AtomicU64, // f64 seconds, CAS-accumulated
 }
 
 impl CommStats {
@@ -68,27 +64,9 @@ impl CommStats {
         self.deferred.load(Ordering::Relaxed)
     }
 
-    /// Total modelled communication time (seconds, summed over messages).
-    pub fn modelled_seconds(&self) -> f64 {
-        f64::from_bits(self.cost_bits.load(Ordering::Relaxed))
-    }
-
-    fn record(&self, bytes: u64, cost: f64) {
+    fn record(&self, bytes: u64) {
         self.msgs.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        let mut cur = self.cost_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + cost).to_bits();
-            match self.cost_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
     }
 }
 
@@ -165,14 +143,13 @@ pub struct ThreadComm {
     senders: Vec<SyncSender<(usize, Vec<f64>)>>,
     inbox: Mutex<Inbox>,
     barrier: Arc<WaitBarrier>,
-    model: Arc<MachineSpec>,
     stats: Arc<CommStats>,
     traffic: Arc<TrafficStats>,
     deadline: Option<Duration>,
 }
 
 impl ThreadComm {
-    /// The shared message/byte/modelled-cost tally for this run.
+    /// The shared message/byte tally for this run.
     pub fn stats(&self) -> &CommStats {
         &self.stats
     }
@@ -196,19 +173,11 @@ impl Comm for ThreadComm {
     /// provided collectives (the [`THREAD_INBOX_CAP`] bound is far
     /// above their per-rank queue depth); a full inbox books a
     /// deferral and waits for room rather than buffering without
-    /// limit. With a fault plan active, pricing runs on the degraded
-    /// machine: detour hops around lost nodes and the worst surviving
-    /// link bandwidth ([`p2p_time_faulty`]). Idle plane: one relaxed
-    /// load.
+    /// limit.
     fn send_to(&self, dest: usize, data: &[f64]) -> CommResult<()> {
         let bytes = std::mem::size_of_val(data) as u64;
-        let cost = if faults::active() {
-            p2p_time_faulty(&self.model, bytes as f64, 1, &faults::machine_faults())
-        } else {
-            p2p_time(&self.model, bytes as f64, 1)
-        };
-        self.stats.record(bytes, cost);
-        mqmd_util::trace::add_comm(1, bytes, cost);
+        self.stats.record(bytes);
+        mqmd_util::trace::add_comm(1, bytes);
         let gone = |_| CommError::PeerGone {
             rank: dest,
             op: "send_to",
@@ -267,7 +236,7 @@ impl Comm for ThreadComm {
     }
 }
 
-/// Options for an executor run beyond rank count and machine model.
+/// Options for an executor run beyond the rank count.
 #[derive(Default)]
 pub struct RunOpts {
     /// Per-primitive wait budget: a `recv_from`/`barrier` that waits
@@ -300,28 +269,18 @@ fn absorb_rank_faults(rank: usize) {
     }
 }
 
-/// Runs `f(rank, comm)` on `n` rank threads (message costs priced for one
-/// Blue Gene/Q node card) and returns the per-rank results in rank order.
-/// Panics in any rank propagate.
+/// Runs `f(rank, comm)` on `n` rank threads and returns the per-rank
+/// results in rank order. Panics in any rank propagate.
 pub fn run_ranks<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, &ThreadComm) -> T + Sync,
 {
-    run_ranks_on(n, MachineSpec::bluegene_q(1), f)
+    run_ranks_opts(n, RunOpts::default(), f)
 }
 
-/// [`run_ranks`] with an explicit machine model for message pricing.
-pub fn run_ranks_on<T, F>(n: usize, model: MachineSpec, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &ThreadComm) -> T + Sync,
-{
-    run_ranks_opts(n, model, RunOpts::default(), f)
-}
-
-/// [`run_ranks_on`] with deadline and cancellation wiring.
-pub fn run_ranks_opts<T, F>(n: usize, model: MachineSpec, opts: RunOpts, f: F) -> Vec<T>
+/// [`run_ranks`] with deadline and cancellation wiring.
+pub fn run_ranks_opts<T, F>(n: usize, opts: RunOpts, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, &ThreadComm) -> T + Sync,
@@ -335,7 +294,6 @@ where
         receivers.push(rx);
     }
     let barrier = Arc::new(WaitBarrier::new(n));
-    let model = Arc::new(model);
     let stats = Arc::new(CommStats::default());
     let traffic = Arc::new(TrafficStats::default());
 
@@ -351,7 +309,6 @@ where
                 stash: HashMap::new(),
             }),
             barrier: barrier.clone(),
-            model: model.clone(),
             stats: stats.clone(),
             traffic: traffic.clone(),
             deadline: opts.deadline,
@@ -564,7 +521,7 @@ mod tests {
             deadline: Some(Duration::from_millis(30)),
             cancel: None,
         };
-        let out = run_ranks_opts(2, MachineSpec::bluegene_q(1), opts, |rank, comm| {
+        let out = run_ranks_opts(2, opts, |rank, comm| {
             if rank == 0 {
                 // Rank 1 never sends.
                 comm.recv_from(1, "probe").err()
@@ -587,7 +544,7 @@ mod tests {
             deadline: Some(Duration::from_millis(30)),
             cancel: None,
         };
-        let out = run_ranks_opts(2, MachineSpec::bluegene_q(1), opts, |rank, comm| {
+        let out = run_ranks_opts(2, opts, |rank, comm| {
             if rank == 0 {
                 comm.barrier().err()
             } else {
@@ -617,7 +574,7 @@ mod tests {
             deadline: None,
             cancel: Some(token),
         };
-        let out = run_ranks_opts(2, MachineSpec::bluegene_q(1), opts, |rank, comm| {
+        let out = run_ranks_opts(2, opts, |rank, comm| {
             if rank == 0 {
                 comm.recv_from(1, "density_allreduce").err()
             } else {

@@ -28,7 +28,7 @@
 //!   backend implements, with the shared deterministic collectives
 //!   (binomial allreduce, ring halo exchange, pairwise all-to-all);
 //! * [`executor`] — the thread backend: MPI-style rank programs on
-//!   threads with metered, model-priced messages;
+//!   threads with metered messages;
 //! * [`wire`] — the length-prefixed frame codec of the real transport;
 //! * [`process`] — the multi-process backend: real rank processes
 //!   (fork/exec of an `mqmd-rank` worker) over loopback TCP;

@@ -30,10 +30,12 @@ pub struct MeasuredProfile {
 }
 
 impl MeasuredProfile {
-    /// Parses a `mqmd-profile-v1` document.
+    /// Parses a profile document; any schema tag but
+    /// [`PROFILE_SCHEMA`](mqmd_util::metrics::PROFILE_SCHEMA) is an error.
     pub fn from_json(text: &str) -> Result<Self> {
-        let kernels = kernel_table(text)?;
-        let fig5_domain_secs = parse_json(text)?
+        let doc = parse_json(text)?;
+        let kernels = kernel_table(&doc)?;
+        let fig5_domain_secs = doc
             .get(FIG5_DOMAIN_KEY)
             .and_then(|v| v.as_f64())
             .filter(|&t| t > 0.0);
@@ -98,10 +100,9 @@ mod tests {
     fn doc(domain_secs: f64, calls: u64) -> String {
         format!(
             r#"{{
-  "schema": "mqmd-profile-v1",
+  "schema": "mqmd-profile-v8",
   "trace": {{"name": "root", "calls": 1, "wall_secs": 1.0, "flops": 0,
-             "bytes": 0, "comm_msgs": 0, "comm_bytes": 0,
-             "comm_cost_secs": 0.0, "children": []}},
+             "bytes": 0, "comm_msgs": 0, "comm_bytes": 0, "children": []}},
   "kernels": {{
     "gemm": {{"calls": 10, "seconds": 0.5, "flops": 1000000, "gflops": 0.002}},
     "domain_solve": {{"calls": {calls}, "seconds": {domain_secs}, "flops": 0, "gflops": 0}}
@@ -124,7 +125,7 @@ mod tests {
     #[test]
     fn dedicated_fig5_measurement_wins_over_span_aggregate() {
         let text = r#"{
-  "schema": "mqmd-profile-v1",
+  "schema": "mqmd-profile-v8",
   "domain_solve_fig5_secs": 68.5,
   "kernels": {
     "domain_solve": {"calls": 83, "seconds": 75.0, "flops": 0, "gflops": 0}
@@ -136,14 +137,19 @@ mod tests {
 
     #[test]
     fn missing_kernels_yield_none() {
-        let text = r#"{"schema": "mqmd-profile-v1", "kernels": {}}"#;
+        let text = r#"{"schema": "mqmd-profile-v8", "kernels": {}}"#;
         let p = MeasuredProfile::from_json(text).unwrap();
         assert!(p.domain_solve_seconds().is_none());
         assert!(p.weak_scaling_model().is_none());
     }
 
     #[test]
-    fn wrong_schema_rejected() {
+    fn older_schemas_are_rejected_by_name() {
         assert!(MeasuredProfile::from_json(r#"{"schema": "v0", "kernels": {}}"#).is_err());
+        let v7 = doc(6.0, 3).replace("mqmd-profile-v8", "mqmd-profile-v7");
+        match MeasuredProfile::from_json(&v7) {
+            Err(MqmdError::Parse(msg)) => assert!(msg.contains("mqmd-profile-v8"), "{msg}"),
+            other => panic!("expected a typed schema error, got {other:?}"),
+        }
     }
 }

@@ -48,6 +48,7 @@
 
 use crate::comm::{Comm, CommError, CommResult, OpTally, RankProgram, TrafficStats, POLL_SLICE_MS};
 use crate::wire::{read_frame, write_frame, EpochGate, Frame, FrameKind};
+use mqmd_util::metrics::Json;
 use mqmd_util::{cancel, faults, Xoshiro256pp};
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -651,6 +652,19 @@ pub struct RankRecoveryStats {
     pub respawn_ms: Vec<f64>,
     /// Fence-to-rejoined (HELLO accepted) latencies per restart, ms.
     pub rejoin_ms: Vec<f64>,
+}
+
+/// Renders recovery stats as the profile's `rank_recovery` block.
+pub fn rank_recovery_block(s: &RankRecoveryStats) -> Json {
+    let arr = |v: &[f64]| Json::Arr(v.iter().map(|&x| Json::Num(x)).collect());
+    Json::obj([
+        ("restarts", Json::Num(f64::from(s.restarts))),
+        ("quarantines", Json::Num(f64::from(s.quarantines))),
+        ("suspects", Json::Num(f64::from(s.suspects))),
+        ("detect_ms", arr(&s.detect_ms)),
+        ("respawn_ms", arr(&s.respawn_ms)),
+        ("rejoin_ms", arr(&s.rejoin_ms)),
+    ])
 }
 
 /// What a successful multi-process run hands back.
@@ -1425,5 +1439,35 @@ mod tests {
         assert!(rec.heartbeat_ms < rec.suspect_after_ms);
         assert!(rec.suspect_after_ms < rec.dead_after_ms);
         assert!(rec.max_restarts >= 1);
+    }
+
+    #[test]
+    fn rank_recovery_block_carries_the_stats() {
+        let s = RankRecoveryStats {
+            restarts: 2,
+            quarantines: 1,
+            suspects: 3,
+            detect_ms: vec![120.5, 98.0],
+            respawn_ms: vec![6.25, 11.0],
+            rejoin_ms: vec![40.0, 37.5],
+        };
+        let block = mqmd_util::metrics::parse_json(&rank_recovery_block(&s).pretty()).unwrap();
+        let u = |key: &str| block.get(key).and_then(Json::as_u64);
+        assert_eq!(
+            (u("restarts"), u("quarantines"), u("suspects")),
+            (Some(2), Some(1), Some(3))
+        );
+        let arr = |key: &str| -> Vec<f64> {
+            block
+                .get(key)
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .filter_map(Json::as_f64)
+                .collect()
+        };
+        assert_eq!(arr("detect_ms"), s.detect_ms);
+        assert_eq!(arr("respawn_ms"), s.respawn_ms);
+        assert_eq!(arr("rejoin_ms"), s.rejoin_ms);
     }
 }

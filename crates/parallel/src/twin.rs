@@ -6,10 +6,10 @@
 //! collective books its closed-form message/byte totals and rank-0
 //! wall time into a [`TrafficStats`] ledger, and the twin replays that
 //! ledger through [`crate::collectives`] to predict what each
-//! collective *should* have cost on a given machine. The
-//! `repro_profile` binary emits the comparison (predicted vs measured,
-//! relative error per collective) as the `twin` block of
-//! `mqmd-profile-v7`.
+//! collective *should* have cost on a given machine; it is the one place
+//! the model meets measurement. The `repro_profile` binary emits the comparison (predicted
+//! vs measured, relative error per collective) as the profile's `twin`
+//! block.
 //!
 //! Two machines matter:
 //!
@@ -134,7 +134,7 @@ impl TwinModel {
     }
 }
 
-/// Renders twin rows as the `twin` block of `mqmd-profile-v7`.
+/// Renders twin rows as the profile's `twin` block.
 pub fn twin_block(machine_name: &str, rows: &[TwinRow]) -> Json {
     Json::obj([
         ("machine", Json::Str(machine_name.to_string())),

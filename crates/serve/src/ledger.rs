@@ -5,7 +5,6 @@
 
 use std::collections::BTreeMap;
 
-use mqmd_util::metrics::ServiceCounters;
 use mqmd_util::Vec3;
 
 /// Why a submission was refused at admission. Typed so clients (and the
@@ -214,27 +213,6 @@ impl Ledger {
         }
         v
     }
-
-    /// Flattens into the profile schema's `service` block counters.
-    /// `event_drops_by_lane` is supplied by the caller (a snapshot of
-    /// [`mqmd_util::events::dropped_by_lane`]).
-    pub fn to_service_counters(&self, event_drops_by_lane: BTreeMap<u32, u64>) -> ServiceCounters {
-        ServiceCounters {
-            submitted: self.submitted,
-            completed: self.completed,
-            failed: self.failed,
-            rejected_queue_full: self.rejected_queue_full,
-            rejected_quota: self.rejected_quota,
-            rejected_deadline: self.rejected_deadline,
-            rejected_invalid: self.rejected_invalid,
-            retries: self.retries,
-            preemptions: self.preemptions,
-            resumes: self.resumes,
-            panics_caught: self.panics_caught,
-            queue_depth_peak: self.queue_depth_peak,
-            event_drops_by_lane,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -291,23 +269,5 @@ mod tests {
         let v = ledger.audit(4, 16);
         assert!(v.iter().any(|s| s.contains("queue depth")));
         assert!(v.iter().any(|s| s.contains("tenant 7")));
-    }
-
-    #[test]
-    fn counters_flatten_into_profile_block() {
-        let mut ledger = Ledger {
-            submitted: 5,
-            completed: 4,
-            failed: 1,
-            retries: 2,
-            ..Default::default()
-        };
-        ledger.tenant_peak.insert(0, 3);
-        let mut drops = BTreeMap::new();
-        drops.insert(3u32, 7u64);
-        let c = ledger.to_service_counters(drops);
-        assert_eq!(c.terminal(), 5);
-        assert_eq!(c.event_drops(), 7);
-        assert_eq!(c.retries, 2);
     }
 }

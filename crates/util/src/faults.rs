@@ -24,7 +24,8 @@
 //! `mqmd-serve`, rerouting in the machine model); it reports back here
 //! through [`record_recovery`] / [`record_abort`] so campaigns can account
 //! injected vs recovered vs aborted faults and their recomputation cost.
-//! Those counters are exported into the `mqmd-profile-v4` recovery block.
+//! `repro_chaos`, `repro_serve --soak` and `repro_profile` check that
+//! ledger at the end of their own runs.
 
 use crate::events::{self, Event};
 use crate::rng::Xoshiro256pp;
@@ -423,8 +424,7 @@ pub fn machine_faults() -> MachineFaults {
 // ---------------------------------------------------------------------------
 
 /// Campaign counters: injections by class, recoveries by rung, aborts,
-/// and the wall-clock recomputation cost recovery paid. Exported into the
-/// `mqmd-profile-v4` recovery block.
+/// and the wall-clock recomputation cost recovery paid.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultStats {
     /// Faults injected by the plane.

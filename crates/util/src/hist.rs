@@ -230,8 +230,7 @@ impl HistSnapshot {
 
     /// Reconstructs running statistics (count/mean/variance) from the
     /// bucket counts, pushing each bucket midpoint with its multiplicity.
-    /// The derived std-err is what `repro_compare` uses for its
-    /// noise-aware thresholds.
+    /// The profile's per-kernel `std_err_secs` is derived from it.
     pub fn running_stats(&self) -> RunningStats {
         let mut s = RunningStats::new();
         for (i, &c) in self.counts.iter().enumerate() {

@@ -5,7 +5,7 @@
 //! xoshiro256++ RNG, least-squares fitting (including the Arrhenius fits used
 //! by the hydrogen-on-demand analysis), running statistics, FLOP accounting,
 //! run telemetry (structured events, latency histograms, Chrome-trace
-//! export, profile comparison), the deterministic fault-injection plane
+//! export, the measured profile), the deterministic fault-injection plane
 //! behind the chaos campaigns, the reusable scratch-buffer arena behind
 //! the allocation-free SCF hot path, and the workspace error type.
 //!
@@ -14,7 +14,6 @@
 
 pub mod cancel;
 pub mod chrometrace;
-pub mod compare;
 pub mod complex;
 pub mod constants;
 pub mod error;

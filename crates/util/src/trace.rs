@@ -6,7 +6,7 @@
 //! numbers: instrumented code opens nested *spans*
 //! (`qmd_step > scf_iter > {hamiltonian, fft, gemm, orthonorm, poisson}`),
 //! and every FLOP tallied through [`crate::flops`], every byte moved, and
-//! every simulated message sent while a span is open is attributed to it.
+//! every message sent while a span is open is attributed to it.
 //!
 //! Design:
 //!
@@ -54,40 +54,15 @@ pub struct SpanCounters {
     pub flops: AtomicU64,
     /// Bytes moved (loads+stores the kernel chose to report; inclusive).
     pub bytes: AtomicU64,
-    /// Simulated messages sent while the span was open.
+    /// Messages sent while the span was open.
     pub comm_msgs: AtomicU64,
-    /// Simulated message payload bytes.
+    /// Message payload bytes.
     pub comm_bytes: AtomicU64,
-    /// Hop-weighted modelled communication cost, seconds (f64 bits).
-    pub comm_cost_bits: AtomicU64,
     /// Heap allocations attributed to this span (workspace misses and any
     /// instrumented fresh `Vec`s; inclusive).
     pub alloc_count: AtomicU64,
     /// Bytes requested by those allocations (inclusive).
     pub alloc_bytes: AtomicU64,
-}
-
-impl SpanCounters {
-    fn add_comm_cost(&self, secs: f64) {
-        let mut cur = self.comm_cost_bits.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + secs).to_bits();
-            match self.comm_cost_bits.compare_exchange_weak(
-                cur,
-                new,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-    }
-
-    /// Hop-weighted modelled communication cost in seconds.
-    pub fn comm_cost_secs(&self) -> f64 {
-        f64::from_bits(self.comm_cost_bits.load(Ordering::Relaxed))
-    }
 }
 
 /// One node of the span tree (topology under the registry mutex; counters
@@ -300,16 +275,13 @@ pub fn add_bytes(n: u64) {
     });
 }
 
-/// Attributes simulated communication (message count, payload bytes, and a
-/// hop-weighted modelled cost in seconds) to the innermost span.
+/// Attributes communication (message count and payload bytes) to the
+/// innermost span.
 #[inline]
-pub fn add_comm(msgs: u64, bytes: u64, cost_secs: f64) {
+pub fn add_comm(msgs: u64, bytes: u64) {
     with_current(|c| {
         c.comm_msgs.fetch_add(msgs, Ordering::Relaxed);
         c.comm_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if cost_secs != 0.0 {
-            c.add_comm_cost(cost_secs);
-        }
     });
 }
 
@@ -337,12 +309,10 @@ pub struct TraceNode {
     pub flops: u64,
     /// Reported bytes moved (inclusive).
     pub bytes: u64,
-    /// Simulated messages sent (inclusive).
+    /// Messages sent (inclusive).
     pub comm_msgs: u64,
-    /// Simulated payload bytes (inclusive).
+    /// Payload bytes (inclusive).
     pub comm_bytes: u64,
-    /// Hop-weighted modelled communication cost, seconds (inclusive).
-    pub comm_cost_secs: f64,
     /// Heap allocations attributed to the span (inclusive).
     pub alloc_count: u64,
     /// Bytes requested by those allocations (inclusive).
@@ -398,7 +368,6 @@ impl TraceNode {
                     bytes: 0,
                     comm_msgs: 0,
                     comm_bytes: 0,
-                    comm_cost_secs: 0.0,
                     alloc_count: 0,
                     alloc_bytes: 0,
                     hist: HistSnapshot::empty(),
@@ -410,7 +379,6 @@ impl TraceNode {
                 a.bytes += n.bytes;
                 a.comm_msgs += n.comm_msgs;
                 a.comm_bytes += n.comm_bytes;
-                a.comm_cost_secs += n.comm_cost_secs;
                 a.alloc_count += n.alloc_count;
                 a.alloc_bytes += n.alloc_bytes;
                 a.hist.merge(&n.hist);
@@ -439,7 +407,6 @@ fn snapshot_node(reg: &Registry, id: usize) -> TraceNode {
         bytes: c.bytes.load(Ordering::Relaxed),
         comm_msgs: c.comm_msgs.load(Ordering::Relaxed),
         comm_bytes: c.comm_bytes.load(Ordering::Relaxed),
-        comm_cost_secs: c.comm_cost_secs(),
         alloc_count: c.alloc_count.load(Ordering::Relaxed),
         alloc_bytes: c.alloc_bytes.load(Ordering::Relaxed),
         hist: node.hist.snapshot(),
@@ -526,7 +493,7 @@ mod tests {
                 let _inner = span("inner");
                 add_flops(7);
                 add_bytes(100);
-                add_comm(2, 64, 1.5e-6);
+                add_comm(2, 64);
                 add_alloc(3, 4096);
             }
         }
@@ -539,7 +506,6 @@ mod tests {
         assert_eq!(inner.bytes, 100);
         assert_eq!(inner.comm_msgs, 2);
         assert_eq!(inner.comm_bytes, 64);
-        assert!((inner.comm_cost_secs - 1.5e-6).abs() < 1e-18);
         assert_eq!(outer.alloc_count, 0, "allocs attribute to innermost span");
         assert_eq!(inner.alloc_count, 3);
         assert_eq!(inner.alloc_bytes, 4096);

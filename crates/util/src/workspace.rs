@@ -16,11 +16,11 @@
 //!   size) in the workspace's own [`AllocStats`], in the process-wide
 //!   [`global_stats`], and attributed to the innermost open trace span via
 //!   [`crate::trace::add_alloc`] — which is how per-phase `alloc_count` /
-//!   `alloc_bytes` reach the `mqmd-profile-v3` kernel table.
+//!   `alloc_bytes` reach the profile's kernel table.
 //!
 //! In steady state every hot-path borrow must be a hit; the tier-1
-//! `workspace_reuse` test asserts exactly that, and the CI perf gate
-//! hard-fails if the steady-state SCF miss count grows.
+//! `workspace_reuse` test asserts exactly that, and `repro_profile` exits
+//! 1 when its steady-state QMD step misses at all.
 //!
 //! Aliasing is impossible by construction — a borrow *removes* the buffer
 //! from the free list, so two live guards always hold distinct

@@ -158,6 +158,27 @@ proptest! {
     }
 
     #[test]
+    fn parse_json_returns_on_arbitrary_input(picks in prop::collection::vec(any::<u32>(), 0..200)) {
+        // Mostly JSON punctuation and literal fragments (runs of brackets
+        // included, so inputs nest past the depth bound), with an
+        // arbitrary Unicode scalar in every fourth slot.
+        const TOKENS: [&str; 16] = [
+            "[", "]", "{", "}", "\"", ":", ",", "\\", "-1.5e3", "0", "true", "nul",
+            " ", "\"k\":", "[[[[[[[[[[[[[[[[", "{\"a\":{\"a\":{\"a\":",
+        ];
+        let text: String = picks
+            .iter()
+            .map(|&p| match p % 4 {
+                0 => char::from_u32(p >> 2).map(String::from).unwrap_or_default(),
+                _ => TOKENS[(p >> 2) as usize % TOKENS.len()].repeat(1 + (p >> 20) as usize % 16),
+            })
+            .collect();
+        // Returning at all (Ok or a typed Err) is the property: a panic
+        // fails the case, a stack overflow aborts the binary.
+        let _ = parse_json(&text);
+    }
+
+    #[test]
     fn linear_fit_recovers_exact_lines(intercept in -10.0..10.0f64, slope in -10.0..10.0f64,
                                        n in 3usize..20) {
         let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();

@@ -4,8 +4,8 @@
 //! transient buffer is served from the arena and every plan-shaped buffer
 //! is reused, all the way from the QMD step down to FFT scratch.
 //!
-//! The tests run the exact measurement `repro_profile` publishes and
-//! `repro_compare --gate-allocs` gates on: snapshot the global allocation
+//! The tests run the exact measurement `repro_profile` gates on (it exits
+//! 1 on a non-zero gauge): snapshot the global allocation
 //! ledger after a warm-up run, do one more unit of steady-state work, and
 //! assert the miss delta is zero. They pin the rayon pool to one thread so
 //! the arena's high-water mark is deterministic (concurrent borrows can
