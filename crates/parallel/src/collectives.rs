@@ -6,7 +6,6 @@
 //! band↔space switch (§3.3).
 
 use crate::machine::MachineSpec;
-use mqmd_util::faults::MachineFaults;
 
 /// BG/Q router cut-through delay paid per hop beyond the first.
 const PER_HOP: f64 = 45e-9;
@@ -17,31 +16,6 @@ const PER_HOP: f64 = 45e-9;
 /// extra hop adds a small per-hop delay).
 pub fn p2p_time(m: &MachineSpec, bytes: f64, hops: usize) -> f64 {
     m.mpi_latency + hops.saturating_sub(1) as f64 * PER_HOP + bytes / m.link_bandwidth
-}
-
-/// [`allreduce_time`] on a degraded machine: every tree round pays the
-/// node-loss detour hops and runs at the worst surviving link bandwidth.
-pub fn allreduce_time_faulty(m: &MachineSpec, bytes: f64, p: usize, mf: &MachineFaults) -> f64 {
-    if p <= 1 {
-        return 0.0;
-    }
-    let rounds = (p as f64).log2().ceil();
-    rounds
-        * (m.mpi_latency
-            + mf.extra_hops() as f64 * PER_HOP
-            + bytes / (m.link_bandwidth * mf.worst_degrade()))
-}
-
-/// Recomputation time a node loss forces: each lost node's
-/// `domains_per_node` domain solves are redistributed onto its surviving
-/// successor ([`crate::topology::FaultyTorus::remap`]) and redone
-/// serially there, at `per_domain_seconds` each.
-pub fn node_loss_recompute_time(
-    per_domain_seconds: f64,
-    domains_per_node: usize,
-    mf: &MachineFaults,
-) -> f64 {
-    mf.lost_nodes.len() as f64 * domains_per_node as f64 * per_domain_seconds.max(0.0)
 }
 
 /// Binomial-tree allreduce of `bytes` over `p` ranks: `⌈log₂p⌉` rounds of
@@ -101,30 +75,6 @@ mod tests {
         let m = bgq();
         let t = p2p_time(&m, 2e9, 1); // 2 GB at 2 GB/s ≈ 1 s
         assert!((t - 1.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn faulty_models_reduce_to_healthy_without_faults() {
-        let m = bgq();
-        let mf = MachineFaults::default();
-        assert_eq!(
-            allreduce_time_faulty(&m, 1024.0, 64, &mf),
-            allreduce_time(&m, 1024.0, 64)
-        );
-        assert_eq!(node_loss_recompute_time(2.0, 8, &mf), 0.0);
-    }
-
-    #[test]
-    fn degraded_links_and_detours_cost_time() {
-        let m = bgq();
-        let mf = MachineFaults {
-            lost_nodes: vec![3],
-            degraded_links: vec![(1, 0.5)],
-        };
-        // Half bandwidth and two detour hops slow every tree round.
-        assert!(allreduce_time_faulty(&m, 1024.0, 64, &mf) > allreduce_time(&m, 1024.0, 64));
-        // One lost node hosting 8 domains at 2 s each → 16 s recompute.
-        assert_eq!(node_loss_recompute_time(2.0, 8, &mf), 16.0);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //!
 //! * [`machine`] — node/interconnect specifications (BG/Q, Mira racks,
 //!   dual-Xeon E5-2665 for the portability table);
-//! * [`topology`] — the 5-D torus, hop counts and bisection estimates;
 //! * [`collectives`] — point-to-point/tree/butterfly communication costs;
 //! * [`threads`] — the per-core dual-issue/SMT-4/bandwidth throughput model
 //!   behind Table 1;
@@ -47,7 +46,6 @@ pub mod measured;
 pub mod process;
 pub mod scaling;
 pub mod threads;
-pub mod topology;
 pub mod twin;
 pub mod wire;
 

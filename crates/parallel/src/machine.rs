@@ -9,16 +9,12 @@ pub struct MachineSpec {
     pub nodes: usize,
     /// Cores per node.
     pub cores_per_node: usize,
-    /// Hardware threads per core (SMT ways).
-    pub threads_per_core: usize,
     /// Core clock (Hz).
     pub clock_hz: f64,
     /// Peak double-precision FLOPs per core per cycle (QPX: 4-wide FMA = 8).
     pub flops_per_core_cycle: f64,
     /// Per-direction link bandwidth (bytes/s); BG/Q: 2 GB/s per link.
     pub link_bandwidth: f64,
-    /// Inter-node links per node (BG/Q: 10 torus + 1 I/O).
-    pub torus_links: usize,
     /// MPI point-to-point latency (s).
     pub mpi_latency: f64,
     /// Memory bandwidth per node (bytes/s).
@@ -37,11 +33,9 @@ impl MachineSpec {
             ),
             nodes: racks * 1024,
             cores_per_node: 16,
-            threads_per_core: 4,
             clock_hz: 1.6e9,
             flops_per_core_cycle: 8.0,
             link_bandwidth: 2.0e9,
-            torus_links: 10,
             mpi_latency: 2.5e-6,
             mem_bandwidth: 42.6e9,
         }
@@ -60,11 +54,9 @@ impl MachineSpec {
             name: "dual Xeon E5-2665".into(),
             nodes: 1,
             cores_per_node: 16,
-            threads_per_core: 2,
             clock_hz: 3.1e9,           // turbo
             flops_per_core_cycle: 8.0, // AVX: 4-wide add + 4-wide mul
             link_bandwidth: 8.0e9,
-            torus_links: 1,
             mpi_latency: 1.0e-6,
             mem_bandwidth: 2.0 * 14.9e9 * 4.0, // 4 channels per socket
         }

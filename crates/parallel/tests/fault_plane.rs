@@ -1,6 +1,6 @@
 //! Fault-plane tests for the parallel layer: straggler ranks must be
-//! absorbed by the executor, machine faults must reroute the torus, and
-//! every injection must be balanced by a recorded recovery.
+//! absorbed by the executor, and every injection must be balanced by a
+//! recorded recovery.
 //!
 //! These live in their own test binary because the fault plan is
 //! process-global: the crate's unit tests call `run_ranks` concurrently
@@ -9,7 +9,6 @@
 
 use mqmd_parallel::comm::Comm;
 use mqmd_parallel::executor::run_ranks;
-use mqmd_parallel::topology::{FaultyTorus, Torus};
 use mqmd_util::faults::{self, FaultKind, FaultPlan, Site};
 
 fn gate() -> std::sync::MutexGuard<'static, ()> {
@@ -43,37 +42,6 @@ fn straggler_rank_is_absorbed_and_accounted() {
         "the 2 ms startup delay is booked as recompute time, got {}",
         s.recompute_seconds
     );
-}
-
-#[test]
-fn adopting_machine_faults_balances_the_ledger() {
-    let _g = gate();
-    faults::reset_stats();
-    let mut plan = FaultPlan::new();
-    plan.push(FaultKind::NodeLoss { node: 5 }, Site::Machine, 0);
-    plan.push(
-        FaultKind::DegradedLink {
-            dim: 2,
-            factor: 0.5,
-        },
-        Site::Machine,
-        0,
-    );
-    faults::install(plan);
-    let ft = FaultyTorus::adopt(Torus::new(&[4, 4, 2]));
-    faults::clear();
-    assert_eq!(ft.faults().lost_nodes, vec![5]);
-    assert_eq!(ft.alive_nodes(), 31);
-    assert!(!ft.is_alive(5));
-    assert_eq!(ft.remap(5), 6);
-    assert_eq!(ft.bandwidth_factor(2), 0.5);
-    let s = faults::stats();
-    assert_eq!(s.injected, 2, "both machine faults counted once");
-    assert_eq!(s.recovered, 2, "one recovery per machine fault");
-    assert_eq!(s.aborted, 0);
-    assert_eq!(s.by_action.get("reroute"), Some(&1));
-    assert_eq!(s.by_action.get("link_degrade_absorbed"), Some(&1));
-    assert!(s.injected <= s.recovered + s.aborted, "ledger balances");
 }
 
 #[test]

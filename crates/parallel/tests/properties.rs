@@ -4,7 +4,6 @@
 use mqmd_parallel::collectives::{allreduce_time, alltoall_time, octree_reduce_time, p2p_time};
 use mqmd_parallel::machine::MachineSpec;
 use mqmd_parallel::scaling::{RackFlopsModel, StrongScalingModel, WeakScalingModel};
-use mqmd_parallel::topology::Torus;
 use proptest::prelude::*;
 
 proptest! {
@@ -57,14 +56,5 @@ proptest! {
         let f = m.fraction(racks);
         prop_assert!(f > 0.0 && f <= m.base_fraction + 1e-12);
         prop_assert!(m.fraction(racks + 1) <= f + 1e-12);
-    }
-
-    #[test]
-    fn torus_hops_bounded_by_diameter(dims in prop::collection::vec(1usize..6, 1..5), a in any::<u64>(), b in any::<u64>()) {
-        let t = Torus::new(&dims);
-        let n = t.nodes() as u64;
-        let a = (a % n) as usize;
-        let b = (b % n) as usize;
-        prop_assert!(t.hops(a, b) <= t.diameter());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Production QMD runs at Blue Gene/Q scale only complete because the code
 //! survives transient failures — poisoned densities, eigensolver
-//! breakdowns, node and link faults, straggler ranks. This module supplies
-//! the *injection* half of that story: a process-wide [`FaultPlan`] of
+//! breakdowns, straggler and killed ranks. This module supplies the
+//! *injection* half of that story: a process-wide [`FaultPlan`] of
 //! planned faults, each addressed by **site + occurrence** ("the 3rd solve
 //! of domain 2", "the 2nd spawn of rank 1"), generated from a seeded
 //! [`Xoshiro256pp`] stream so an entire chaos campaign replays bitwise.
@@ -20,13 +20,15 @@
 //!   retry of the same site succeeds instead of looping forever.
 //!
 //! The *recovery* half lives where the failures do (per-domain retry in
-//! `mqmd-core`'s SCF loop, worker supervision and job retries in
-//! `mqmd-serve`, rerouting in the machine model); it reports back here
-//! through [`record_recovery`] / [`record_abort`] so campaigns can account
-//! injected vs recovered vs aborted faults and their recomputation cost.
+//! `mqmd-core`'s SCF loop, straggler waits in the executor, worker
+//! supervision and job retries in `mqmd-serve`, rank respawn in the
+//! process backend); it reports back here through [`record_recovery`] /
+//! [`record_abort`] so campaigns can account injected vs recovered vs
+//! aborted faults and their recomputation cost.
 //! `repro_chaos`, `repro_serve --soak` and `repro_profile` check that
 //! ledger at the end of their own runs.
 
+use crate::error::{MqmdError, Result};
 use crate::events::{self, Event};
 use crate::rng::Xoshiro256pp;
 use std::collections::BTreeMap;
@@ -40,18 +42,6 @@ pub enum FaultKind {
     DensityNan,
     /// Force a Davidson solve to report non-convergence.
     DavidsonDiverge,
-    /// A node of the simulated machine is lost.
-    NodeLoss {
-        /// Flat node index in the torus.
-        node: u32,
-    },
-    /// A torus link dimension runs at degraded bandwidth.
-    DegradedLink {
-        /// Torus dimension of the degraded links.
-        dim: u32,
-        /// Remaining bandwidth fraction in `(0, 1)`.
-        factor: f64,
-    },
     /// A rank starts late by the given delay (straggler).
     Straggler {
         /// Startup delay in microseconds.
@@ -71,27 +61,14 @@ impl FaultKind {
         match self {
             FaultKind::DensityNan => "density_nan",
             FaultKind::DavidsonDiverge => "davidson_diverge",
-            FaultKind::NodeLoss { .. } => "node_loss",
-            FaultKind::DegradedLink { .. } => "degraded_link",
             FaultKind::Straggler { .. } => "straggler",
             FaultKind::WorkerKill => "worker_kill",
         }
     }
-
-    /// Whether the fault is a static property of the simulated machine
-    /// (queried via [`machine_faults`]) rather than an event at a polled
-    /// site.
-    pub fn is_machine(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::NodeLoss { .. } | FaultKind::DegradedLink { .. }
-        )
-    }
 }
 
-/// Where a fault strikes. Event faults fire on the `at`-th [`poll`] of
-/// their site; machine faults ([`FaultKind::is_machine`]) are static
-/// environment state returned by [`machine_faults`].
+/// Where a fault strikes: a fault fires on the `at`-th [`poll`] of its
+/// site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Site {
     /// A per-domain Kohn–Sham solve; occurrences count that domain's
@@ -99,8 +76,6 @@ pub enum Site {
     Domain(u64),
     /// An executor rank; occurrences count that rank's spawns.
     Rank(u64),
-    /// The simulated machine (torus/links); not polled, queried.
-    Machine,
 }
 
 impl Site {
@@ -109,13 +84,12 @@ impl Site {
         match self {
             Site::Domain(d) => format!("domain {d}"),
             Site::Rank(r) => format!("rank {r}"),
-            Site::Machine => "machine".to_string(),
         }
     }
 }
 
 /// One planned fault: `kind` strikes on the `at`-th poll of `site`
-/// (1-based). `at` is ignored for machine faults.
+/// (1-based).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Fault {
     /// What to inject.
@@ -138,10 +112,6 @@ pub struct CampaignSpec {
     pub max_occurrence: u64,
     /// Executor ranks eligible for straggler faults.
     pub ranks: u64,
-    /// Torus node count eligible for node loss.
-    pub nodes: u64,
-    /// Torus dimensionality eligible for link degradation.
-    pub torus_dims: u32,
 }
 
 impl Default for CampaignSpec {
@@ -150,8 +120,6 @@ impl Default for CampaignSpec {
             domains: vec![0],
             max_occurrence: 16,
             ranks: 4,
-            nodes: 32,
-            torus_dims: 5,
         }
     }
 }
@@ -175,104 +143,71 @@ impl FaultPlan {
     }
 
     /// Draws `n` faults from a seeded stream. Equal `(seed, n, spec)`
-    /// yields an identical plan, so campaigns replay bitwise. Event faults
-    /// on one site are at least three occurrences apart: a failed domain
-    /// solve is retried at most twice, and a fault that struck a retry
-    /// would share the rung that answers the fault before it.
+    /// yields an identical plan, so campaigns replay bitwise. Faults on one
+    /// site are at least three occurrences apart: a failed domain solve is
+    /// retried at most twice, and a fault that struck a retry would share
+    /// the rung that answers the fault before it.
     ///
     /// Besides faults on any listed domain, two classes strike the first
     /// listed domain, which every decomposition has: with one domain it is
     /// the whole cell, so these are the faults of a conventional solve.
-    pub fn generate(seed: u64, n: usize, spec: &CampaignSpec) -> Self {
+    ///
+    /// A spec that lists no domain, or whose sites fill up before `n`
+    /// faults are placed, is an [`MqmdError::Invalid`] naming how many
+    /// faults were placed.
+    pub fn generate(seed: u64, n: usize, spec: &CampaignSpec) -> Result<Self> {
+        let Some(&first) = spec.domains.first() else {
+            return Err(MqmdError::Invalid(
+                "fault plan: the campaign spec lists no domain".into(),
+            ));
+        };
+        let max_at = spec.max_occurrence.max(1);
+        let ranks = spec.ranks.max(1);
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut plan = Self::new();
         while plan.faults.len() < n {
-            let at = 1 + rng.below(spec.max_occurrence.max(1));
-            let first = Site::Domain(spec.domains[0]);
-            let domain = spec.domains[rng.below(spec.domains.len().max(1) as u64) as usize];
-            let (kind, site, at) = match rng.below(7) {
-                0 => (FaultKind::DensityNan, first, at),
-                1 => (FaultKind::DavidsonDiverge, first, at),
+            let at = 1 + rng.below(max_at);
+            let domain = spec.domains[rng.below(spec.domains.len() as u64) as usize];
+            let (kind, site, at) = match rng.below(5) {
+                0 => (FaultKind::DensityNan, Site::Domain(first), at),
+                1 => (FaultKind::DavidsonDiverge, Site::Domain(first), at),
                 2 => (FaultKind::DavidsonDiverge, Site::Domain(domain), at),
                 3 => (FaultKind::DensityNan, Site::Domain(domain), at),
-                4 => (
+                _ => (
                     FaultKind::Straggler {
                         delay_us: 200 + rng.below(800),
                     },
-                    Site::Rank(rng.below(spec.ranks.max(1))),
+                    Site::Rank(rng.below(ranks)),
                     1,
                 ),
-                5 => (
-                    FaultKind::NodeLoss {
-                        node: rng.below(spec.nodes.max(1)) as u32,
-                    },
-                    Site::Machine,
-                    0,
-                ),
-                _ => (
-                    FaultKind::DegradedLink {
-                        dim: rng.below(spec.torus_dims.max(1) as u64) as u32,
-                        factor: rng.uniform_in(0.25, 0.75),
-                    },
-                    Site::Machine,
-                    0,
-                ),
             };
-            let crowded = plan
-                .faults
-                .iter()
-                .any(|f| f.site == site && f.at.abs_diff(at) < 3);
-            if kind.is_machine() || !crowded {
+            if !plan.crowded(site, at) {
                 plan.push(kind, site, at);
+                continue;
+            }
+            // Every site a draw can reach is full: no later draw can land.
+            let full = spec
+                .domains
+                .iter()
+                .all(|&d| (1..=max_at).all(|at| plan.crowded(Site::Domain(d), at)))
+                && (0..ranks).all(|r| plan.crowded(Site::Rank(r), 1));
+            if full {
+                return Err(MqmdError::Invalid(format!(
+                    "fault plan: placed {} of {n} faults before every site filled \
+                     (faults on one site stay three occurrences apart)",
+                    plan.faults.len()
+                )));
             }
         }
-        plan
+        Ok(plan)
     }
 
-    /// The machine-class faults in this plan, aggregated.
-    pub fn machine_faults(&self) -> MachineFaults {
-        let mut mf = MachineFaults::default();
-        for f in &self.faults {
-            match f.kind {
-                FaultKind::NodeLoss { node } => mf.lost_nodes.push(node),
-                FaultKind::DegradedLink { dim, factor } => mf.degraded_links.push((dim, factor)),
-                _ => {}
-            }
-        }
-        mf
-    }
-}
-
-/// Aggregated static machine faults from the active plan.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MachineFaults {
-    /// Flat indices of lost torus nodes.
-    pub lost_nodes: Vec<u32>,
-    /// `(dimension, remaining bandwidth fraction)` of degraded links.
-    pub degraded_links: Vec<(u32, f64)>,
-}
-
-impl MachineFaults {
-    /// No faults at all.
-    pub fn is_healthy(&self) -> bool {
-        self.lost_nodes.is_empty() && self.degraded_links.is_empty()
-    }
-
-    /// Worst remaining bandwidth fraction across degraded links (1.0 when
-    /// healthy).
-    pub fn worst_degrade(&self) -> f64 {
-        self.degraded_links
+    /// Whether a fault at `at` would land within two occurrences of one
+    /// already planned on `site`.
+    fn crowded(&self, site: Site, at: u64) -> bool {
+        self.faults
             .iter()
-            .map(|&(_, f)| f)
-            .fold(1.0, f64::min)
-            .clamp(1e-3, 1.0)
-    }
-
-    /// Extra hops dimension-order routing pays detouring around lost
-    /// nodes (2 per loss: one sidestep out of the straight route and one
-    /// back).
-    pub fn extra_hops(&self) -> usize {
-        2 * self.lost_nodes.len()
+            .any(|f| f.site == site && f.at.abs_diff(at) < 3)
     }
 }
 
@@ -283,11 +218,8 @@ impl MachineFaults {
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
 struct PlanState {
-    /// Event faults with a fired flag.
+    /// Planned faults with a fired flag.
     pending: Vec<(Fault, bool)>,
-    /// Static machine faults, counted as injected on first query.
-    machine: MachineFaults,
-    machine_counted: bool,
     /// Per-site occurrence counters.
     counters: BTreeMap<Site, u64>,
 }
@@ -307,17 +239,8 @@ fn lock_plan() -> MutexGuard<'static, Option<PlanState>> {
 /// resets occurrence counters (but not the recovery statistics — call
 /// [`reset_stats`] between campaigns).
 pub fn install(p: FaultPlan) {
-    let machine = p.machine_faults();
-    let pending = p
-        .faults
-        .into_iter()
-        .filter(|f| !f.kind.is_machine())
-        .map(|f| (f, false))
-        .collect();
     *lock_plan() = Some(PlanState {
-        pending,
-        machine,
-        machine_counted: false,
+        pending: p.faults.into_iter().map(|f| (f, false)).collect(),
         counters: BTreeMap::new(),
     });
     ACTIVE.store(true, Ordering::Release);
@@ -377,46 +300,6 @@ fn poll_slow(site: Site) -> Option<FaultKind> {
         at: n,
     });
     Some(kind)
-}
-
-/// The active plan's static machine faults (healthy when the plane is
-/// idle). The first query counts each machine fault as injected.
-pub fn machine_faults() -> MachineFaults {
-    if !active() {
-        return MachineFaults::default();
-    }
-    let (mf, newly_counted) = {
-        let mut guard = lock_plan();
-        match guard.as_mut() {
-            Some(st) => {
-                let newly = !st.machine_counted && !st.machine.is_healthy();
-                st.machine_counted = true;
-                (st.machine.clone(), newly)
-            }
-            None => (MachineFaults::default(), false),
-        }
-    };
-    if newly_counted {
-        for &node in &mf.lost_nodes {
-            let kind = FaultKind::NodeLoss { node };
-            note_injected(kind);
-            events::emit(Event::FaultInjected {
-                fault: kind.label(),
-                site: Site::Machine.describe(),
-                at: 0,
-            });
-        }
-        for &(dim, factor) in &mf.degraded_links {
-            let kind = FaultKind::DegradedLink { dim, factor };
-            note_injected(kind);
-            events::emit(Event::FaultInjected {
-                fault: kind.label(),
-                site: Site::Machine.describe(),
-                at: 0,
-            });
-        }
-    }
-    mf
 }
 
 // ---------------------------------------------------------------------------
@@ -518,7 +401,6 @@ mod tests {
         clear();
         assert!(!active());
         assert_eq!(poll(Site::Domain(0)), None);
-        assert!(machine_faults().is_healthy());
     }
 
     #[test]
@@ -542,51 +424,43 @@ mod tests {
     #[test]
     fn generation_replays_bitwise() {
         let spec = CampaignSpec::default();
-        let a = FaultPlan::generate(42, 8, &spec);
-        let b = FaultPlan::generate(42, 8, &spec);
+        let a = FaultPlan::generate(42, 8, &spec).unwrap();
+        let b = FaultPlan::generate(42, 8, &spec).unwrap();
         assert_eq!(a, b);
-        let c = FaultPlan::generate(43, 8, &spec);
+        let c = FaultPlan::generate(43, 8, &spec).unwrap();
         assert_ne!(a, c);
         assert_eq!(a.faults.len(), 8);
 
-        // Dense enough that draws collide: event faults on one site stay
-        // three occurrences apart.
-        let dense = FaultPlan::generate(7, 40, &spec);
-        assert_eq!(dense.faults.len(), 40);
-        let events: Vec<_> = dense
-            .faults
-            .iter()
-            .filter(|f| !f.kind.is_machine())
-            .collect();
-        for (i, f) in events.iter().enumerate() {
-            assert!(events[..i]
+        // Dense enough that draws collide: faults on one site stay three
+        // occurrences apart. Nine is as many as seed 7 places on this spec
+        // (at most 6 on domain 0 and one straggler per rank).
+        const DENSE: usize = 9;
+        let dense = FaultPlan::generate(7, DENSE, &spec).unwrap();
+        assert_eq!(dense.faults.len(), DENSE);
+        for (i, f) in dense.faults.iter().enumerate() {
+            assert!(dense.faults[..i]
                 .iter()
                 .all(|g| g.site != f.site || g.at.abs_diff(f.at) >= 3));
         }
     }
 
     #[test]
-    fn machine_faults_aggregate_and_count_once() {
-        let _g = gate();
-        reset_stats();
-        let mut p = FaultPlan::new();
-        p.push(FaultKind::NodeLoss { node: 7 }, Site::Machine, 0);
-        p.push(
-            FaultKind::DegradedLink {
-                dim: 1,
-                factor: 0.5,
-            },
-            Site::Machine,
-            0,
-        );
-        install(p);
-        let mf = machine_faults();
-        assert_eq!(mf.lost_nodes, vec![7]);
-        assert_eq!(mf.worst_degrade(), 0.5);
-        assert_eq!(mf.extra_hops(), 2);
-        let _ = machine_faults(); // second query must not recount
-        assert_eq!(stats().injected, 2);
-        clear();
+    fn unplaceable_requests_are_typed_errors() {
+        let empty = CampaignSpec {
+            domains: Vec::new(),
+            ..CampaignSpec::default()
+        };
+        assert!(matches!(
+            FaultPlan::generate(42, 1, &empty),
+            Err(MqmdError::Invalid(_))
+        ));
+        // The default spec holds at most 6 faults on domain 0 (occurrences
+        // 1..=16, three apart) and one straggler per rank: 40 cannot fit,
+        // and the draw loop must say so instead of spinning.
+        match FaultPlan::generate(7, 40, &CampaignSpec::default()) {
+            Err(MqmdError::Invalid(msg)) => assert!(msg.contains("of 40 faults"), "{msg}"),
+            other => panic!("expected a typed error, got {other:?}"),
+        }
     }
 
     #[test]
