@@ -18,6 +18,7 @@ use mqmd_linalg::CMatrix;
 use mqmd_md::builders::sic_supercell;
 use mqmd_multigrid::{FftPoisson, PoissonMultigrid};
 use mqmd_util::constants::Element;
+use mqmd_util::workspace::Workspace;
 use mqmd_util::{Complex64, Vec3};
 use std::hint::black_box;
 
@@ -68,16 +69,23 @@ fn nonlocal_paths(c: &mut Criterion) {
     let nl = build_projectors(&basis, &atoms);
     let h = KsHamiltonian::new(&basis, v, nl.as_ref());
     let psi = basis.random_bands(16, 9);
+    let ws = Workspace::new();
+    let mut all = CMatrix::zeros(psi.rows(), psi.cols());
+    let mut one = vec![Complex64::ZERO; psi.rows()];
     let mut g = c.benchmark_group("ablation_eq4_vs_eq5");
     g.sample_size(20);
     g.bench_function("eq5_allband_apply", |b| {
-        b.iter(|| black_box(h.apply(&psi).data()[0]))
+        b.iter(|| {
+            h.apply_into(&psi, &mut all, &ws);
+            black_box(all.data()[0])
+        })
     });
     g.bench_function("eq4_band_by_band_apply", |b| {
         b.iter(|| {
             let mut acc = Complex64::ZERO;
             for n in 0..psi.cols() {
-                acc += h.apply_band(&psi.col(n))[0];
+                h.apply_band_into(&psi.col(n), &mut one, &ws);
+                acc += one[0];
             }
             black_box(acc)
         })
@@ -91,13 +99,24 @@ fn poisson_paths(c: &mut Criterion) {
         (std::f64::consts::TAU * r.x / 12.0).sin() * (std::f64::consts::TAU * r.y / 12.0).cos()
     });
     let mg = PoissonMultigrid::with_defaults(grid.clone());
+    let mut hier = mg.plan();
     let fftp = FftPoisson::new(grid);
+    let ws = Workspace::new();
+    let mut v = vec![0.0; rho.len()];
     let mut g = c.benchmark_group("ablation_gslf_poisson");
     g.sample_size(20);
     g.bench_function("multigrid", |b| {
-        b.iter(|| black_box(mg.hartree(&rho).unwrap()[0]))
+        b.iter(|| {
+            mg.hartree_with(&rho, &mut v, &mut hier).unwrap();
+            black_box(v[0])
+        })
     });
-    g.bench_function("fft", |b| b.iter(|| black_box(fftp.hartree(&rho)[0])));
+    g.bench_function("fft", |b| {
+        b.iter(|| {
+            fftp.hartree_into(&rho, &mut v, &ws);
+            black_box(v[0])
+        })
+    });
     g.finish();
 }
 

@@ -13,13 +13,14 @@ use mqmd_dft::solver::atoms_of;
 use mqmd_fft::Fft3d;
 use mqmd_grid::hilbert::hilbert_encode;
 use mqmd_grid::UniformGrid3;
-use mqmd_linalg::orthonorm::cholesky_orthonormalize;
+use mqmd_linalg::orthonorm::cholesky_orthonormalize_with;
 use mqmd_linalg::CMatrix;
 use mqmd_md::builders::sic_supercell;
 use mqmd_md::AtomicSystem;
 use mqmd_multigrid::PoissonMultigrid;
 use mqmd_serve::JobSpec;
 use mqmd_util::constants::Element;
+use mqmd_util::workspace::Workspace;
 use mqmd_util::{Complex64, Vec3, Xoshiro256pp};
 use std::hint::black_box;
 
@@ -47,10 +48,11 @@ fn bench(c: &mut Criterion) {
     let psi0 = CMatrix::from_fn(2048, 64, |_, _| {
         Complex64::new(rng_psi.normal(), rng_psi.normal())
     });
+    let ws = Workspace::new();
     g.bench_function("cholesky_orthonormalise_2048x64", |b| {
         b.iter(|| {
             let mut psi = psi0.clone();
-            black_box(cholesky_orthonormalize(&mut psi).unwrap())
+            black_box(cholesky_orthonormalize_with(&mut psi, &ws).unwrap())
         })
     });
 
@@ -58,8 +60,13 @@ fn bench(c: &mut Criterion) {
     let grid = UniformGrid3::cubic(32, 10.0);
     let rho = grid.sample(|r| (std::f64::consts::TAU * r.x / 10.0).sin());
     let mg = PoissonMultigrid::with_defaults(grid);
+    let mut hier = mg.plan();
+    let mut v = vec![0.0; rho.len()];
     g.bench_function("multigrid_poisson_32cubed", |b| {
-        b.iter(|| black_box(mg.hartree(&rho).unwrap()[0]))
+        b.iter(|| {
+            mg.hartree_with(&rho, &mut v, &mut hier).unwrap();
+            black_box(v[0])
+        })
     });
 
     // Ewald on a 64-atom cell.

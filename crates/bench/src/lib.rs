@@ -16,8 +16,9 @@
 pub mod real_ranks;
 pub mod roofline;
 
-use mqmd_core::domain_solver::{solve_domain, DomainSetup};
+use mqmd_core::domain_solver::{solve_domain_with, DomainSetup};
 use mqmd_core::global::{BoundaryMode, HartreeSolver, LdcConfig, LdcSolver};
+use mqmd_dft::eigensolver::EigWorkspace;
 use mqmd_grid::DomainDecomposition;
 use mqmd_md::builders::sic_supercell;
 use mqmd_md::AtomicSystem;
@@ -96,8 +97,9 @@ pub fn measure_domain_solve_seconds(ecut: f64, spacing: f64, davidson_iters: usi
     .expect("SiC block is non-empty");
     let zeros = vec![0.0; setup.grid.len()];
     let sw = Stopwatch::start();
-    let bands =
-        solve_domain(&setup, &zeros, &zeros, None, davidson_iters, 1e-6).expect("domain solve");
+    let mut ew = EigWorkspace::new();
+    let bands = solve_domain_with(&setup, &zeros, &zeros, None, davidson_iters, 1e-6, &mut ew)
+        .expect("domain solve");
     std::hint::black_box(bands.eigenvalues.len());
     sw.seconds()
 }

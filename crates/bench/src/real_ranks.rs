@@ -74,7 +74,7 @@ pub fn h2_system() -> AtomicSystem {
 
 /// LDC settings for the distributed H₂ verification: the cell split
 /// across the bond with the paper's ξ, cheap FFT Hartree.
-pub fn verify_h2_config() -> LdcConfig {
+fn verify_h2_config() -> LdcConfig {
     LdcConfig {
         nd: (2, 1, 1),
         buffer: 2.0,

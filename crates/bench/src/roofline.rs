@@ -62,7 +62,7 @@ pub struct Roofline {
 
 impl Roofline {
     /// The roofline value at a given arithmetic intensity (FLOPs/byte).
-    pub fn at_intensity(&self, intensity: f64) -> f64 {
+    fn at_intensity(&self, intensity: f64) -> f64 {
         (intensity * self.peak_bw_gbps).min(self.peak_gflops)
     }
 
@@ -116,7 +116,7 @@ mod ladder {
     use mqmd_util::simd::F64x4;
 
     /// FLOPs per [`run`] call: 4 lanes × 2 (FMA) per chain per iteration.
-    pub fn flops_per_call() -> u64 {
+    pub(super) fn flops_per_call() -> u64 {
         if mqmd_util::simd::simd_available() {
             LADDER_ITERS * LADDER_CHAINS as u64 * 8
         } else {
@@ -154,7 +154,7 @@ mod ladder {
     use super::{LADDER_CHAINS, LADDER_ITERS};
 
     /// FLOPs per [`run`] call: 2 per chain per iteration (mul + add).
-    pub fn flops_per_call() -> u64 {
+    pub(super) fn flops_per_call() -> u64 {
         LADDER_ITERS * LADDER_CHAINS as u64 * 2
     }
 
@@ -178,7 +178,7 @@ fn scalar_ladder() -> f64 {
 
 /// Measures the machine compute peak in GFLOP/s: the FMA ladder on every
 /// rayon worker concurrently.
-pub fn measure_peak_gflops() -> f64 {
+fn measure_peak_gflops() -> f64 {
     let threads = rayon::current_num_threads().max(1);
     let (secs, reps) = time_reps(|| {
         let sink: f64 = (0..threads).into_par_iter().map(|_| ladder::run()).sum();
@@ -190,7 +190,7 @@ pub fn measure_peak_gflops() -> f64 {
 
 /// Measures the machine bandwidth peak in GB/s: a parallel streaming triad
 /// over three 32 MiB arrays (96 MiB total, far over any last-level cache).
-pub fn measure_peak_bw_gbps() -> f64 {
+fn measure_peak_bw_gbps() -> f64 {
     let n = 1 << 22; // 4 Mi doubles per array
     let b = vec![1.0f64; n];
     let c = vec![2.0f64; n];
@@ -213,7 +213,7 @@ pub fn measure_peak_bw_gbps() -> f64 {
 
 /// Measures the vectorized kernels and records their placements
 /// (achieved GFLOP/s + analytic intensity) into `r`.
-pub fn place_kernels(r: &mut Roofline) {
+fn place_kernels(r: &mut Roofline) {
     // GEMM: square dgemm through the dispatcher (packed SIMD microkernel
     // when available). Analytic: 2n³ FLOPs, 8·(n² + n² + 2n²) bytes.
     {

@@ -19,7 +19,7 @@ pub struct RateEstimate {
 }
 
 /// Poisson rate estimate from event times over the elapsed window.
-pub fn estimate_rate(event_times: &[f64], t_total: f64) -> RateEstimate {
+fn estimate_rate(event_times: &[f64], t_total: f64) -> RateEstimate {
     assert!(t_total > 0.0);
     let n = event_times.len();
     RateEstimate {

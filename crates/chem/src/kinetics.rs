@@ -6,13 +6,13 @@
 //! 1. **Water dissociation at a Lewis acid–base pair** —
 //!    `H₂O + (Li·Al) → H(ads) + OH(bridging)`; tiny barrier, the paper's
 //!    central finding. Bridging Li–O–Al hydroxyls *boost* this channel
-//!    (autocatalysis, ref [70]-like).
+//!    (autocatalysis, ref \[70\]-like).
 //! 2. **Water dissociation at a pure-Al site** — same products, much larger
-//!    barrier (pure-Al particles are slow, ref [47]).
+//!    barrier (pure-Al particles are slow, ref \[47\]).
 //! 3. **H recombination** — `2 H(ads) → H₂↑`; fast, so dissociation is
 //!    rate-limiting and the measured Arrhenius slope reflects channel 1.
 //! 4. **Li dissolution** — `Li(surface) + OH(br) → Li⁺ + OH⁻(aq)`; raises
-//!    the pH (the experimentally observed signature, ref [71]).
+//!    the pH (the experimentally observed signature, ref \[71\]).
 //! 5. **Passivation** — an exposed Al site oxidises into an inert layer;
 //!    suppressed by a basic solution, which is why Li-rich particles keep
 //!    producing while pure Al stalls (the *yield* mechanism).
@@ -248,7 +248,8 @@ impl HodSimulation {
     }
 
     /// H₂ production rate over the run so far (molecules/s).
-    pub fn h2_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn h2_rate(&self) -> f64 {
         if self.state.time <= 0.0 {
             return 0.0;
         }
@@ -256,7 +257,8 @@ impl HodSimulation {
     }
 
     /// H₂ rate per Lewis pair (the Fig 9a ordinate).
-    pub fn h2_rate_per_pair(&self) -> f64 {
+    #[cfg(test)]
+    fn h2_rate_per_pair(&self) -> f64 {
         if self.state.pair_sites == 0 {
             return 0.0;
         }

@@ -73,7 +73,7 @@ pub const WATER_ANGLE_RAD: f64 = 104.52 * std::f64::consts::PI / 180.0;
 
 /// Builds one water molecule (O, H, H) at `origin` with a rotation drawn
 /// from `rng`.
-pub fn water_molecule(origin: Vec3, rng: &mut Xoshiro256pp) -> (Vec<Element>, Vec<Vec3>) {
+fn water_molecule(origin: Vec3, rng: &mut Xoshiro256pp) -> (Vec<Element>, Vec<Vec3>) {
     // Random orientation: pick a random unit vector u and an in-plane
     // perpendicular v.
     let u = random_unit(rng);

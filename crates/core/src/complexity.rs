@@ -6,8 +6,6 @@
 //!   `T(l) = (L/l)³ · (l + 2b)^{3ν}`.
 //! * Minimising over `l` gives the optimal core length `l* = 2b/(ν − 1)` —
 //!   `2b` in the practical ν = 2 regime, `b` in the asymptotic ν = 3 regime.
-//! * The buffer needed for a density error `ε` decays exponentially
-//!   (quantum nearsightedness, Eq. (1)): `b = λ·ln(Δρ_max/(ε·ρ̄))`.
 //! * Equating `T(l*)` with the conventional-DFT cost `L^{3ν}` gives the
 //!   crossover length above which O(N) wins — `L = 8b` for ν = 2 (§5.2).
 
@@ -26,13 +24,13 @@ impl CostModel {
     pub const ASYMPTOTIC: CostModel = CostModel { nu: 3.0 };
 
     /// Total DC cost `T(l) = (L/l)³·(l + 2b)^{3ν}` (arbitrary units).
-    pub fn total_cost(&self, big_l: f64, l: f64, b: f64) -> f64 {
+    fn total_cost(&self, big_l: f64, l: f64, b: f64) -> f64 {
         assert!(big_l > 0.0 && l > 0.0 && b >= 0.0);
         (big_l / l).powi(3) * (l + 2.0 * b).powf(3.0 * self.nu)
     }
 
     /// Cost of the conventional O(N^ν) solver on the whole cell: `L^{3ν}`.
-    pub fn conventional_cost(&self, big_l: f64) -> f64 {
+    fn conventional_cost(&self, big_l: f64) -> f64 {
         big_l.powf(3.0 * self.nu)
     }
 
@@ -66,13 +64,6 @@ pub fn crossover_length(b: f64, nu: f64) -> f64 {
             < 1e-6 * model.conventional_cost(l)
     );
     l
-}
-
-/// Buffer thickness required for a relative density tolerance ε at decay
-/// constant λ (Eq. (1)): `b = λ·ln(Δρ_max/(ε·ρ̄))`.
-pub fn buffer_for_tolerance(lambda: f64, delta_rho_max: f64, eps: f64, rho_mean: f64) -> f64 {
-    assert!(lambda > 0.0 && delta_rho_max > 0.0 && eps > 0.0 && rho_mean > 0.0);
-    (lambda * (delta_rho_max / (eps * rho_mean)).ln()).max(0.0)
 }
 
 /// Number of atoms inside a cube of side `l` at number density `n_atoms/L³`.
@@ -135,14 +126,6 @@ mod tests {
         let s3 = CostModel::ASYMPTOTIC.buffer_speedup(l, 4.73, 3.57);
         assert!((s2 - 2.03).abs() < 0.03, "ν=2 speedup {s2}");
         assert!((s3 - 2.89).abs() < 0.06, "ν=3 speedup {s3}");
-    }
-
-    #[test]
-    fn buffer_for_tolerance_monotone() {
-        let b1 = buffer_for_tolerance(1.0, 1.0, 1e-2, 1.0);
-        let b2 = buffer_for_tolerance(1.0, 1.0, 1e-4, 1.0);
-        assert!(b2 > b1, "tighter tolerance needs thicker buffer");
-        assert!((b2 - b1 - (100.0f64).ln()).abs() < 1e-12);
     }
 
     #[test]

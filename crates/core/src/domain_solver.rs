@@ -168,22 +168,11 @@ pub struct DomainBands {
 /// potential pieces: `v_hxc` (Hartree+XC of the *global* density, sampled on
 /// the local grid) and `v_bc` (the LDC boundary potential; zeros for plain
 /// DC).
-pub fn solve_domain(
-    setup: &DomainSetup,
-    v_hxc: &[f64],
-    v_bc: &[f64],
-    psi0: Option<CMatrix>,
-    max_iter: usize,
-    tol: f64,
-) -> Result<DomainBands> {
-    let mut ew = EigWorkspace::new();
-    solve_domain_with(setup, v_hxc, v_bc, psi0, max_iter, tol, &mut ew)
-}
-
-/// Allocation-free form of [`solve_domain`]: every scratch buffer (the
-/// effective potential, Davidson block matrices, FFT fields, per-band
-/// analysis buffers) comes from `ew`, so a warm per-domain workspace makes
-/// steady-state SCF iterations allocation-free on the hot path.
+///
+/// Every scratch buffer (the effective potential, Davidson block matrices,
+/// FFT fields, per-band analysis buffers) comes from `ew`, so a warm
+/// per-domain workspace makes steady-state SCF iterations allocation-free
+/// on the hot path.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_domain_with(
     setup: &DomainSetup,
@@ -340,6 +329,22 @@ mod tests {
     use super::*;
     use mqmd_dft::pw::PlaneWaveBasis;
     use mqmd_util::constants::Element;
+    use mqmd_util::workspace::Workspace;
+    use mqmd_util::Complex64;
+
+    /// A cold solve on the bare ions: zero Hxc and boundary potentials.
+    fn solve_bare(setup: &DomainSetup, max_iter: usize, tol: f64) -> Result<DomainBands> {
+        let zeros = vec![0.0; setup.grid.len()];
+        solve_domain_with(
+            setup,
+            &zeros,
+            &zeros,
+            None,
+            max_iter,
+            tol,
+            &mut EigWorkspace::new(),
+        )
+    }
 
     /// Builds the global grid + V_ion pair the production path supplies.
     fn global_ionic(sys: &AtomicSystem, spacing: f64) -> (UniformGrid3, Vec<f64>) {
@@ -371,8 +376,7 @@ mod tests {
         for &p in &setup.p_alpha {
             assert!((p - 1.0).abs() < 1e-12);
         }
-        let zeros = vec![0.0; setup.grid.len()];
-        let bands = solve_domain(&setup, &zeros, &zeros, None, 80, 1e-6).unwrap();
+        let bands = solve_bare(&setup, 80, 1e-6).unwrap();
         // Weights = 1 (whole band is core).
         for &w in &bands.weights {
             assert!((w - 1.0).abs() < 1e-8, "weight {w}");
@@ -391,7 +395,7 @@ mod tests {
         let nl = build_projectors(&basis, &atoms);
         let h = KsHamiltonian::new(&basis, v, nl.as_ref());
         let mut psi = basis.random_bands(setup.n_bands, 1);
-        let rep = mqmd_dft::eigensolver::block_davidson(&h, &mut psi, 80, 1e-6).unwrap();
+        let rep = block_davidson_with(&h, &mut psi, 80, 1e-6, &mut EigWorkspace::new()).unwrap();
         assert!(
             (bands.eigenvalues[0] - rep.eigenvalues[0]).abs() < 1e-6,
             "{} vs {}",
@@ -407,8 +411,7 @@ mod tests {
         let (gg, vion) = global_ionic(&sys, 0.9);
         let setup =
             DomainSetup::build(&dd.domains()[0], &dd, &sys, 0.9, 3.0, 2, &gg, &vion).unwrap();
-        let zeros = vec![0.0; setup.grid.len()];
-        let bands = solve_domain(&setup, &zeros, &zeros, None, 60, 1e-6).unwrap();
+        let bands = solve_bare(&setup, 60, 1e-6).unwrap();
         for dens in &bands.band_densities {
             let total: f64 = dens.iter().sum::<f64>() * setup.grid.dv();
             assert!((total - 1.0).abs() < 1e-8, "band norm {total}");
@@ -487,14 +490,17 @@ mod tests {
         let setups = sic8_setups();
         assert_eq!(setups.len(), 2);
         for setup in &setups {
-            let zeros = vec![0.0; setup.grid.len()];
             let h = KsHamiltonian::new(&setup.basis, setup.v_ion.clone(), setup.nonlocal.as_ref());
             for (max_iter, tol) in [(80, 1e-2), (4, 0.0)] {
-                let bands = solve_domain(setup, &zeros, &zeros, None, max_iter, tol).unwrap();
-                let h_psi = h.apply(&bands.psi);
+                let bands = solve_bare(setup, max_iter, tol).unwrap();
+                let ws = Workspace::new();
+                let mut h_psi = CMatrix::zeros(bands.psi.rows(), bands.psi.cols());
+                h.apply_into(&bands.psi, &mut h_psi, &ws);
+                let mut psi_r = vec![Complex64::ZERO; setup.grid.len()];
+                let mut h_r = vec![Complex64::ZERO; setup.grid.len()];
                 for (n, &hw) in bands.h_weights.iter().enumerate() {
-                    let psi_r = setup.basis.to_real(&bands.psi.col(n));
-                    let h_r = setup.basis.to_real(&h_psi.col(n));
+                    setup.basis.to_real_into(&bands.psi.col(n), &mut psi_r, &ws);
+                    setup.basis.to_real_into(&h_psi.col(n), &mut h_r, &ws);
                     let explicit: f64 = psi_r
                         .iter()
                         .zip(&h_r)
@@ -517,8 +523,7 @@ mod tests {
     #[test]
     fn budget_exhausted_domain_solve_recovers_orthonormal_ascending_bands() {
         let setup = &sic8_setups()[0];
-        let zeros = vec![0.0; setup.grid.len()];
-        let bands = solve_domain(setup, &zeros, &zeros, None, 1, 1e-30).unwrap();
+        let bands = solve_bare(setup, 1, 1e-30).unwrap();
         assert_eq!(bands.iterations, 1);
         assert!(mqmd_linalg::orthonorm::orthonormality_defect(&bands.psi) < 1e-10);
         assert!(bands.eigenvalues.windows(2).all(|w| w[0] <= w[1]));

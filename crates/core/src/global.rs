@@ -18,7 +18,7 @@
 //! 3. one **global chemical potential** is found from the core-weighted
 //!    electron count `N = Σ_α Σ_n f(ε^α_n; μ)·w^α_n` (Eq. (c)): the
 //!    weighted spectrum is gathered and reassembled in domain order
-//!    ([`exchange_spectra`]), so the Newton–Raphson μ iteration sums the
+//!    (`exchange_spectra`), so the Newton–Raphson μ iteration sums the
 //!    same levels in the same order everywhere and μ is
 //!    bitwise-replicated;
 //! 4. the global density is reassembled through the partition of unity
@@ -176,7 +176,7 @@ pub struct LdcBreakdown {
     pub vxc_rho: f64,
     /// Boundary-potential double counting.
     pub bc_dc: f64,
-    /// Hartree energy ½∫ρ·V_H[ρ].
+    /// Hartree energy ½∫ρ·V_H\[ρ\].
     pub e_h: f64,
     /// XC energy.
     pub e_xc: f64,
@@ -350,7 +350,7 @@ impl HartreePlan {
 }
 
 /// Finds μ with `Σ_i f(ε_i; μ)·w_i = n_electrons` over core-weighted levels.
-pub fn weighted_mu(levels: &[(f64, f64)], n_electrons: f64, kt: f64) -> f64 {
+fn weighted_mu(levels: &[(f64, f64)], n_electrons: f64, kt: f64) -> f64 {
     assert!(kt > 0.0, "the global μ search assumes finite smearing");
     let capacity: f64 = levels.iter().map(|&(_, w)| 2.0 * w).sum();
     if capacity < n_electrons - 1e-9 {
@@ -414,14 +414,6 @@ impl LdcSolver {
             gws: Workspace::new(),
             total_scf_iterations: 0,
         }
-    }
-
-    /// Drops cached wave functions and workspaces (needed when changing
-    /// domain topology or basis parameters between calls).
-    pub fn clear_cache(&mut self) {
-        self.psi_cache.clear();
-        lock_cache(&self.eig_cache).clear();
-        self.plan = None;
     }
 
     /// Drops per-*job* state (warm-start bands and the SCF counter) while
@@ -1228,9 +1220,6 @@ mod tests {
         );
         ldc.solve(&sys).unwrap();
         assert_eq!(plan_identity(&ldc), plan);
-
-        ldc.clear_cache();
-        assert!(ldc.plan.is_none());
     }
 
     /// Delegates to a [`ThreadComm`](mqmd_parallel::executor::ThreadComm)

@@ -33,20 +33,14 @@
 //! in the solver across SCF iterations, MD steps and pooled jobs.
 //!
 //! [`complexity`] implements the §3.1 cost model: `T(l) = (L/l)³(l+2b)^{3ν}`,
-//! the optimal domain size `l* = 2b/(ν−1)`, the buffer-for-tolerance rule of
-//! Eq. (1), and the O(N)↔O(N³) crossover analysis of §5.2.
-//!
-//! [`dcr`] implements the §7 divide-conquer-recombine extensions: global
-//! density of states, frontier orbitals and range-limited inter-domain
-//! networks synthesised from the domain solutions.
+//! the optimal domain size `l* = 2b/(ν−1)`, and the O(N)↔O(N³) crossover
+//! analysis of §5.2.
 //!
 //! [`qmd`] is the production driver: velocity Verlet + thermostat over LDC
 //! forces, with the atom·iteration/s accounting used by the paper's §2
 //! time-to-solution comparison.
 
-pub mod bsd;
 pub mod complexity;
-pub mod dcr;
 pub mod distributed;
 pub mod domain_solver;
 pub mod global;

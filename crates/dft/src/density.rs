@@ -133,37 +133,13 @@ pub fn fermi_occupations(eigenvalues: &[f64], n_electrons: f64, kt: f64) -> Occu
     }
 }
 
-/// Electronic entropy contribution `−T·S` of a Fermi–Dirac occupation set
-/// (the Mermin free-energy term; needed for consistent total energies with
-/// smearing).
-pub fn entropy_term(occ: &Occupations, kt: f64) -> f64 {
-    if kt <= 0.0 {
-        return 0.0;
-    }
-    let mut s = 0.0;
-    for &f in &occ.f {
-        let x = f / 2.0;
-        if x > 1e-12 && x < 1.0 - 1e-12 {
-            s += x * x.ln() + (1.0 - x) * (1.0 - x).ln();
-        }
-    }
-    2.0 * kt * s // −T·S with S = −2·k_B·Σ[x ln x + (1−x)ln(1−x)]
-}
-
 /// Builds the real-space density `ρ(r_j) = Σ_n f_n·|ψ_n(r_j)|²` from band
 /// coefficients; integrates to `Σ_n f_n` by the basis normalisation.
-pub fn density_from_bands(basis: &PlaneWaveBasis, psi: &CMatrix, occ: &[f64]) -> Vec<f64> {
-    let mut rho = vec![0.0; basis.grid().len()];
-    let ws = Workspace::new();
-    density_into(basis, psi, occ, &mut rho, &ws);
-    rho
-}
-
-/// Allocation-free form of [`density_from_bands`]: overwrites `out` with the
-/// density, borrowing the band panels from `ws`. The occupied bands go to
-/// real space a panel at a time, in parallel; their `f_n·|ψ_n|²` are then
-/// summed band by band, so the result is bitwise independent of the thread
-/// schedule (and of the panel width).
+///
+/// Overwrites `out` with the density, borrowing the band panels from `ws`.
+/// The occupied bands go to real space a panel at a time, in parallel;
+/// their `f_n·|ψ_n|²` are then summed band by band, so the result is
+/// bitwise independent of the thread schedule (and of the panel width).
 pub fn density_into(
     basis: &PlaneWaveBasis,
     psi: &CMatrix,
@@ -215,6 +191,12 @@ mod tests {
     use super::*;
     use mqmd_grid::UniformGrid3;
 
+    fn density(basis: &PlaneWaveBasis, psi: &CMatrix, occ: &[f64]) -> Vec<f64> {
+        let mut rho = vec![0.0; basis.grid().len()];
+        density_into(basis, psi, occ, &mut rho, &Workspace::new());
+        rho
+    }
+
     #[test]
     fn occupations_sum_to_electron_count() {
         let eps = vec![-0.5, -0.3, -0.1, 0.0, 0.2, 0.4];
@@ -265,25 +247,11 @@ mod tests {
     }
 
     #[test]
-    fn entropy_zero_for_integer_occupations() {
-        let occ = Occupations {
-            mu: 0.0,
-            f: vec![2.0, 2.0, 0.0],
-        };
-        assert_eq!(entropy_term(&occ, 0.01), 0.0);
-        let frac = Occupations {
-            mu: 0.0,
-            f: vec![2.0, 1.0, 1.0],
-        };
-        assert!(entropy_term(&frac, 0.01) < 0.0, "−T·S is negative");
-    }
-
-    #[test]
     fn density_integrates_to_electron_count() {
         let basis = crate::pw::PlaneWaveBasis::new(UniformGrid3::cubic(10, 7.0), 4.0);
         let psi = basis.random_bands(4, 31);
         let occ = vec![2.0, 2.0, 1.5, 0.5];
-        let rho = density_from_bands(&basis, &psi, &occ);
+        let rho = density(&basis, &psi, &occ);
         let total = basis.grid().integrate(&rho);
         assert!((total - 6.0).abs() < 1e-9, "∫ρ = {total}");
         assert!(rho.iter().all(|&r| r >= 0.0), "density non-negative");
@@ -293,9 +261,9 @@ mod tests {
     fn empty_bands_contribute_nothing() {
         let basis = crate::pw::PlaneWaveBasis::new(UniformGrid3::cubic(8, 6.0), 3.0);
         let psi = basis.random_bands(3, 37);
-        let rho_a = density_from_bands(&basis, &psi, &[2.0, 0.0, 0.0]);
+        let rho_a = density(&basis, &psi, &[2.0, 0.0, 0.0]);
         let single = CMatrix::from_fn(psi.rows(), 1, |g, _| psi[(g, 0)]);
-        let rho_b = density_from_bands(&basis, &single, &[2.0]);
+        let rho_b = density(&basis, &single, &[2.0]);
         for (a, b) in rho_a.iter().zip(&rho_b) {
             assert!((a - b).abs() < 1e-12);
         }

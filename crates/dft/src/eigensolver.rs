@@ -3,10 +3,11 @@
 //! The production algorithm (paper §3.4) is an all-band preconditioned
 //! conjugate-gradient minimisation recast in BLAS3 form; we implement its
 //! modern equivalent, a preconditioned **block Davidson** iteration
-//! ([`block_davidson`]) whose hot operations are exactly the all-band
-//! `H·Ψ` and `Ψ†·Ψ`-type BLAS3 kernels, plus the historical
-//! **band-by-band** minimiser ([`band_by_band`]) the paper replaced — kept
-//! as the BLAS2 baseline for the §3.4 ablation benchmark.
+//! ([`block_davidson_with`]) whose hot operations are exactly the all-band
+//! `H·Ψ` and `Ψ†·Ψ`-type BLAS3 kernels. The BLAS2 baseline of the §3.4
+//! ablation is measured on the kernels themselves (`benches/ablations.rs`:
+//! `zgemm_via_gemv` against `zgemm`, band-at-a-time `apply_band_into`
+//! against all-band `apply_into`).
 //!
 //! The FFT-based `H·ψ` is paid once per vector: Davidson applies `H` to the
 //! bands it is handed and to each augmented block, carries `H·Ψ` through
@@ -119,19 +120,10 @@ impl EigWorkspace {
 /// `span{Ψ, K·(H·Ψ − Ψ·Θ)}`: one all-band `H` application, to the `2·Nb`
 /// columns of the augmented block, and a handful of BLAS3 products — the
 /// paper's computational profile, `H·ψ` paid once per vector.
-pub fn block_davidson(
-    h: &KsHamiltonian,
-    psi: &mut CMatrix,
-    max_iter: usize,
-    tol: f64,
-) -> Result<EigenReport> {
-    let mut ew = EigWorkspace::new();
-    block_davidson_with(h, psi, max_iter, tol, &mut ew)
-}
-
-/// Allocation-free form of [`block_davidson`]: all block matrices live in
-/// `ew` and rotations land in `psi` via buffer swaps, so steady-state
-/// iterations of a warm workspace perform no hot-path allocations.
+///
+/// All block matrices live in `ew` and rotations land in `psi` via buffer
+/// swaps, so steady-state iterations of a warm workspace perform no
+/// hot-path allocations.
 ///
 /// `(Ψ, H·Ψ)` is a pair for the length of the call. `H` is applied to the
 /// incoming Ψ once on entry and to the augmented block `[Ψ, K·R]` once per
@@ -289,142 +281,6 @@ pub fn ritz_recovery(
     })
 }
 
-/// Band-by-band minimisation (the BLAS2 baseline of §3.4): optimises one
-/// band at a time in ascending order, each by `steps` two-dimensional
-/// subspace rotations along the preconditioned residual, holding lower bands
-/// fixed. Returns the final Rayleigh quotients.
-#[allow(clippy::needless_range_loop)]
-pub fn band_by_band(h: &KsHamiltonian, psi: &mut CMatrix, sweeps: usize, steps: usize) -> Vec<f64> {
-    let mut ew = EigWorkspace::new();
-    band_by_band_with(h, psi, sweeps, steps, &mut ew)
-}
-
-/// Allocation-free form of [`band_by_band`]: every per-band vector (band,
-/// `H·ψ`, search direction, `H·dir`) is borrowed once from `ew.ws` and
-/// reused across all sweeps and steps.
-#[allow(clippy::needless_range_loop)]
-pub fn band_by_band_with(
-    h: &KsHamiltonian,
-    psi: &mut CMatrix,
-    sweeps: usize,
-    steps: usize,
-    ew: &mut EigWorkspace,
-) -> Vec<f64> {
-    let np = psi.rows();
-    let nb = psi.cols();
-    let mut eps = vec![0.0; nb];
-    let mut band = ew.ws.borrow_c64(np);
-    let mut h_band = ew.ws.borrow_c64(np);
-    let mut dir = ew.ws.borrow_c64(np);
-    let mut h_dir = ew.ws.borrow_c64(np);
-
-    for _sweep in 0..sweeps {
-        for n in 0..nb {
-            psi.col_into(n, &mut band);
-            // Project out lower (already-optimised) bands and renormalise.
-            project_out(psi, n, &mut band);
-            normalize(&mut band);
-
-            for _ in 0..steps {
-                h.apply_band_into(&band, &mut h_band, &ew.ws);
-                let theta: f64 = band
-                    .iter()
-                    .zip(h_band.iter())
-                    .map(|(c, h)| (c.conj() * *h).re)
-                    .sum();
-                // Residual, preconditioned, orthogonalised to current band
-                // and lower bands.
-                let ke = h.basis().kinetic_expectation(&band).max(1e-6);
-                for g in 0..np {
-                    let r = h_band[g] - band[g].scale(theta);
-                    let x = 0.5 * h.basis().g2()[g] / ke;
-                    dir[g] = r.scale(tpa_factor(x));
-                }
-                project_out(psi, n, &mut dir);
-                let overlap: Complex64 = band
-                    .iter()
-                    .zip(dir.iter())
-                    .map(|(b, d)| b.conj() * *d)
-                    .sum();
-                for (d, b) in dir.iter_mut().zip(band.iter()) {
-                    *d -= overlap * *b;
-                }
-                let d_norm: f64 = dir.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-                if d_norm < 1e-14 {
-                    break;
-                }
-                for d in dir.iter_mut() {
-                    *d = d.scale(1.0 / d_norm);
-                }
-                // Exact minimisation in the 2-D subspace {band, dir}.
-                h.apply_band_into(&dir, &mut h_dir, &ew.ws);
-                let a = theta;
-                let b2: f64 = dir
-                    .iter()
-                    .zip(h_dir.iter())
-                    .map(|(c, h)| (c.conj() * *h).re)
-                    .sum();
-                let c: Complex64 = band
-                    .iter()
-                    .zip(h_dir.iter())
-                    .map(|(c, h)| c.conj() * *h)
-                    .sum();
-                // Lowest eigenvector of [[a, c], [c*, b2]].
-                let diff = 0.5 * (b2 - a);
-                let rad = (diff * diff + c.norm_sqr()).sqrt();
-                if rad < 1e-16 {
-                    break;
-                }
-                // Rotation angle: tan(2φ)·… — construct directly.
-                let lowest = 0.5 * (a + b2) - rad;
-                // Solve (a − λ)x + c y = 0 → choose y = 1 basis then renorm.
-                let (alpha, beta) = if (a - lowest).abs() > c.abs() * 1e-8 {
-                    (c.scale(-1.0 / (a - lowest)), Complex64::ONE)
-                } else {
-                    (Complex64::ONE, Complex64::ZERO)
-                };
-                let norm = (alpha.norm_sqr() + beta.norm_sqr()).sqrt();
-                let (alpha, beta) = (alpha.scale(1.0 / norm), beta.scale(1.0 / norm));
-                for g in 0..np {
-                    band[g] = band[g] * alpha + dir[g] * beta;
-                }
-                normalize(&mut band);
-            }
-            h.apply_band_into(&band, &mut h_band, &ew.ws);
-            eps[n] = band
-                .iter()
-                .zip(h_band.iter())
-                .map(|(c, h)| (c.conj() * *h).re)
-                .sum();
-            psi.set_col(n, &band);
-        }
-    }
-    eps
-}
-
-fn project_out(psi: &CMatrix, n: usize, vec: &mut [Complex64]) {
-    let np = psi.rows();
-    for m in 0..n {
-        let mut overlap = Complex64::ZERO;
-        for g in 0..np {
-            overlap = overlap.mul_add(psi[(g, m)].conj(), vec[g]);
-        }
-        for g in 0..np {
-            let p = psi[(g, m)];
-            vec[g] -= overlap * p;
-        }
-    }
-}
-
-fn normalize(vec: &mut [Complex64]) {
-    let norm: f64 = vec.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-    if norm > 0.0 {
-        for z in vec.iter_mut() {
-            *z = z.scale(1.0 / norm);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,10 +295,11 @@ mod tests {
     fn dense_eigenvalues(h: &KsHamiltonian, count: usize) -> Vec<f64> {
         let np = h.basis().len();
         let mut dense = CMatrix::zeros(np, np);
+        let mut col = vec![Complex64::ZERO; np];
         for g in 0..np {
             let mut e = vec![Complex64::ZERO; np];
             e[g] = Complex64::ONE;
-            let col = h.apply_band(&e);
+            h.apply_band_into(&e, &mut col, &Workspace::new());
             for i in 0..np {
                 dense[(i, g)] = col[i];
             }
@@ -470,7 +327,7 @@ mod tests {
         let b = small_basis();
         let h = KsHamiltonian::new(&b, vec![0.0; b.grid().len()], None);
         let mut psi = b.random_bands(5, 1);
-        let report = block_davidson(&h, &mut psi, 60, 1e-9).unwrap();
+        let report = block_davidson_with(&h, &mut psi, 60, 1e-9, &mut EigWorkspace::new()).unwrap();
         let mut exact: Vec<f64> = b.g2().iter().map(|&g2| 0.5 * g2).collect();
         exact.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for (got, want) in report.eigenvalues.iter().zip(&exact[..5]) {
@@ -492,7 +349,8 @@ mod tests {
         let h = KsHamiltonian::new(&b, v, None);
         let exact = dense_eigenvalues(&h, 4);
         let mut psi = b.random_bands(4, 5);
-        let report = block_davidson(&h, &mut psi, 100, 1e-8).unwrap();
+        let report =
+            block_davidson_with(&h, &mut psi, 100, 1e-8, &mut EigWorkspace::new()).unwrap();
         for (got, want) in report.eigenvalues.iter().zip(&exact) {
             assert!((got - want).abs() < 1e-6, "{got} vs {want}");
         }
@@ -505,26 +363,8 @@ mod tests {
         let v = grid.sample(|r| -0.4 * (std::f64::consts::TAU * r.x / 8.0).cos());
         let h = KsHamiltonian::new(&b, v, None);
         let mut psi = b.random_bands(4, 8);
-        block_davidson(&h, &mut psi, 80, 1e-8).unwrap();
+        block_davidson_with(&h, &mut psi, 80, 1e-8, &mut EigWorkspace::new()).unwrap();
         assert!(mqmd_linalg::orthonorm::orthonormality_defect(&psi) < 1e-8);
-    }
-
-    #[test]
-    fn band_by_band_agrees_with_davidson() {
-        let b = small_basis();
-        let grid = b.grid();
-        let l = grid.lengths().0;
-        let v = grid.sample(|r| -0.6 * (std::f64::consts::TAU * r.x / l).cos());
-        let h = KsHamiltonian::new(&b, v, None);
-
-        let mut psi_d = b.random_bands(3, 11);
-        let rep = block_davidson(&h, &mut psi_d, 100, 1e-9).unwrap();
-
-        let mut psi_b = b.random_bands(3, 13);
-        let eps = band_by_band(&h, &mut psi_b, 12, 8);
-        for (bb, dv) in eps.iter().zip(&rep.eigenvalues) {
-            assert!((bb - dv).abs() < 1e-4, "band-by-band {bb} vs davidson {dv}");
-        }
     }
 
     /// Re-running a solve through one warm [`EigWorkspace`] must be bitwise
@@ -554,13 +394,6 @@ mod tests {
             ew.ws.stats().snapshot().hits > 0,
             "second solve must reuse pooled buffers"
         );
-        let mut psi_c = psi0.clone();
-        let eps_warm = band_by_band_with(&h, &mut psi_c, 2, 3, &mut ew);
-        let mut psi_d = psi0.clone();
-        let eps_cold = band_by_band(&h, &mut psi_d, 2, 3);
-        for (w, c) in eps_warm.iter().zip(&eps_cold) {
-            assert!(w.to_bits() == c.to_bits(), "band-by-band {w} vs {c}");
-        }
     }
 
     #[test]
@@ -568,7 +401,7 @@ mod tests {
         let b = small_basis();
         let h = KsHamiltonian::new(&b, vec![0.0; b.grid().len()], None);
         let mut psi = b.random_bands(3, 17);
-        let report = block_davidson(&h, &mut psi, 60, 1e-9).unwrap();
+        let report = block_davidson_with(&h, &mut psi, 60, 1e-9, &mut EigWorkspace::new()).unwrap();
         assert!(report.residual < 1e-9);
         assert!(report.iterations <= 60);
     }

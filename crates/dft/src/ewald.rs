@@ -18,7 +18,7 @@ pub struct EwaldResult {
 
 /// Complementary error function via the Abramowitz–Stegun 7.1.26 rational
 /// approximation (|error| < 1.5e-7, ample for the 1e-6-converged sums here).
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         return 2.0 - erfc(-x);
     }

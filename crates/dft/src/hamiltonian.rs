@@ -3,11 +3,12 @@
 //!
 //! Two application paths mirror the paper's §3.4 transformation:
 //!
-//! * **BLAS2 / band-by-band** ([`KsHamiltonian::apply_band`]) — one band at a
-//!   time, projector overlaps as matrix–vector products;
-//! * **BLAS3 / all-band** ([`KsHamiltonian::apply`]) — all bands at once, the
-//!   nonlocal part evaluated exactly as Eq. (5): `V_nl·Ψ = B·D·(B†·Ψ)` with
-//!   the projector matrix `B (Np × N_proj)` packed column-wise.
+//! * **BLAS2 / band-by-band** ([`KsHamiltonian::apply_band_into`]) — one
+//!   band at a time, projector overlaps as matrix–vector products;
+//! * **BLAS3 / all-band** ([`KsHamiltonian::apply_into`]) — all bands at
+//!   once, the nonlocal part evaluated exactly as Eq. (5):
+//!   `V_nl·Ψ = B·D·(B†·Ψ)` with the projector matrix `B (Np × N_proj)`
+//!   packed column-wise.
 //!
 //! Both must agree to machine precision; the ablation bench measures their
 //! speed difference.
@@ -69,17 +70,9 @@ impl<'a> KsHamiltonian<'a> {
         self.basis
     }
 
-    /// All-band application `H·Ψ` (BLAS3 path, paper Eq. (5)).
-    pub fn apply(&self, psi: &CMatrix) -> CMatrix {
-        let ws = Workspace::new();
-        let mut out = CMatrix::zeros(psi.rows(), psi.cols());
-        self.apply_into(psi, &mut out, &ws);
-        out
-    }
-
-    /// Allocation-free all-band application: overwrites `out` with `H·Ψ`,
-    /// borrowing every intermediate (the band panels, the projector overlap
-    /// matrix) from `ws`. Bitwise identical to [`Self::apply`].
+    /// All-band application `H·Ψ` (BLAS3 path, paper Eq. (5)): overwrites
+    /// `out`, borrowing every intermediate (the band panels, the projector
+    /// overlap matrix) from `ws`.
     pub fn apply_into(&self, psi: &CMatrix, out: &mut CMatrix, ws: &Workspace) {
         let _span = mqmd_util::trace::span("hamiltonian");
         let np = self.basis.len();
@@ -137,17 +130,8 @@ impl<'a> KsHamiltonian<'a> {
         }
     }
 
-    /// Single-band application `H·ψ` (BLAS2 path).
-    pub fn apply_band(&self, band: &[Complex64]) -> Vec<Complex64> {
-        let ws = Workspace::new();
-        let mut out = vec![Complex64::ZERO; band.len()];
-        self.apply_band_into(band, &mut out, &ws);
-        out
-    }
-
-    /// Allocation-free single-band application: overwrites `out` with `H·ψ`,
-    /// borrowing FFT intermediates from `ws`. Bitwise identical to
-    /// [`Self::apply_band`].
+    /// Single-band application `H·ψ` (BLAS2 path): overwrites `out`,
+    /// borrowing FFT intermediates from `ws`.
     #[allow(clippy::needless_range_loop)] // lockstep walk of b, band, out
     pub fn apply_band_into(&self, band: &[Complex64], out: &mut [Complex64], ws: &Workspace) {
         let _span = mqmd_util::trace::span("hamiltonian");
@@ -186,37 +170,6 @@ impl<'a> KsHamiltonian<'a> {
                 mqmd_util::flops::count_flops(16 * np as u64);
             }
         }
-    }
-
-    /// Rayleigh quotient `⟨ψ|H|ψ⟩` of a normalised band.
-    pub fn expectation(&self, band: &[Complex64]) -> f64 {
-        let h_band = self.apply_band(band);
-        band.iter()
-            .zip(&h_band)
-            .map(|(c, h)| (c.conj() * *h).re)
-            .sum()
-    }
-
-    /// Approximate diagonal of H in the plane-wave basis (kinetic + mean
-    /// local potential + nonlocal diagonal), used by preconditioners and
-    /// diagnostics.
-    #[allow(clippy::needless_range_loop)]
-    pub fn diagonal_estimate(&self) -> Vec<f64> {
-        let v_mean = self.v_local.iter().sum::<f64>() / self.v_local.len() as f64;
-        let mut diag: Vec<f64> = self
-            .basis
-            .g2()
-            .iter()
-            .map(|&g2| 0.5 * g2 + v_mean)
-            .collect();
-        if let Some(nl) = &self.nonlocal {
-            for (p_idx, &dp) in nl.d.iter().enumerate() {
-                for g in 0..self.basis.len() {
-                    diag[g] += dp * nl.b[(g, p_idx)].norm_sqr();
-                }
-            }
-        }
-        diag
     }
 }
 
@@ -331,6 +284,21 @@ mod tests {
         vec![(p, Vec3::new(2.0, 4.5, 4.5)), (p, Vec3::new(6.2, 4.5, 4.5))]
     }
 
+    fn apply_band(h: &KsHamiltonian, band: &[Complex64]) -> Vec<Complex64> {
+        let mut out = vec![Complex64::ZERO; band.len()];
+        h.apply_band_into(band, &mut out, &Workspace::new());
+        out
+    }
+
+    /// Rayleigh quotient `⟨ψ|H|ψ⟩` of a normalised band.
+    fn expectation(h: &KsHamiltonian, band: &[Complex64]) -> f64 {
+        let h_band = apply_band(h, band);
+        band.iter()
+            .zip(&h_band)
+            .map(|(c, h)| (c.conj() * *h).re)
+            .sum()
+    }
+
     #[test]
     fn blas2_and_blas3_paths_agree() {
         let b = basis();
@@ -339,20 +307,21 @@ mod tests {
         let nl = build_projectors(&b, &atoms);
         let h = KsHamiltonian::new(&b, v, nl.as_ref());
         let psi = b.random_bands(4, 3);
-        let all = h.apply(&psi);
+        let mut all = CMatrix::zeros(b.len(), 4);
+        h.apply_into(&psi, &mut all, &Workspace::new());
         for n in 0..4 {
-            let one = h.apply_band(&psi.col(n));
+            let one = apply_band(&h, &psi.col(n));
             for g in 0..b.len() {
                 assert!((all[(g, n)] - one[g]).abs() < 1e-10, "band {n} g {g}");
             }
         }
     }
 
-    /// The workspace-borrowing application paths must be *bitwise* identical
-    /// to the owned-return paths, including when the workspace is reused
-    /// across repeated applications (warm buffers must be unobservable).
+    /// Applications through a reused workspace must be *bitwise* identical
+    /// to applications through a fresh one (warm buffers must be
+    /// unobservable).
     #[test]
-    fn apply_into_matches_owned_paths_bitwise() {
+    fn warm_workspace_applications_are_bitwise_fresh() {
         let b = basis();
         let atoms = si_dimer(&b);
         let v = ionic_local_potential(b.grid(), &atoms);
@@ -363,9 +332,10 @@ mod tests {
         let mut out = CMatrix::zeros(b.len(), 4);
         let mut band_out = vec![Complex64::ZERO; b.len()];
         for rep in 0..3 {
-            let owned = h.apply(&psi);
+            let mut fresh = CMatrix::zeros(b.len(), 4);
+            h.apply_into(&psi, &mut fresh, &Workspace::new());
             h.apply_into(&psi, &mut out, &ws);
-            for (i, (a, p)) in owned.data().iter().zip(out.data()).enumerate() {
+            for (i, (a, p)) in fresh.data().iter().zip(out.data()).enumerate() {
                 assert!(
                     a.re.to_bits() == p.re.to_bits() && a.im.to_bits() == p.im.to_bits(),
                     "apply rep {rep} entry {i}: {a:?} vs {p:?}"
@@ -373,9 +343,9 @@ mod tests {
             }
             for n in 0..psi.cols() {
                 let band = psi.col(n);
-                let owned_b = h.apply_band(&band);
+                let fresh_b = apply_band(&h, &band);
                 h.apply_band_into(&band, &mut band_out, &ws);
-                for (g, (a, p)) in owned_b.iter().zip(&band_out).enumerate() {
+                for (g, (a, p)) in fresh_b.iter().zip(&band_out).enumerate() {
                     assert!(
                         a.re.to_bits() == p.re.to_bits() && a.im.to_bits() == p.im.to_bits(),
                         "apply_band rep {rep} band {n} g {g}"
@@ -399,8 +369,8 @@ mod tests {
         let psi = b.random_bands(2, 7);
         let phi = psi.col(0);
         let chi = psi.col(1);
-        let h_chi = h.apply_band(&chi);
-        let h_phi = h.apply_band(&phi);
+        let h_chi = apply_band(&h, &chi);
+        let h_phi = apply_band(&h, &phi);
         let lhs: Complex64 = phi.iter().zip(&h_chi).map(|(a, b)| a.conj() * *b).sum();
         let rhs: Complex64 = h_phi.iter().zip(&chi).map(|(a, b)| a.conj() * *b).sum();
         assert!(
@@ -417,7 +387,7 @@ mod tests {
         for gi in [0usize, 1, 5, 20] {
             let mut band = vec![Complex64::ZERO; b.len()];
             band[gi] = Complex64::ONE;
-            let e = h.expectation(&band);
+            let e = expectation(&h, &band);
             assert!((e - 0.5 * b.g2()[gi]).abs() < 1e-10);
         }
     }
@@ -430,8 +400,8 @@ mod tests {
         let h1 = KsHamiltonian::new(&b, vec![shift; b.grid().len()], None);
         let psi = b.random_bands(1, 21);
         let band = psi.col(0);
-        let e0 = h0.expectation(&band);
-        let e1 = h1.expectation(&band);
+        let e0 = expectation(&h0, &band);
+        let e1 = expectation(&h1, &band);
         assert!((e1 - e0 - shift).abs() < 1e-9);
     }
 

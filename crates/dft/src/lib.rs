@@ -6,7 +6,7 @@
 //! paper's "conventional O(N³) DFT" reference (§5.5).
 //!
 //! The implementation follows the structure of production plane-wave codes
-//! (Payne et al., Rev. Mod. Phys. 64, 1045 — the paper's ref [2]) with a
+//! (Payne et al., Rev. Mod. Phys. 64, 1045 — the paper's ref \[2\]) with a
 //! deliberately simplified pseudopotential parametrisation (documented in
 //! DESIGN.md): error-function-smeared local Coulomb potentials plus a
 //! Kleinman–Bylander-style separable nonlocal s-channel applied through the

@@ -116,15 +116,7 @@ impl PlaneWaveBasis {
     }
 
     /// Transforms one coefficient vector to real space:
-    /// `ψ(r_j) = (1/√V)·Σ_G c_G·e^{iG·r_j}` on the grid.
-    pub fn to_real(&self, coeffs: &[Complex64]) -> Vec<Complex64> {
-        let mut data = vec![Complex64::ZERO; self.grid.len()];
-        let ws = Workspace::new();
-        self.to_real_into(coeffs, &mut data, &ws);
-        data
-    }
-
-    /// Allocation-free form of [`Self::to_real`]: writes the real-space field
+    /// `ψ(r_j) = (1/√V)·Σ_G c_G·e^{iG·r_j}` on the grid. Writes the field
     /// into `out` (one grid's worth) and borrows FFT scratch from `ws`.
     pub fn to_real_into(&self, coeffs: &[Complex64], out: &mut [Complex64], ws: &Workspace) {
         assert_eq!(coeffs.len(), self.len());
@@ -183,15 +175,7 @@ impl PlaneWaveBasis {
     }
 
     /// Projects a real-space function back onto the basis (adjoint of
-    /// [`Self::to_real`]): `c_G = (√V/N)·FFT(ψ)_G`.
-    pub fn to_recip(&self, real: &[Complex64]) -> Vec<Complex64> {
-        let mut out = vec![Complex64::ZERO; self.len()];
-        let ws = Workspace::new();
-        self.to_recip_into(real, &mut out, &ws);
-        out
-    }
-
-    /// Allocation-free form of [`Self::to_recip`]: writes the `Np`
+    /// [`Self::to_real_into`]): `c_G = (√V/N)·FFT(ψ)_G`. Writes the `Np`
     /// coefficients into `out`, borrowing the grid-sized FFT buffer from `ws`.
     pub fn to_recip_into(&self, real: &[Complex64], out: &mut [Complex64], ws: &Workspace) {
         assert_eq!(real.len(), self.grid.len());
@@ -252,7 +236,8 @@ impl PlaneWaveBasis {
                 let damp = 1.0 / (1.0 + self.g2[g]);
                 Complex64::new(rng.normal() * damp, rng.normal() * damp)
             });
-            match mqmd_linalg::orthonorm::cholesky_orthonormalize(&mut psi) {
+            match mqmd_linalg::orthonorm::cholesky_orthonormalize_with(&mut psi, &Workspace::new())
+            {
                 Ok(_) => return Ok(psi),
                 Err(e) => last = Some(e),
             }
@@ -295,6 +280,12 @@ mod tests {
         PlaneWaveBasis::new(UniformGrid3::cubic(12, 8.0), 6.0)
     }
 
+    fn to_real(b: &PlaneWaveBasis, coeffs: &[Complex64]) -> Vec<Complex64> {
+        let mut out = vec![Complex64::ZERO; b.grid().len()];
+        b.to_real_into(coeffs, &mut out, &Workspace::new());
+        out
+    }
+
     #[test]
     fn g0_is_in_basis_and_count_below_grid() {
         let b = basis();
@@ -313,8 +304,9 @@ mod tests {
         let coeffs: Vec<Complex64> = (0..b.len())
             .map(|_| Complex64::new(rng.normal(), rng.normal()))
             .collect();
-        let real = b.to_real(&coeffs);
-        let back = b.to_recip(&real);
+        let real = to_real(&b, &coeffs);
+        let mut back = vec![Complex64::ZERO; b.len()];
+        b.to_recip_into(&real, &mut back, &Workspace::new());
         for (a, c) in back.iter().zip(&coeffs) {
             assert!((*a - *c).abs() < 1e-10);
         }
@@ -327,7 +319,7 @@ mod tests {
         let mut coeffs = vec![Complex64::ZERO; b.len()];
         let g0 = b.g2().iter().position(|&g| g == 0.0).unwrap();
         coeffs[g0] = Complex64::ONE;
-        let real = b.to_real(&coeffs);
+        let real = to_real(&b, &coeffs);
         let norm: f64 = real.iter().map(|z| z.norm_sqr()).sum::<f64>() * b.grid().dv();
         assert!((norm - 1.0).abs() < 1e-10);
         let expect = 1.0 / b.grid().volume().sqrt();
@@ -344,7 +336,7 @@ mod tests {
             .map(|_| Complex64::new(rng.normal(), rng.normal()))
             .collect();
         let c_norm: f64 = coeffs.iter().map(|z| z.norm_sqr()).sum();
-        let real = b.to_real(&coeffs);
+        let real = to_real(&b, &coeffs);
         let r_norm: f64 = real.iter().map(|z| z.norm_sqr()).sum::<f64>() * b.grid().dv();
         assert!((c_norm - r_norm).abs() < 1e-9 * c_norm);
     }

@@ -97,11 +97,6 @@ impl Pseudopotential {
         (-g2 * self.r_nl * self.r_nl / 4.0).exp()
     }
 
-    /// Whether any nonlocal channel is active.
-    pub fn has_nonlocal(&self) -> bool {
-        self.d0 != 0.0 || self.d1 != 0.0
-    }
-
     /// Number of projector columns this species contributes
     /// (1 for the s channel + 3 for an active p channel).
     pub fn n_projectors(&self) -> usize {
@@ -156,8 +151,8 @@ mod tests {
 
     #[test]
     fn hydrogen_has_no_nonlocal_channel() {
-        assert!(!Pseudopotential::for_element(Element::H).has_nonlocal());
-        assert!(Pseudopotential::for_element(Element::Si).has_nonlocal());
+        assert_eq!(Pseudopotential::for_element(Element::H).n_projectors(), 0);
+        assert!(Pseudopotential::for_element(Element::Si).n_projectors() > 0);
     }
 
     #[test]

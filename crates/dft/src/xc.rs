@@ -6,7 +6,7 @@
 
 /// Exchange energy density per electron: `ε_x(ρ) = −(3/4)(3ρ/π)^{1/3}`.
 #[inline]
-pub fn ex_per_electron(rho: f64) -> f64 {
+fn ex_per_electron(rho: f64) -> f64 {
     if rho <= 0.0 {
         return 0.0;
     }
@@ -15,7 +15,7 @@ pub fn ex_per_electron(rho: f64) -> f64 {
 
 /// Exchange potential `v_x = ∂(ρ·ε_x)/∂ρ = −(3ρ/π)^{1/3}`.
 #[inline]
-pub fn vx(rho: f64) -> f64 {
+fn vx(rho: f64) -> f64 {
     if rho <= 0.0 {
         return 0.0;
     }
@@ -33,12 +33,12 @@ const PZ_D: f64 = -0.0116;
 
 /// Wigner–Seitz radius `r_s = (3/(4πρ))^{1/3}`.
 #[inline]
-pub fn rs(rho: f64) -> f64 {
+fn rs(rho: f64) -> f64 {
     (3.0 / (4.0 * std::f64::consts::PI * rho)).cbrt()
 }
 
 /// Correlation energy per electron (PZ81).
-pub fn ec_per_electron(rho: f64) -> f64 {
+fn ec_per_electron(rho: f64) -> f64 {
     if rho <= 0.0 {
         return 0.0;
     }
@@ -51,7 +51,7 @@ pub fn ec_per_electron(rho: f64) -> f64 {
 }
 
 /// Correlation potential `v_c = ε_c − (r_s/3)·dε_c/dr_s` (PZ81).
-pub fn vc(rho: f64) -> f64 {
+fn vc(rho: f64) -> f64 {
     if rho <= 0.0 {
         return 0.0;
     }
@@ -72,7 +72,7 @@ pub fn vc(rho: f64) -> f64 {
 
 /// Total XC energy density per electron.
 #[inline]
-pub fn exc_per_electron(rho: f64) -> f64 {
+fn exc_per_electron(rho: f64) -> f64 {
     ex_per_electron(rho) + ec_per_electron(rho)
 }
 

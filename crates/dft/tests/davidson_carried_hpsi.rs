@@ -25,10 +25,11 @@ use mqmd_dft::pw::PlaneWaveBasis;
 use mqmd_dft::species::Pseudopotential;
 use mqmd_grid::UniformGrid3;
 use mqmd_linalg::eigen::zheev;
-use mqmd_linalg::gemm::{zgemm, zgemm_dagger_a};
-use mqmd_linalg::orthonorm::{cholesky_orthonormalize, mgs_orthonormalize};
+use mqmd_linalg::gemm::{zgemm, zgemm_dagger_a_into};
+use mqmd_linalg::orthonorm::{cholesky_orthonormalize_with, mgs_orthonormalize};
 use mqmd_linalg::CMatrix;
 use mqmd_util::constants::Element;
+use mqmd_util::workspace::Workspace;
 use mqmd_util::{Complex64, MqmdError, Vec3, Xoshiro256pp};
 use proptest::prelude::*;
 
@@ -62,6 +63,19 @@ fn product(a: &CMatrix, b: &CMatrix) -> CMatrix {
     c
 }
 
+fn apply(h: &KsHamiltonian, psi: &CMatrix) -> CMatrix {
+    let mut out = CMatrix::zeros(psi.rows(), psi.cols());
+    h.apply_into(psi, &mut out, &Workspace::new());
+    out
+}
+
+/// `A†·B`.
+fn dagger_a(a: &CMatrix, b: &CMatrix) -> CMatrix {
+    let mut out = CMatrix::zeros(a.cols(), b.cols());
+    zgemm_dagger_a_into(a, b, &mut out, &Workspace::new());
+    out
+}
+
 /// The parent algorithm, kept as the reference twin: `iters` iterations of
 /// block Davidson that apply `H` to Ψ at the top of each, then the Ritz
 /// recovery that applies it once more. Returns the recovered Ritz values.
@@ -69,8 +83,8 @@ fn parent_davidson(h: &KsHamiltonian, psi: &mut CMatrix, iters: usize) -> Vec<f6
     let (np, nb) = (psi.rows(), psi.cols());
     let g2 = h.basis().g2();
     for _ in 0..iters {
-        let h_psi = h.apply(psi);
-        let (theta, v) = zheev(&zgemm_dagger_a(psi, &h_psi)).expect("nb × nb Ritz problem");
+        let h_psi = apply(h, psi);
+        let (theta, v) = zheev(&dagger_a(psi, &h_psi)).expect("nb × nb Ritz problem");
         let h_psi = product(&h_psi, &v);
         *psi = product(psi, &v);
         let mut aug = CMatrix::zeros(np, 2 * nb);
@@ -82,16 +96,16 @@ fn parent_davidson(h: &KsHamiltonian, psi: &mut CMatrix, iters: usize) -> Vec<f6
                 aug[(g, nb + n)] = r.scale(tpa_factor(0.5 * g2[g] / ke));
             }
         }
-        if cholesky_orthonormalize(&mut aug).is_err() {
+        if cholesky_orthonormalize_with(&mut aug, &Workspace::new()).is_err() {
             mgs_orthonormalize(&mut aug);
         }
-        let h_aug = h.apply(&aug);
-        let (_, v2) = zheev(&zgemm_dagger_a(&aug, &h_aug)).expect("2nb × 2nb Ritz problem");
+        let h_aug = apply(h, &aug);
+        let (_, v2) = zheev(&dagger_a(&aug, &h_aug)).expect("2nb × 2nb Ritz problem");
         let v_keep = CMatrix::from_fn(2 * nb, nb, |i, n| v2[(i, n)]);
         *psi = product(&aug, &v_keep);
     }
-    let h_psi = h.apply(psi);
-    let (theta, _) = zheev(&zgemm_dagger_a(psi, &h_psi)).expect("nb × nb Ritz problem");
+    let h_psi = apply(h, psi);
+    let (theta, _) = zheev(&dagger_a(psi, &h_psi)).expect("nb × nb Ritz problem");
     theta
 }
 
@@ -140,11 +154,11 @@ proptest! {
                 "{} iterations: {:?}", iters, out.map(|r| r.iterations)
             );
             let bound = 1e-12 * (1.0 + h_norm);
-            let off = max_abs_diff(ew.h_psi(), &h.apply(&psi));
+            let off = max_abs_diff(ew.h_psi(), &apply(&h, &psi));
             prop_assert!(off <= bound, "{} iterations: carried H·Ψ off by {} (bound {})", iters, off, bound);
 
             let report = ritz_recovery(&mut psi, iters, &mut ew).expect("nb × nb Ritz problem");
-            let off = max_abs_diff(ew.h_psi(), &h.apply(&psi));
+            let off = max_abs_diff(ew.h_psi(), &apply(&h, &psi));
             prop_assert!(off <= bound, "{} iterations: recovered H·Ψ off by {} (bound {})", iters, off, bound);
 
             let mut psi_parent = psi0.clone();

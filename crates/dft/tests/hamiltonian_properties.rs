@@ -15,7 +15,7 @@ use mqmd_dft::hamiltonian::{build_projectors, KsHamiltonian};
 use mqmd_dft::pw::PlaneWaveBasis;
 use mqmd_dft::species::Pseudopotential;
 use mqmd_grid::UniformGrid3;
-use mqmd_linalg::gemm::zgemm_dagger_a;
+use mqmd_linalg::gemm::zgemm_dagger_a_into;
 use mqmd_linalg::CMatrix;
 use mqmd_util::constants::Element;
 use mqmd_util::workspace::Workspace;
@@ -60,7 +60,8 @@ proptest! {
         h.apply_into(&psi, &mut h_psi, &ws);
 
         // ⟨ψ_i|H ψ_j⟩ = conj ⟨ψ_j|H ψ_i⟩.
-        let m = zgemm_dagger_a(&psi, &h_psi);
+        let mut m = CMatrix::zeros(n_bands, n_bands);
+        zgemm_dagger_a_into(&psi, &h_psi, &mut m, &ws);
         let size = m.data().iter().map(|z| z.abs()).fold(1.0, f64::max);
         for i in 0..n_bands {
             for j in 0..=i {

@@ -345,6 +345,15 @@ impl Fft3d {
 
     /// In-place forward transform with scratch borrowed from `ws`.
     /// Bitwise identical to [`Fft3d::forward`].
+    ///
+    /// The one kernel kept in two forms, and neither wraps the other:
+    /// [`Fft3d::forward`]/[`Fft3d::inverse`] borrow from the plan's own
+    /// arena, which [`Fft3d::new`] reserves and books as a plan-time
+    /// allocation. `ionic_local_potential` and the local forces run every
+    /// QMD step on a fresh plan and take no workspace (the benchmark probes
+    /// pin the former's signature); through this form with a fresh
+    /// [`Workspace`] each call would book a borrow miss, and the
+    /// steady-state gate of zero workspace misses would fail.
     pub fn forward_with(&self, data: &mut [Complex64], ws: &Workspace) {
         self.transform(data, 1, &self.full, Direction::Forward, ws);
     }

@@ -23,12 +23,6 @@ pub fn bin_g(i: usize, n: usize, l: f64) -> f64 {
     std::f64::consts::TAU * bin_freq(i, n) as f64 / l
 }
 
-/// The largest |k| representable without aliasing (Nyquist) for length `n`.
-#[inline]
-pub fn nyquist(n: usize) -> i64 {
-    (n / 2) as i64
-}
-
 /// Squared magnitude `|G|²` for a 3-D bin `(ix, iy, iz)` of an
 /// `(nx, ny, nz)` grid over an orthorhombic cell `(lx, ly, lz)` — the plane-
 /// wave kinetic energy is `|G|²/2`.
@@ -79,11 +73,5 @@ mod tests {
         let c = g_norm_sqr((0, 0, 15), n, l); // k = −1
         assert!((a - b).abs() < 1e-15);
         assert!((a - c).abs() < 1e-15);
-    }
-
-    #[test]
-    fn nyquist_value() {
-        assert_eq!(nyquist(16), 8);
-        assert_eq!(nyquist(15), 7);
     }
 }

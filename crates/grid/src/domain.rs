@@ -40,7 +40,7 @@ impl Domain {
 
     /// Corner of the domain box (core origin minus buffer) in global
     /// coordinates, possibly negative before wrapping.
-    pub fn domain_origin(&self) -> Vec3 {
+    fn domain_origin(&self) -> Vec3 {
         self.core_origin - self.buffer
     }
 
@@ -225,7 +225,7 @@ impl DomainDecomposition {
 
     /// The domain whose *core* contains the wrapped point (unique since the
     /// cores tile the cell).
-    pub fn core_owner(&self, r: Vec3) -> &Domain {
+    fn core_owner(&self, r: Vec3) -> &Domain {
         let w = r.wrap(self.cell);
         let (ndx, ndy, ndz) = self.nd;
         let ix = ((w.x / self.cell.x * ndx as f64) as usize).min(ndx - 1);
@@ -235,7 +235,7 @@ impl DomainDecomposition {
     }
 
     /// All domains whose box (core + buffer) contains the point.
-    pub fn domains_containing(&self, r: Vec3) -> Vec<&Domain> {
+    fn domains_containing(&self, r: Vec3) -> Vec<&Domain> {
         // Only the core owner and its lattice neighbours can contain r.
         let owner = self.core_owner(r).lattice;
         let (ndx, ndy, ndz) = self.nd;
@@ -275,32 +275,6 @@ impl DomainDecomposition {
             *w /= total;
         }
         weights
-    }
-
-    /// Nearest-neighbour domain ids (face neighbours on the periodic domain
-    /// lattice) — the point-to-point communication pattern of §5.1.
-    pub fn face_neighbors(&self, id: usize) -> Vec<usize> {
-        let d = &self.domains[id];
-        let (ndx, ndy, ndz) = self.nd;
-        let (ix, iy, iz) = d.lattice;
-        let mut out = Vec::new();
-        for (dx, dy, dz) in [
-            (-1i64, 0i64, 0i64),
-            (1, 0, 0),
-            (0, -1, 0),
-            (0, 1, 0),
-            (0, 0, -1),
-            (0, 0, 1),
-        ] {
-            let jx = (ix as i64 + dx).rem_euclid(ndx as i64) as usize;
-            let jy = (iy as i64 + dy).rem_euclid(ndy as i64) as usize;
-            let jz = (iz as i64 + dz).rem_euclid(ndz as i64) as usize;
-            let j = (jx * ndy + jy) * ndz + jz;
-            if j != id && !out.contains(&j) {
-                out.push(j);
-            }
-        }
-        out
     }
 }
 
@@ -399,19 +373,6 @@ mod tests {
         // And a point at −0.5 (wrapped: 11.5) belongs to the last domain.
         let r2 = Vec3::new(-0.5, 0.5, 0.5);
         assert_eq!(dd.core_owner(r2).lattice.0, 2);
-    }
-
-    #[test]
-    fn face_neighbors_on_periodic_lattice() {
-        let dd = decomp();
-        let n = dd.face_neighbors(0);
-        assert_eq!(n.len(), 6);
-        // 2-domain axes: the ±x neighbours coincide, so only 3 distinct
-        // face neighbours remain.
-        let dd2 = DomainDecomposition::new(Vec3::splat(8.0), (2, 2, 2), 1.0);
-        let n2 = dd2.face_neighbors(0);
-        assert_eq!(n2.len(), 3);
-        assert!(n2.contains(&4) && n2.contains(&2) && n2.contains(&1));
     }
 
     #[test]

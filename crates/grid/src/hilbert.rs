@@ -1,17 +1,18 @@
 //! Space-filling curves: Morton (Z-order) and Hilbert.
 //!
 //! The paper compresses trajectory I/O with a "spacefilling-curve-based
-//! adaptive data compression scheme" (§4.4, ref [65]): sorting atoms along a
+//! adaptive data compression scheme" (§4.4, ref \[65\]): sorting atoms along a
 //! space-filling curve makes consecutive coordinates spatially close, so
 //! delta encoding of quantised positions needs few bits. The Hilbert curve
 //! (implemented here with Skilling's transpose algorithm) guarantees that
-//! consecutive curve indices are face-adjacent cells; Morton order is kept as
-//! the cheaper, slightly less local alternative and as the octree child
-//! ordering.
+//! consecutive curve indices are face-adjacent cells. Morton order, the
+//! cheaper and slightly less local alternative, is kept as the tests'
+//! baseline.
 
 /// Morton (Z-order) encoding of a 3-D cell coordinate with `bits` bits per
 /// axis.
-pub fn morton_encode(x: u32, y: u32, z: u32, bits: u32) -> u64 {
+#[cfg(test)]
+fn morton_encode(x: u32, y: u32, z: u32, bits: u32) -> u64 {
     debug_assert!(bits <= 21);
     let mut out = 0u64;
     for b in 0..bits {
@@ -22,8 +23,9 @@ pub fn morton_encode(x: u32, y: u32, z: u32, bits: u32) -> u64 {
     out
 }
 
-/// Inverse of [`morton_encode`].
-pub fn morton_decode(m: u64, bits: u32) -> (u32, u32, u32) {
+/// Inverse of `morton_encode`.
+#[cfg(test)]
+fn morton_decode(m: u64, bits: u32) -> (u32, u32, u32) {
     let (mut x, mut y, mut z) = (0u32, 0u32, 0u32);
     for b in 0..bits {
         x |= (((m >> (3 * b)) & 1) as u32) << b;

@@ -5,9 +5,8 @@
 //! combined pairwise-per-axis up a tree whose upper levels carry
 //! progressively less data — the property that makes the algorithm
 //! *metascalable* on tree networks (§7). This module provides that tree over
-//! an `n³` domain lattice (n a power of two) together with hierarchical
-//! reduction and broadcast, and reports the per-level message counts the
-//! communication model in `mqmd-parallel` consumes.
+//! an `n³` domain lattice (n a power of two) together with its hierarchical
+//! reduction.
 
 /// An octree over an `n × n × n` lattice of cells, `n` a power of two.
 #[derive(Clone, Debug)]
@@ -50,39 +49,9 @@ impl Octree {
         side * side * side
     }
 
-    /// Total node count over all levels.
-    pub fn total_nodes(&self) -> usize {
-        (0..=self.levels).map(|l| self.nodes_at_level(l)).sum()
-    }
-
-    /// Morton (Z-order) leaf index of lattice cell `(x, y, z)` — children of
-    /// any node are contiguous in this ordering, which is what preserves
-    /// locality in memory and on the interconnect.
-    pub fn leaf_index(&self, x: usize, y: usize, z: usize) -> usize {
-        assert!(x < self.n && y < self.n && z < self.n);
-        let mut idx = 0usize;
-        for bit in 0..self.levels {
-            idx |= ((x >> bit) & 1) << (3 * bit);
-            idx |= ((y >> bit) & 1) << (3 * bit + 1);
-            idx |= ((z >> bit) & 1) << (3 * bit + 2);
-        }
-        idx
-    }
-
-    /// Inverse of [`Self::leaf_index`].
-    pub fn leaf_coords(&self, idx: usize) -> (usize, usize, usize) {
-        let (mut x, mut y, mut z) = (0usize, 0usize, 0usize);
-        for bit in 0..self.levels {
-            x |= ((idx >> (3 * bit)) & 1) << bit;
-            y |= ((idx >> (3 * bit + 1)) & 1) << bit;
-            z |= ((idx >> (3 * bit + 2)) & 1) << bit;
-        }
-        (x, y, z)
-    }
-
     /// Hierarchical reduction: folds leaf values up the tree with `combine`,
-    /// returning the root value. `leaves` must be in Morton order (so the
-    /// eight children of each node are adjacent).
+    /// returning the root value. `leaves` must be in Morton (Z-)order, so
+    /// the eight children of each node are adjacent.
     pub fn reduce<T: Clone>(&self, leaves: &[T], combine: impl Fn(&T, &T) -> T) -> T {
         assert_eq!(leaves.len(), self.nodes_at_level(0), "leaf count mismatch");
         let mut level: Vec<T> = leaves.to_vec();
@@ -104,12 +73,6 @@ impl Octree {
             .expect("octree has at least one node")
     }
 
-    /// Number of point-to-point messages a full up-sweep (reduction) sends:
-    /// every non-root node sends once to its parent.
-    pub fn upsweep_messages(&self) -> usize {
-        self.total_nodes() - 1
-    }
-
     /// Tree depth a message travels from leaf to root — the latency chain
     /// length for the machine model.
     pub fn depth(&self) -> usize {
@@ -128,34 +91,6 @@ mod tests {
         assert_eq!(t.nodes_at_level(0), 64);
         assert_eq!(t.nodes_at_level(1), 8);
         assert_eq!(t.nodes_at_level(2), 1);
-        assert_eq!(t.total_nodes(), 73);
-        assert_eq!(t.upsweep_messages(), 72);
-    }
-
-    #[test]
-    fn morton_round_trip() {
-        let t = Octree::new(8);
-        for x in 0..8 {
-            for y in 0..8 {
-                for z in 0..8 {
-                    let idx = t.leaf_index(x, y, z);
-                    assert!(idx < 512);
-                    assert_eq!(t.leaf_coords(idx), (x, y, z));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn morton_children_are_contiguous() {
-        let t = Octree::new(4);
-        // The 8 cells of the 2×2×2 block at origin occupy indices 0..8.
-        let mut idxs: Vec<usize> = (0..2)
-            .flat_map(|x| (0..2).flat_map(move |y| (0..2).map(move |z| (x, y, z))))
-            .map(|(x, y, z)| t.leaf_index(x, y, z))
-            .collect();
-        idxs.sort_unstable();
-        assert_eq!(idxs, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -177,7 +112,6 @@ mod tests {
     fn trivial_tree() {
         let t = Octree::new(1);
         assert_eq!(t.levels(), 0);
-        assert_eq!(t.total_nodes(), 1);
         assert_eq!(t.reduce(&[42.0], |a, b| a + b), 42.0);
     }
 

@@ -9,7 +9,7 @@
 
 /// Cubic smoothstep: 0 at `t ≤ 0`, 1 at `t ≥ 1`, C¹ in between.
 #[inline]
-pub fn smoothstep(t: f64) -> f64 {
+fn smoothstep(t: f64) -> f64 {
     let t = t.clamp(0.0, 1.0);
     t * t * (3.0 - 2.0 * t)
 }
@@ -23,7 +23,7 @@ pub fn smoothstep(t: f64) -> f64 {
 /// With `b = 0` the profile becomes the indicator of the core (hard DC
 /// partition).
 #[inline]
-pub fn profile_1d(x: f64, core_len: f64, buffer: f64) -> f64 {
+fn profile_1d(x: f64, core_len: f64, buffer: f64) -> f64 {
     if buffer == 0.0 {
         return if (0.0..core_len).contains(&x) {
             1.0

@@ -3,7 +3,7 @@
 //! The paper orthonormalises Kohn–Sham wave functions by "first constructing
 //! an overlap matrix … followed by parallel Cholesky decomposition of the
 //! overlap matrix" (§3.3). [`zpotrf`] is that kernel; `mqmd-linalg::orthonorm`
-//! combines it with triangular solves to realise `Ψ ← Ψ·L⁻†`.
+//! combines it with the triangular inverse to realise `Ψ ← Ψ·L⁻†`.
 
 use crate::cmatrix::CMatrix;
 use crate::matrix::Matrix;
@@ -71,13 +71,6 @@ pub fn zpotrf(a: &CMatrix) -> Result<CMatrix> {
     Ok(l)
 }
 
-/// Solves `A·x = b` for symmetric positive-definite `A` via Cholesky.
-pub fn dposv(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let l = dpotrf(a)?;
-    let y = crate::triangular::dtrsv_lower(&l, b);
-    Ok(crate::triangular::dtrsv_upper_from_lower_t(&l, &y))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,17 +135,5 @@ mod tests {
         let mut a = Matrix::identity(3);
         a[(2, 2)] = -1.0;
         assert!(matches!(dpotrf(&a), Err(MqmdError::Numerical(_))));
-    }
-
-    #[test]
-    fn dposv_solves() {
-        let a = spd(5);
-        let x_true: Vec<f64> = (0..5).map(|i| i as f64 - 2.0).collect();
-        let mut b = vec![0.0; 5];
-        crate::gemm::dgemv(1.0, &a, &x_true, 0.0, &mut b);
-        let x = dposv(&a, &b).unwrap();
-        for (xa, xb) in x.iter().zip(&x_true) {
-            assert!((xa - xb).abs() < 1e-10);
-        }
     }
 }

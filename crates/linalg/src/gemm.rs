@@ -9,7 +9,7 @@
 //! * [`dgemm`]/[`zgemm`] — the all-band path, using the cache-friendly
 //!   `i-k-j` loop order on row-major data and rayon parallelism over output
 //!   row blocks (no synchronisation: each task owns disjoint rows of C);
-//! * [`zgemm_dagger_a`] — `A†·B`, the overlap-matrix kernel of the band
+//! * [`zgemm_dagger_a_into`] — `A†·B`, the overlap-matrix kernel of the band
 //!   orthonormalisation (§3.3).
 //!
 //! ## SIMD microkernels (Table 1's QPX vectorization, on AVX2)
@@ -346,25 +346,15 @@ pub fn zgemv(alpha: Complex64, a: &CMatrix, x: &[Complex64], beta: Complex64, y:
     }
 }
 
-/// Computes `A†·B` (an `A.cols × B.cols` matrix). With `A = B = Ψ` this is
-/// the band overlap matrix `S = Ψ†Ψ` that feeds the Cholesky
+/// Computes `A†·B` into `out` (which must already be `A.cols × B.cols`),
+/// drawing the per-chunk partial accumulators from `ws`. With `A = B = Ψ`
+/// this is the band overlap matrix `S = Ψ†Ψ` that feeds the Cholesky
 /// orthonormalisation.
-pub fn zgemm_dagger_a(a: &CMatrix, b: &CMatrix) -> CMatrix {
-    let ws = Workspace::new();
-    let mut out = CMatrix::zeros(a.cols(), b.cols());
-    zgemm_dagger_a_into(a, b, &mut out, &ws);
-    out
-}
-
-/// Allocation-free form of [`zgemm_dagger_a`]: writes `A†·B` into `out`
-/// (which must already be `A.cols × B.cols`) and draws the per-chunk partial
-/// accumulators from `ws`.
 ///
 /// The plane-wave range is split into fixed-size chunks and the per-chunk
 /// partials are summed *sequentially in chunk order*. The chunk size
 /// depends only on the problem shape — never on the rayon pool width — so
-/// the result is bitwise identical to the owned-return path for any thread
-/// count, on both the scalar and the vector path (which replicates the
+/// the result is bitwise identical for any thread count, on both the scalar and the vector path (which replicates the
 /// scalar op order lane-by-lane).
 pub fn zgemm_dagger_a_into(a: &CMatrix, b: &CMatrix, out: &mut CMatrix, ws: &Workspace) {
     let _span = mqmd_util::trace::span("gemm");
@@ -465,7 +455,7 @@ mod avx {
 
     /// Runs `f` on a thread-local packing buffer of `len` elements,
     /// recording the (one-time) allocation when the buffer first grows.
-    pub fn with_pack<R>(len: usize, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+    pub(super) fn with_pack<R>(len: usize, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
         PACK_A.with(|cell| {
             let mut v = cell.borrow_mut();
             if v.capacity() < len {
@@ -741,8 +731,8 @@ mod tests {
                 ((i + 2 * j) % 5) as f64 * -0.1,
             )
         });
-        let s = zgemm_dagger_a(&psi, &psi);
-        assert_eq!(s.rows(), 5);
+        let mut s = CMatrix::zeros(5, 5);
+        zgemm_dagger_a_into(&psi, &psi, &mut s, &Workspace::new());
         assert!(s.is_hermitian(1e-12), "overlap must be Hermitian");
         // Compare against dagger+zgemm.
         let mut s2 = CMatrix::zeros(5, 5);
@@ -757,19 +747,20 @@ mod tests {
     }
 
     #[test]
-    fn dagger_a_into_matches_owned_bitwise() {
+    fn dagger_a_warm_workspace_is_bitwise_fresh() {
         let a = CMatrix::from_fn(130, 6, |i, j| {
             Complex64::new((i as f64).sin() * 0.2, (j as f64 + 1.0).cos())
         });
         let b = CMatrix::from_fn(130, 4, |i, j| {
             Complex64::new((i + j) as f64 * 0.01, (i as f64) * -0.03)
         });
-        let owned = zgemm_dagger_a(&a, &b);
+        let mut fresh = CMatrix::zeros(6, 4);
+        zgemm_dagger_a_into(&a, &b, &mut fresh, &Workspace::new());
         let ws = Workspace::new();
         let mut pooled = CMatrix::zeros(6, 4);
         for _ in 0..3 {
             zgemm_dagger_a_into(&a, &b, &mut pooled, &ws);
-            for (x, y) in owned.data().iter().zip(pooled.data()) {
+            for (x, y) in fresh.data().iter().zip(pooled.data()) {
                 assert_eq!(x.re.to_bits(), y.re.to_bits());
                 assert_eq!(x.im.to_bits(), y.im.to_bits());
             }

@@ -20,7 +20,7 @@
 //!   (Rayleigh–Ritz) diagonalisation;
 //! * [`orthonorm`] — Cholesky-based and modified-Gram–Schmidt band
 //!   orthonormalisation;
-//! * [`triangular`] — forward/backward substitution.
+//! * [`triangular`] — the lower-triangular inverse `L⁻¹`.
 //!
 //! All kernels report analytic FLOP counts through
 //! [`mqmd_util::flops::count_flops`] so the Blue Gene/Q machine model can

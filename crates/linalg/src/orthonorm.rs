@@ -12,7 +12,7 @@
 
 use crate::cholesky::zpotrf;
 use crate::cmatrix::CMatrix;
-use crate::gemm::{zgemm, zgemm_dagger_a, zgemm_dagger_a_into};
+use crate::gemm::{zgemm, zgemm_dagger_a_into};
 use crate::triangular::ztrtri_lower;
 use mqmd_util::workspace::Workspace;
 use mqmd_util::{Complex64, Result};
@@ -20,15 +20,11 @@ use mqmd_util::{Complex64, Result};
 /// Orthonormalises the columns of `psi` in place via overlap + Cholesky
 /// (the paper's §3.3 kernel). Returns the overlap matrix's departure from
 /// identity before the update, `‖S − I‖_F`, a useful convergence diagnostic.
-pub fn cholesky_orthonormalize(psi: &mut CMatrix) -> Result<f64> {
-    let ws = Workspace::new();
-    cholesky_orthonormalize_with(psi, &ws)
-}
-
-/// Allocation-free form of [`cholesky_orthonormalize`]: the overlap matrix
-/// and the rotated-band buffer are drawn from `ws`, so a warm arena makes
-/// the per-iteration orthonormalisation free of hot-path allocations. The
-/// small triangular factors (`Nb × Nb`) remain plain owned values.
+///
+/// The overlap matrix and the rotated-band buffer are drawn from `ws`, so a
+/// warm arena makes the per-iteration orthonormalisation free of hot-path
+/// allocations. The small triangular factors (`Nb × Nb`) remain plain owned
+/// values.
 pub fn cholesky_orthonormalize_with(psi: &mut CMatrix, ws: &Workspace) -> Result<f64> {
     let _span = mqmd_util::trace::span("orthonorm");
     let nb = psi.cols();
@@ -88,8 +84,9 @@ pub fn mgs_orthonormalize(psi: &mut CMatrix) {
 
 /// Measures `‖Ψ†Ψ − I‖_F`, the orthonormality defect of a band matrix.
 pub fn orthonormality_defect(psi: &CMatrix) -> f64 {
-    let s = zgemm_dagger_a(psi, psi);
-    let nb = s.rows();
+    let nb = psi.cols();
+    let mut s = CMatrix::zeros(nb, nb);
+    zgemm_dagger_a_into(psi, psi, &mut s, &Workspace::new());
     let mut dev = 0.0;
     for i in 0..nb {
         for j in 0..nb {
@@ -113,10 +110,15 @@ mod tests {
         CMatrix::from_fn(np, nb, |_, _| Complex64::new(rng.normal(), rng.normal()))
     }
 
+    /// Orthonormalises through a fresh arena.
+    fn orthonormalize(psi: &mut CMatrix) -> Result<f64> {
+        cholesky_orthonormalize_with(psi, &Workspace::new())
+    }
+
     #[test]
     fn cholesky_orthonormalize_yields_identity_overlap() {
         let mut psi = random_bands(200, 8);
-        let dev_before = cholesky_orthonormalize(&mut psi).unwrap();
+        let dev_before = orthonormalize(&mut psi).unwrap();
         assert!(dev_before > 1.0, "random bands start far from orthonormal");
         assert!(orthonormality_defect(&psi) < 1e-10);
     }
@@ -127,13 +129,14 @@ mod tests {
         // bands onto the old span should preserve their norm.
         let mut psi = random_bands(64, 4);
         let orig = psi.clone();
-        cholesky_orthonormalize(&mut psi).unwrap();
+        orthonormalize(&mut psi).unwrap();
 
         // Build an orthonormal basis of the original span via MGS, then check
         // each new band has unit norm within that span.
         let mut basis = orig.clone();
         mgs_orthonormalize(&mut basis);
-        let coeffs = zgemm_dagger_a(&basis, &psi); // 4x4
+        let mut coeffs = CMatrix::zeros(4, 4);
+        zgemm_dagger_a_into(&basis, &psi, &mut coeffs, &Workspace::new());
         for j in 0..4 {
             let mut norm = 0.0;
             for i in 0..4 {
@@ -150,26 +153,26 @@ mod tests {
     fn mgs_matches_cholesky_defect() {
         let mut a = random_bands(128, 6);
         let mut b = a.clone();
-        cholesky_orthonormalize(&mut a).unwrap();
+        orthonormalize(&mut a).unwrap();
         mgs_orthonormalize(&mut b);
         assert!(orthonormality_defect(&a) < 1e-10);
         assert!(orthonormality_defect(&b) < 1e-10);
     }
 
-    /// The pooled-workspace form must be bitwise identical to the owned
-    /// path, warm or cold — the arena is unobservable in the numerics.
+    /// A warm workspace must give bitwise the result of a fresh one — the
+    /// arena is unobservable in the numerics.
     #[test]
-    fn with_workspace_is_bitwise_identical() {
+    fn warm_workspace_is_bitwise_fresh() {
         let psi0 = random_bands(96, 5);
-        let mut owned = psi0.clone();
-        let dev_owned = cholesky_orthonormalize(&mut owned).unwrap();
-        let ws = mqmd_util::workspace::Workspace::new();
+        let mut fresh = psi0.clone();
+        let dev_fresh = orthonormalize(&mut fresh).unwrap();
+        let ws = Workspace::new();
         for _ in 0..2 {
             // First pass misses (cold arena), second hits — same bits.
             let mut pooled = psi0.clone();
             let dev_pooled = cholesky_orthonormalize_with(&mut pooled, &ws).unwrap();
-            assert_eq!(dev_owned.to_bits(), dev_pooled.to_bits());
-            for (a, b) in owned.data().iter().zip(pooled.data()) {
+            assert_eq!(dev_fresh.to_bits(), dev_pooled.to_bits());
+            for (a, b) in fresh.data().iter().zip(pooled.data()) {
                 assert_eq!(a.re.to_bits(), b.re.to_bits());
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
@@ -180,9 +183,9 @@ mod tests {
     #[test]
     fn idempotent_on_orthonormal_input() {
         let mut psi = random_bands(100, 5);
-        cholesky_orthonormalize(&mut psi).unwrap();
+        orthonormalize(&mut psi).unwrap();
         let before = psi.clone();
-        let dev = cholesky_orthonormalize(&mut psi).unwrap();
+        let dev = orthonormalize(&mut psi).unwrap();
         assert!(dev < 1e-9, "already orthonormal: defect {dev}");
         assert!(psi.max_abs_diff(&before) < 1e-9);
     }

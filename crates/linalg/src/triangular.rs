@@ -1,60 +1,9 @@
-//! Triangular solves (forward/backward substitution), real and complex.
+//! Complex lower-triangular inversion, the `L⁻¹` of the Cholesky
+//! orthonormalisation.
 
 use crate::cmatrix::CMatrix;
-use crate::matrix::Matrix;
 use mqmd_util::flops::count_flops;
 use mqmd_util::Complex64;
-
-/// Solves `L·y = b` for lower-triangular `L` (forward substitution).
-pub fn dtrsv_lower(l: &Matrix, b: &[f64]) -> Vec<f64> {
-    let n = l.rows();
-    assert_eq!(l.cols(), n);
-    assert_eq!(b.len(), n);
-    count_flops((n * n) as u64);
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let mut s = b[i];
-        for j in 0..i {
-            s -= l[(i, j)] * y[j];
-        }
-        y[i] = s / l[(i, i)];
-    }
-    y
-}
-
-/// Solves `Lᵀ·x = y` given lower-triangular `L` (backward substitution on
-/// the implicit upper factor).
-pub fn dtrsv_upper_from_lower_t(l: &Matrix, y: &[f64]) -> Vec<f64> {
-    let n = l.rows();
-    assert_eq!(y.len(), n);
-    count_flops((n * n) as u64);
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut s = y[i];
-        for j in (i + 1)..n {
-            s -= l[(j, i)] * x[j];
-        }
-        x[i] = s / l[(i, i)];
-    }
-    x
-}
-
-/// Solves `L·y = b` for complex lower-triangular `L`.
-pub fn ztrsv_lower(l: &CMatrix, b: &[Complex64]) -> Vec<Complex64> {
-    let n = l.rows();
-    assert_eq!(l.cols(), n);
-    assert_eq!(b.len(), n);
-    count_flops(4 * (n * n) as u64);
-    let mut y = vec![Complex64::ZERO; n];
-    for i in 0..n {
-        let mut s = b[i];
-        for j in 0..i {
-            s -= l[(i, j)] * y[j];
-        }
-        y[i] = s / l[(i, i)];
-    }
-    y
-}
 
 /// Inverts a complex lower-triangular matrix in O(n³/3).
 pub fn ztrtri_lower(l: &CMatrix) -> CMatrix {
@@ -83,58 +32,6 @@ pub fn ztrtri_lower(l: &CMatrix) -> CMatrix {
 mod tests {
     use super::*;
     use crate::gemm::zgemm;
-
-    #[test]
-    fn forward_substitution() {
-        let mut l = Matrix::identity(3);
-        l[(1, 0)] = 2.0;
-        l[(2, 0)] = -1.0;
-        l[(2, 1)] = 0.5;
-        l[(2, 2)] = 4.0;
-        let b = [1.0, 4.0, 3.0];
-        let y = dtrsv_lower(&l, &b);
-        // check L·y = b
-        for i in 0..3 {
-            let mut s = 0.0;
-            for j in 0..3 {
-                s += l[(i, j)] * y[j];
-            }
-            assert!((s - b[i]).abs() < 1e-13);
-        }
-    }
-
-    #[test]
-    fn backward_substitution() {
-        let mut l = Matrix::identity(3);
-        l[(1, 0)] = 1.5;
-        l[(2, 1)] = -2.0;
-        let y = [3.0, -1.0, 2.0];
-        let x = dtrsv_upper_from_lower_t(&l, &y);
-        // check Lᵀ·x = y
-        for i in 0..3 {
-            let mut s = 0.0;
-            for j in 0..3 {
-                s += l[(j, i)] * x[j];
-            }
-            assert!((s - y[i]).abs() < 1e-13);
-        }
-    }
-
-    #[test]
-    fn complex_forward_substitution() {
-        let mut l = CMatrix::identity(3);
-        l[(1, 0)] = Complex64::new(1.0, -1.0);
-        l[(2, 2)] = Complex64::new(2.0, 0.0);
-        let b = vec![Complex64::ONE, Complex64::I, Complex64::new(1.0, 1.0)];
-        let y = ztrsv_lower(&l, &b);
-        for i in 0..3 {
-            let mut s = Complex64::ZERO;
-            for j in 0..3 {
-                s += l[(i, j)] * y[j];
-            }
-            assert!((s - b[i]).abs() < 1e-13);
-        }
-    }
 
     #[test]
     fn triangular_inverse() {

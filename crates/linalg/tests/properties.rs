@@ -2,9 +2,10 @@
 
 use mqmd_linalg::cholesky::{dpotrf, zpotrf};
 use mqmd_linalg::eigen::{dsyev, zheev};
-use mqmd_linalg::gemm::{dgemm, dgemv, zgemm, zgemm_dagger_a, zgemv};
-use mqmd_linalg::orthonorm::{cholesky_orthonormalize, orthonormality_defect};
+use mqmd_linalg::gemm::{dgemm, dgemv, zgemm, zgemm_dagger_a_into, zgemv};
+use mqmd_linalg::orthonorm::{cholesky_orthonormalize_with, orthonormality_defect};
 use mqmd_linalg::{CMatrix, Matrix};
+use mqmd_util::workspace::Workspace;
 use mqmd_util::{Complex64, Xoshiro256pp};
 use proptest::prelude::*;
 
@@ -16,6 +17,13 @@ fn random_matrix(n: usize, m: usize, seed: u64) -> Matrix {
 fn random_cmatrix(n: usize, m: usize, seed: u64) -> CMatrix {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     CMatrix::from_fn(n, m, |_, _| Complex64::new(rng.normal(), rng.normal()))
+}
+
+/// `A†·B`.
+fn dagger_a(a: &CMatrix, b: &CMatrix) -> CMatrix {
+    let mut out = CMatrix::zeros(a.cols(), b.cols());
+    zgemm_dagger_a_into(a, b, &mut out, &Workspace::new());
+    out
 }
 
 proptest! {
@@ -64,7 +72,7 @@ proptest! {
     #[test]
     fn zpotrf_reconstructs_random_hpd(n in 2usize..8, seed in any::<u64>()) {
         let m = random_cmatrix(n, n, seed);
-        let s = zgemm_dagger_a(&m, &m);
+        let s = dagger_a(&m, &m);
         let mut a = s.clone();
         for i in 0..n { a[(i, i)] += Complex64::from_re(n as f64); }
         let l = zpotrf(&a).unwrap();
@@ -86,13 +94,13 @@ proptest! {
     #[test]
     fn hermitian_eigenvalues_are_real_and_sorted(n in 2usize..7, seed in any::<u64>()) {
         let m = random_cmatrix(n, n, seed);
-        let a = zgemm_dagger_a(&m, &m);
+        let a = dagger_a(&m, &m);
         let (vals, v) = zheev(&a).unwrap();
         for w in vals.windows(2) {
             prop_assert!(w[0] <= w[1] + 1e-10);
         }
         // Unitary eigenvectors.
-        let vdv = zgemm_dagger_a(&v, &v);
+        let vdv = dagger_a(&v, &v);
         prop_assert!(vdv.max_abs_diff(&CMatrix::identity(n)) < 1e-9);
     }
 
@@ -100,7 +108,7 @@ proptest! {
     fn orthonormalisation_always_succeeds_on_random_bands(np in 10usize..80, nb in 1usize..8, seed in any::<u64>()) {
         prop_assume!(nb < np);
         let mut psi = random_cmatrix(np, nb, seed);
-        cholesky_orthonormalize(&mut psi).unwrap();
+        cholesky_orthonormalize_with(&mut psi, &Workspace::new()).unwrap();
         prop_assert!(orthonormality_defect(&psi) < 1e-8);
     }
 
@@ -143,7 +151,7 @@ proptest! {
     fn dagger_a_matches_explicit_conjugate_transpose(np in 1usize..90, na in 1usize..9, nb in 1usize..9, seed in any::<u64>()) {
         let a = random_cmatrix(np, na, seed);
         let b = random_cmatrix(np, nb, seed ^ 17);
-        let s = zgemm_dagger_a(&a, &b);
+        let s = dagger_a(&a, &b);
         let mut expect = CMatrix::zeros(na, nb);
         zgemm(Complex64::ONE, &a.dagger(), &b, Complex64::ZERO, &mut expect);
         prop_assert!(s.max_abs_diff(&expect) < 1e-12 * (1.0 + expect.frobenius_norm()));

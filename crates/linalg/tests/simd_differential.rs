@@ -17,10 +17,11 @@
 //! `f64x4`) sweep every remainder class of the 4×8 register block, and the
 //! explicit empty/unit cases pin the degenerate early-outs.
 
-use mqmd_linalg::gemm::{dgemm_scalar, dgemm_simd, zgemm_dagger_a, zgemm_scalar, zgemm_simd};
-use mqmd_linalg::orthonorm::cholesky_orthonormalize;
+use mqmd_linalg::gemm::{dgemm_scalar, dgemm_simd, zgemm_dagger_a_into, zgemm_scalar, zgemm_simd};
+use mqmd_linalg::orthonorm::cholesky_orthonormalize_with;
 use mqmd_linalg::{CMatrix, Matrix};
 use mqmd_util::simd::max_ulp_diff;
+use mqmd_util::workspace::Workspace;
 use mqmd_util::{Complex64, Xoshiro256pp};
 use proptest::prelude::*;
 
@@ -198,7 +199,9 @@ fn zgemm_dagger_a_is_bitwise_deterministic_across_thread_counts() {
     let psi = random_cmatrix(3000, 6, 23);
     let phi = random_cmatrix(3000, 5, 24);
     assert_thread_count_invariant("zgemm_dagger_a", true, || {
-        bits_of(&zgemm_dagger_a(&psi, &phi))
+        let mut s = CMatrix::zeros(6, 5);
+        zgemm_dagger_a_into(&psi, &phi, &mut s, &Workspace::new());
+        bits_of(&s)
     });
 }
 
@@ -210,7 +213,8 @@ fn orthonormalization_is_bitwise_deterministic_across_thread_counts() {
         let psi0 = random_cmatrix(np, nb, 25);
         assert_thread_count_invariant("cholesky_orthonormalize", pooled, || {
             let mut psi = psi0.clone();
-            cholesky_orthonormalize(&mut psi).expect("random bands orthonormalize");
+            cholesky_orthonormalize_with(&mut psi, &Workspace::new())
+                .expect("random bands orthonormalize");
             bits_of(&psi)
         });
     }

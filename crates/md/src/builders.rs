@@ -32,7 +32,7 @@ const FCC: [[f64; 3]; 4] = [
 
 /// Builds an `ncx × ncy × ncz` supercell of a zinc-blende AB crystal with
 /// conventional lattice constant `a` (8 atoms per conventional cell).
-pub fn zincblende(
+fn zincblende(
     a: f64,
     elem_a: Element,
     elem_b: Element,
@@ -66,15 +66,6 @@ pub fn sic_supercell(nc: (usize, usize, usize)) -> AtomicSystem {
 /// CdSe zinc-blende supercell; `sic_supercell`'s analogue for Fig 7.
 pub fn cdse_supercell(nc: (usize, usize, usize)) -> AtomicSystem {
     zincblende(CDSE_LATTICE_BOHR, Element::Cd, Element::Se, nc)
-}
-
-/// The paper's Fig 7 geometry: 512-atom CdSe in a 45.664 a.u. cubic box,
-/// amorphised by Gaussian displacements of width `sigma` Bohr.
-pub fn cdse_amorphous_512(sigma: f64, rng: &mut Xoshiro256pp) -> AtomicSystem {
-    let mut s = cdse_supercell((4, 4, 4));
-    debug_assert_eq!(s.len(), 512);
-    amorphize(&mut s, sigma, rng);
-    s
 }
 
 /// B32 (NaTl) LiAl supercell: Li and Al each occupy one of two
@@ -144,16 +135,6 @@ mod tests {
         // 64 atoms per core means one 2×2×2-cell SiC block per core (Fig 5).
         let s = sic_supercell((2, 2, 2));
         assert_eq!(s.len(), 64);
-    }
-
-    #[test]
-    fn fig7_system_is_512_atoms_in_45_664_box() {
-        let mut rng = Xoshiro256pp::seed_from_u64(7);
-        let s = cdse_amorphous_512(0.3, &mut rng);
-        assert_eq!(s.len(), 512);
-        assert!((s.cell.x - 45.664).abs() < 1e-10);
-        assert_eq!(s.count(Element::Cd), 256);
-        assert_eq!(s.count(Element::Se), 256);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub struct LennardJones {
 
 impl LennardJones {
     /// Pair energy at distance `r` (shifted).
-    pub fn pair_energy(&self, r: f64) -> f64 {
+    fn pair_energy(&self, r: f64) -> f64 {
         if r >= self.cutoff {
             return 0.0;
         }
@@ -71,7 +71,7 @@ impl LennardJones {
     }
 
     /// Magnitude of `dV/dr` at distance `r` (unshifted derivative).
-    pub fn pair_dvdr(&self, r: f64) -> f64 {
+    fn pair_dvdr(&self, r: f64) -> f64 {
         if r >= self.cutoff {
             return 0.0;
         }

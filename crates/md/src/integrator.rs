@@ -102,7 +102,8 @@ impl VelocityVerlet {
 
 /// Flips all velocities — composing `run(n); reverse; run(n)` must return to
 /// the start for a time-reversible integrator.
-pub fn reverse_velocities(system: &mut AtomicSystem) {
+#[cfg(test)]
+fn reverse_velocities(system: &mut AtomicSystem) {
     for v in &mut system.velocities {
         *v = -*v;
     }
@@ -110,7 +111,8 @@ pub fn reverse_velocities(system: &mut AtomicSystem) {
 
 /// Maximum relative total-energy drift over a trajectory, the conservation
 /// metric quoted by QMD verification studies.
-pub fn energy_drift(energies: &[f64]) -> f64 {
+#[cfg(test)]
+fn energy_drift(energies: &[f64]) -> f64 {
     if energies.len() < 2 {
         return 0.0;
     }

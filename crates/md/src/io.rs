@@ -1,7 +1,7 @@
 //! Trajectory I/O with space-filling-curve delta compression.
 //!
 //! The paper (§4.4) reduces atomic-coordinate I/O with a
-//! "spacefilling-curve-based adaptive data compression scheme" (ref [65]):
+//! "spacefilling-curve-based adaptive data compression scheme" (ref \[65\]):
 //! positions are quantised onto a fine grid, atoms are ordered along a
 //! space-filling curve, and the curve indices are delta-encoded — spatially
 //! adjacent atoms have nearby curve indices, so the deltas are small and

@@ -119,7 +119,7 @@ impl AtomicSystem {
     }
 
     /// Removes centre-of-mass momentum.
-    pub fn remove_drift(&mut self) {
+    fn remove_drift(&mut self) {
         let mut p = Vec3::ZERO;
         let mut m_tot = 0.0;
         for i in 0..self.len() {

@@ -34,16 +34,8 @@ impl FftPoisson {
         &self.grid
     }
 
-    /// Solves `∇²V = −4πρ` for the Hartree potential `V` (zero mean).
-    pub fn hartree(&self, rho: &[f64]) -> Vec<f64> {
-        let mut v = vec![0.0; rho.len()];
-        let ws = Workspace::new();
-        self.hartree_into(rho, &mut v, &ws);
-        v
-    }
-
-    /// Allocation-free form of [`Self::hartree`]: writes the potential into
-    /// `out`, borrowing the complex FFT field from `ws`.
+    /// Solves `∇²V = −4πρ` for the Hartree potential `V` (zero mean): writes
+    /// the potential into `out`, borrowing the complex FFT field from `ws`.
     pub fn hartree_into(&self, rho: &[f64], out: &mut [f64], ws: &Workspace) {
         let _span = mqmd_util::trace::span("poisson");
         assert_eq!(rho.len(), self.grid.len());
@@ -62,7 +54,7 @@ impl FftPoisson {
 
     /// Multiplies by the periodic Coulomb Green's function `4π/G²` in place
     /// (`G = 0` zeroed).
-    pub fn apply_greens_function(&self, data: &mut [Complex64]) {
+    fn apply_greens_function(&self, data: &mut [Complex64]) {
         let (nx, ny, nz) = self.grid.dims();
         let lens = self.grid.lengths();
         for ix in 0..nx {
@@ -79,26 +71,18 @@ impl FftPoisson {
             }
         }
     }
-
-    /// Hartree energy `½·∫ρ(r)·V_H(r) d³r` of a density.
-    pub fn hartree_energy(&self, rho: &[f64]) -> f64 {
-        let ws = Workspace::new();
-        self.hartree_energy_with(rho, &ws)
-    }
-
-    /// Allocation-free form of [`Self::hartree_energy`]: the potential field
-    /// is borrowed from `ws`.
-    pub fn hartree_energy_with(&self, rho: &[f64], ws: &Workspace) -> f64 {
-        let mut v = ws.borrow_f64(self.grid.len());
-        self.hartree_into(rho, &mut v, ws);
-        0.5 * rho.iter().zip(v.iter()).map(|(r, vh)| r * vh).sum::<f64>() * self.grid.dv()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::TAU;
+
+    fn hartree(solver: &FftPoisson, rho: &[f64]) -> Vec<f64> {
+        let mut v = vec![0.0; rho.len()];
+        solver.hartree_into(rho, &mut v, &Workspace::new());
+        v
+    }
 
     #[test]
     fn single_mode_analytic() {
@@ -108,7 +92,7 @@ mod tests {
         let gx = TAU / l;
         let rho = g.sample(|r| (gx * r.x).cos());
         let solver = FftPoisson::new(g.clone());
-        let v = solver.hartree(&rho);
+        let v = hartree(&solver, &rho);
         let scale = 4.0 * std::f64::consts::PI / (gx * gx);
         let expect = g.sample(|r| scale * (gx * r.x).cos());
         for (a, b) in v.iter().zip(&expect) {
@@ -124,7 +108,7 @@ mod tests {
         // Zero-mean (jellium) density.
         crate::stencil::remove_mean(&mut rho);
         let solver = FftPoisson::new(g.clone());
-        let v = solver.hartree(&rho);
+        let v = hartree(&solver, &rho);
         // Check in reciprocal space: −G²·V(G) = −4π·ρ(G) for all G ≠ 0.
         let fft = mqmd_fft::Fft3d::cubic(16);
         let mut vg: Vec<Complex64> = v.iter().map(|&x| Complex64::from_re(x)).collect();
@@ -147,21 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn hartree_energy_positive_for_zero_mean_density() {
-        // E_H = ½Σ 4π|ρ(G)|²/G² ≥ 0.
-        let g = UniformGrid3::cubic(8, 4.0);
-        let mut rng = mqmd_util::Xoshiro256pp::seed_from_u64(17);
-        let mut rho: Vec<f64> = (0..g.len()).map(|_| rng.normal()).collect();
-        crate::stencil::remove_mean(&mut rho);
-        let e = FftPoisson::new(g).hartree_energy(&rho);
-        assert!(e > 0.0);
-    }
-
-    #[test]
     fn output_has_zero_mean() {
         let g = UniformGrid3::cubic(8, 4.0);
         let rho = g.sample(|r| r.x * r.y * 0.1 + 1.0);
-        let v = FftPoisson::new(g).hartree(&rho);
+        let v = hartree(&FftPoisson::new(g), &rho);
         let mean = v.iter().sum::<f64>() / v.len() as f64;
         assert!(mean.abs() < 1e-10);
     }

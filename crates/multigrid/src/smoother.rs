@@ -6,8 +6,10 @@ use rayon::prelude::*;
 
 /// One weighted-Jacobi sweep for `∇²u = f` with weight `omega`
 /// (2/3 is the classical choice that damps the high-frequency error modes
-/// multigrid relies on).
-pub fn jacobi_sweep(grid: &UniformGrid3, u: &mut [f64], f: &[f64], omega: f64) {
+/// multigrid relies on). The tests' reference smoother: the production
+/// hierarchy smooths with red-black Gauss–Seidel.
+#[cfg(test)]
+fn jacobi_sweep(grid: &UniformGrid3, u: &mut [f64], f: &[f64], omega: f64) {
     let (nx, ny, nz) = grid.dims();
     let (hx, hy, hz) = grid.spacing();
     let (cx, cy, cz) = (1.0 / (hx * hx), 1.0 / (hy * hy), 1.0 / (hz * hz));

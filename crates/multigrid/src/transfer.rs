@@ -18,14 +18,8 @@ pub fn coarsen(fine: &UniformGrid3) -> UniformGrid3 {
 
 /// Full-weighting restriction: each coarse value is the 27-point weighted
 /// average of the co-located fine cell and its neighbours (weights
-/// 8/4/2/1 ÷ 64), with periodic wrapping.
-pub fn restrict(fine_grid: &UniformGrid3, fine: &[f64], coarse_grid: &UniformGrid3) -> Vec<f64> {
-    let mut out = vec![0.0; coarse_grid.len()];
-    restrict_into(fine_grid, fine, coarse_grid, &mut out);
-    out
-}
-
-/// Allocation-free form of [`restrict`]: writes the coarse field into `out`.
+/// 8/4/2/1 ÷ 64), with periodic wrapping. Writes the coarse field into
+/// `out`.
 pub fn restrict_into(
     fine_grid: &UniformGrid3,
     fine: &[f64],
@@ -128,7 +122,8 @@ mod tests {
         let fg = UniformGrid3::cubic(8, 4.0);
         let cg = coarsen(&fg);
         let fine = vec![2.5; fg.len()];
-        let coarse = restrict(&fg, &fine, &cg);
+        let mut coarse = vec![0.0; cg.len()];
+        restrict_into(&fg, &fine, &cg, &mut coarse);
         for v in &coarse {
             assert!((v - 2.5).abs() < 1e-13);
         }
@@ -152,7 +147,8 @@ mod tests {
         let fg = UniformGrid3::cubic(8, 4.0);
         let cg = coarsen(&fg);
         let fine = fg.sample(|r| (r.x - 1.0) * (r.y + 0.3) + r.z);
-        let coarse = restrict(&fg, &fine, &cg);
+        let mut coarse = vec![0.0; cg.len()];
+        restrict_into(&fg, &fine, &cg, &mut coarse);
         let mf = fine.iter().sum::<f64>() / fine.len() as f64;
         let mc = coarse.iter().sum::<f64>() / coarse.len() as f64;
         assert!((mf - mc).abs() < 1e-12);

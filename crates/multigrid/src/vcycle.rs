@@ -124,14 +124,8 @@ impl PoissonMultigrid {
     }
 
     /// Solves `∇²u = f` (periodic, `f` projected to zero mean), writing the
-    /// zero-mean solution into `u` (used as the initial guess).
-    pub fn solve(&self, u: &mut [f64], f: &[f64]) -> Result<MgReport> {
-        let mut hier = self.plan();
-        self.solve_with(u, f, &mut hier)
-    }
-
-    /// Allocation-free form of [`Self::solve`]: all per-level scratch comes
-    /// from a hierarchy planned by [`Self::plan`].
+    /// zero-mean solution into `u` (used as the initial guess). All
+    /// per-level scratch comes from a hierarchy planned by [`Self::plan`].
     pub fn solve_with(&self, u: &mut [f64], f: &[f64], hier: &mut MgHierarchy) -> Result<MgReport> {
         let fine = &self.levels[0];
         assert_eq!(u.len(), fine.len());
@@ -175,16 +169,9 @@ impl PoissonMultigrid {
         })
     }
 
-    /// Convenience wrapper solving the Hartree problem `∇²V = −4πρ`.
-    pub fn hartree(&self, rho: &[f64]) -> Result<Vec<f64>> {
-        let mut v = vec![0.0; self.levels[0].len()];
-        let mut hier = self.plan();
-        self.hartree_with(rho, &mut v, &mut hier)?;
-        Ok(v)
-    }
-
-    /// Allocation-free form of [`Self::hartree`]: writes the potential into
-    /// `v` (zeroed first, so results match [`Self::hartree`] exactly).
+    /// Solves the Hartree problem `∇²V = −4πρ`, writing the potential into
+    /// `v` (zeroed first, so a warm hierarchy gives the bits of a fresh
+    /// one).
     pub fn hartree_with(
         &self,
         rho: &[f64],
@@ -249,7 +236,14 @@ fn geometric_mean(factors: &[f64], first: f64, last: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::fftpoisson::FftPoisson;
+    use mqmd_util::workspace::Workspace;
     use std::f64::consts::TAU;
+
+    fn hartree(mg: &PoissonMultigrid, rho: &[f64]) -> Vec<f64> {
+        let mut v = vec![0.0; rho.len()];
+        mg.hartree_with(rho, &mut v, &mut mg.plan()).unwrap();
+        v
+    }
 
     #[test]
     fn hierarchy_depth() {
@@ -265,7 +259,9 @@ mod tests {
         let f = g.sample(|r| (k * r.x).sin() * (k * r.y).cos() + 0.5 * (2.0 * k * r.z).sin());
         let mg = PoissonMultigrid::with_defaults(g);
         let mut u = vec![0.0; f.len()];
-        let report = mg.solve(&mut u, &f).expect("must converge");
+        let report = mg
+            .solve_with(&mut u, &f, &mut mg.plan())
+            .expect("must converge");
         assert!(report.rel_residual < 1e-8);
         assert!(
             report.contraction < 0.35,
@@ -283,8 +279,9 @@ mod tests {
         // Zero-mean smooth density.
         let rho = g.sample(|r| (k * r.x).cos() * (k * r.y).sin() + 0.3 * (2.0 * k * r.z).cos());
         let mg = PoissonMultigrid::with_defaults(g.clone());
-        let v_mg = mg.hartree(&rho).unwrap();
-        let v_fft = FftPoisson::new(g.clone()).hartree(&rho);
+        let v_mg = hartree(&mg, &rho);
+        let mut v_fft = vec![0.0; rho.len()];
+        FftPoisson::new(g.clone()).hartree_into(&rho, &mut v_fft, &Workspace::new());
         // The FFT solves the continuous (spectral) operator, MG the 7-point
         // discrete one: they agree to discretisation error O(h²).
         let scale = v_fft.iter().map(|x| x.abs()).fold(0.0, f64::max);
@@ -304,7 +301,7 @@ mod tests {
         let f = g.sample(|r| (k * r.x).sin());
         let mg = PoissonMultigrid::with_defaults(g.clone());
         let mut u = vec![0.0; f.len()];
-        mg.solve(&mut u, &f).unwrap();
+        mg.solve_with(&mut u, &f, &mut mg.plan()).unwrap();
         let h = l / n as f64;
         let eig = -(2.0 / (h * h)) * (1.0 - (k * h).cos());
         let expect = g.sample(|r| (k * r.x).sin() / eig);
@@ -319,7 +316,9 @@ mod tests {
         let f = g.sample(|r| (TAU * r.x / 4.0).sin() * (TAU * r.y / 8.0).cos());
         let mg = PoissonMultigrid::with_defaults(g);
         let mut u = vec![0.0; f.len()];
-        let report = mg.solve(&mut u, &f).expect("must converge");
+        let report = mg
+            .solve_with(&mut u, &f, &mut mg.plan())
+            .expect("must converge");
         assert!(report.rel_residual < 1e-8);
     }
 
@@ -338,7 +337,7 @@ mod tests {
         // Dirty the hierarchy with an unrelated solve, then compare.
         mg.hartree_with(&rho_b, &mut warm, &mut hier).unwrap();
         for rho in [&rho_a, &rho_b] {
-            let cold = mg.hartree(rho).unwrap();
+            let cold = hartree(&mg, rho);
             mg.hartree_with(rho, &mut warm, &mut hier).unwrap();
             for (i, (a, b)) in cold.iter().zip(&warm).enumerate() {
                 assert!(a.to_bits() == b.to_bits(), "mismatch at {i}: {a} vs {b}");
@@ -355,9 +354,9 @@ mod tests {
         let f = g.sample(|r| (k * r.x).sin());
         let mg = PoissonMultigrid::with_defaults(g);
         let mut cold = vec![0.0; f.len()];
-        let r1 = mg.solve(&mut cold, &f).unwrap();
+        let r1 = mg.solve_with(&mut cold, &f, &mut mg.plan()).unwrap();
         let mut warm = cold.clone();
-        let r2 = mg.solve(&mut warm, &f).unwrap();
+        let r2 = mg.solve_with(&mut warm, &f, &mut mg.plan()).unwrap();
         assert!(r2.cycles <= r1.cycles);
         assert_eq!(
             r2.cycles, 1,

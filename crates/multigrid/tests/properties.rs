@@ -4,6 +4,7 @@
 use mqmd_grid::UniformGrid3;
 use mqmd_multigrid::stencil::{norm, remove_mean, residual};
 use mqmd_multigrid::{FftPoisson, PoissonMultigrid};
+use mqmd_util::workspace::Workspace;
 use mqmd_util::Xoshiro256pp;
 use proptest::prelude::*;
 
@@ -44,7 +45,7 @@ proptest! {
         prop_assume!(norm(&f) > 1e-8);
         let mg = PoissonMultigrid::with_defaults(grid.clone());
         let mut u = vec![0.0; grid.len()];
-        let report = mg.solve(&mut u, &f).unwrap();
+        let report = mg.solve_with(&mut u, &f, &mut mg.plan()).unwrap();
         prop_assert!(report.rel_residual < 1e-8);
         // Verify against the operator directly.
         let mut r = vec![0.0; grid.len()];
@@ -58,8 +59,11 @@ proptest! {
         let mut rho = smooth_field(&grid, seed);
         remove_mean(&mut rho);
         prop_assume!(norm(&rho) > 1e-8);
-        let v_mg = PoissonMultigrid::with_defaults(grid.clone()).hartree(&rho).unwrap();
-        let v_fft = FftPoisson::new(grid).hartree(&rho);
+        let mg = PoissonMultigrid::with_defaults(grid.clone());
+        let mut v_mg = vec![0.0; grid.len()];
+        mg.hartree_with(&rho, &mut v_mg, &mut mg.plan()).unwrap();
+        let mut v_fft = vec![0.0; grid.len()];
+        FftPoisson::new(grid).hartree_into(&rho, &mut v_fft, &Workspace::new());
         let scale = v_fft.iter().map(|x| x.abs()).fold(1e-12, f64::max);
         for (a, b) in v_mg.iter().zip(&v_fft) {
             // Discretisation difference only: O(h²) of the 16³ grid.
@@ -75,11 +79,11 @@ proptest! {
         prop_assume!(norm(&f) > 1e-8);
         let mg = PoissonMultigrid::with_defaults(grid.clone());
         let mut u1 = vec![0.0; grid.len()];
-        mg.solve(&mut u1, &f).unwrap();
+        mg.solve_with(&mut u1, &f, &mut mg.plan()).unwrap();
         let f2: Vec<f64> = f.iter().map(|&x| alpha * x).collect();
         prop_assume!(alpha.abs() > 1e-3);
         let mut u2 = vec![0.0; grid.len()];
-        mg.solve(&mut u2, &f2).unwrap();
+        mg.solve_with(&mut u2, &f2, &mut mg.plan()).unwrap();
         let scale = u1.iter().map(|x| x.abs()).fold(1e-12, f64::max);
         for (a, b) in u1.iter().zip(&u2) {
             prop_assert!((alpha * a - b).abs() < 1e-5 * scale * (1.0 + alpha.abs()));

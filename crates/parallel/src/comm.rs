@@ -228,7 +228,7 @@ impl TrafficStats {
 // ---------------------------------------------------------------------------
 
 /// Binomial-tree parent: clear the lowest set bit. Rank 0 is the root.
-pub fn binomial_parent(rank: usize) -> usize {
+fn binomial_parent(rank: usize) -> usize {
     debug_assert!(rank > 0);
     rank & (rank - 1)
 }
@@ -236,7 +236,7 @@ pub fn binomial_parent(rank: usize) -> usize {
 /// Binomial-tree children of `rank` in a `size`-rank communicator:
 /// `rank + 2^j` for each `j` below the rank's lowest set bit (rank 0:
 /// every power of two), ascending.
-pub fn binomial_children(rank: usize, size: usize) -> Vec<usize> {
+fn binomial_children(rank: usize, size: usize) -> Vec<usize> {
     let lsb = if rank == 0 {
         usize::BITS
     } else {

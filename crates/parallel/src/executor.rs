@@ -1,7 +1,7 @@
 //! The in-process backend: MPI-style rank programs on threads.
 //!
 //! Historically this executor *was* the architecture; after the
-//! [`Comm`](crate::comm::Comm) refactor it is one of two backends —
+//! [`Comm`] refactor it is one of two backends —
 //! ranks as threads, links as channels. The multi-process backend lives
 //! in [`crate::process`]. Neither prices messages: what a collective
 //! *should* cost on a machine is the digital twin's question
@@ -280,7 +280,7 @@ where
 }
 
 /// [`run_ranks`] with deadline and cancellation wiring.
-pub fn run_ranks_opts<T, F>(n: usize, opts: RunOpts, f: F) -> Vec<T>
+fn run_ranks_opts<T, F>(n: usize, opts: RunOpts, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, &ThreadComm) -> T + Sync,

@@ -23,7 +23,7 @@
 //! * [`scaling`] — the weak-scaling (Fig 5), strong-scaling (Fig 6) and
 //!   FLOP/s (Table 2) predictors;
 //! * [`io`] — the collective-I/O aggregation model of §4.4;
-//! * [`comm`] — the transport-agnostic [`Comm`](comm::Comm) trait every
+//! * [`comm`] — the transport-agnostic [`Comm`] trait every
 //!   backend implements, with the shared deterministic collectives
 //!   (binomial allreduce, ring halo exchange, pairwise all-to-all);
 //! * [`executor`] — the thread backend: MPI-style rank programs on

@@ -68,7 +68,7 @@ impl MachineSpec {
     }
 
     /// Peak FLOP/s of one core.
-    pub fn peak_flops_per_core(&self) -> f64 {
+    fn peak_flops_per_core(&self) -> f64 {
         self.clock_hz * self.flops_per_core_cycle
     }
 

@@ -32,7 +32,7 @@ pub struct MeasuredProfile {
 impl MeasuredProfile {
     /// Parses a profile document; any schema tag but
     /// [`PROFILE_SCHEMA`](mqmd_util::metrics::PROFILE_SCHEMA) is an error.
-    pub fn from_json(text: &str) -> Result<Self> {
+    fn from_json(text: &str) -> Result<Self> {
         let doc = parse_json(text)?;
         let kernels = kernel_table(&doc)?;
         let fig5_domain_secs = doc

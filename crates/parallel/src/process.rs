@@ -148,21 +148,10 @@ pub struct SocketComm {
 
 impl SocketComm {
     /// Connects to the parent at `addr`, sends HELLO, and starts the
-    /// frame reader thread. Joins at epoch 0 with heartbeats off — the
-    /// PR 7 wire behavior.
-    pub fn connect(
-        addr: &str,
-        rank: usize,
-        size: usize,
-        deadline: Option<Duration>,
-    ) -> CommResult<SocketComm> {
-        SocketComm::connect_at(addr, rank, size, deadline, 0, 0)
-    }
-
-    /// Full-control connect: joins at `epoch` (a reborn incarnation
-    /// joins at the bumped generation) and beats a heartbeat every
-    /// `heartbeat_ms` (0 disables).
-    pub fn connect_at(
+    /// frame reader thread. Joins at `epoch` (a reborn incarnation joins at
+    /// the bumped generation) and beats a heartbeat every `heartbeat_ms`
+    /// (0 disables).
+    fn connect_at(
         addr: &str,
         rank: usize,
         size: usize,
@@ -323,7 +312,7 @@ impl SocketComm {
 
     /// Lingers after RESULT until the supervisor declares the run
     /// complete — or a restart/quarantine fence asks for a replay.
-    pub fn await_completion(&self) -> CommResult<()> {
+    fn await_completion(&self) -> CommResult<()> {
         self.wait_for("await_completion", |inbox, _| inbox.complete.then_some(()))
     }
 }
@@ -598,7 +587,7 @@ impl Default for RecoveryOpts {
 /// `rank` — the PR 6 serve-runtime idiom: deterministic per
 /// `(seed, rank, attempt)`, exponential base, jitter of up to one
 /// period, capped.
-pub fn respawn_backoff(rec: &RecoveryOpts, rank: usize, attempt: u32) -> Duration {
+fn respawn_backoff(rec: &RecoveryOpts, rank: usize, attempt: u32) -> Duration {
     let mut rng = Xoshiro256pp::seed_from_u64(
         rec.seed
             ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)

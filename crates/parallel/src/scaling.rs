@@ -50,7 +50,7 @@ impl WeakScalingModel {
     }
 
     /// Wall-clock time per QMD step on `p` cores.
-    pub fn time_per_step(&self, p: usize) -> f64 {
+    fn time_per_step(&self, p: usize) -> f64 {
         assert!(p >= 1);
         let imbalance =
             self.t_domain * self.imbalance_width * (2.0 * (p.max(2) as f64).ln()).sqrt();
@@ -137,12 +137,12 @@ impl StrongScalingModel {
     }
 
     /// Communicator size per domain at `p` cores.
-    pub fn cores_per_domain(&self, p: usize) -> usize {
+    fn cores_per_domain(&self, p: usize) -> usize {
         (p / self.n_domains).max(1)
     }
 
     /// Communication time per step at `p` cores.
-    pub fn comm_time(&self, p: usize) -> f64 {
+    fn comm_time(&self, p: usize) -> f64 {
         let c = self.cores_per_domain(p);
         if c <= 1 {
             return 0.0;
@@ -154,7 +154,7 @@ impl StrongScalingModel {
     }
 
     /// Wall-clock time per QMD step on `p` cores.
-    pub fn time_per_step(&self, p: usize) -> f64 {
+    fn time_per_step(&self, p: usize) -> f64 {
         self.work_core_seconds / p as f64 + self.comm_time(p)
     }
 

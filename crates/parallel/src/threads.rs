@@ -52,7 +52,7 @@ impl Default for ThreadModel {
 
 impl ThreadModel {
     /// Issue-side efficiency at `t ∈ {1, 2, 4}` hardware threads per core.
-    pub fn issue_efficiency(&self, threads_per_core: usize) -> f64 {
+    fn issue_efficiency(&self, threads_per_core: usize) -> f64 {
         match threads_per_core {
             1 => self.single_thread_eff,
             2 => self.single_thread_eff * self.dual_issue_gain,
@@ -64,14 +64,14 @@ impl ThreadModel {
 
     /// Memory-bandwidth ceiling as a fraction of node peak:
     /// `AI × mem_bw / peak_flops_node`.
-    pub fn bandwidth_ceiling(&self, m: &MachineSpec) -> f64 {
+    fn bandwidth_ceiling(&self, m: &MachineSpec) -> f64 {
         (self.arithmetic_intensity * m.mem_bandwidth / m.peak_flops_per_node()).min(1.0)
     }
 
     /// Sustained fraction of peak for `nodes` nodes at `threads_per_core`,
     /// relative to a `base_nodes` run of the same total problem (Table 1
     /// fixes 64 ranks and scales nodes 4 → 16).
-    pub fn sustained_fraction(
+    fn sustained_fraction(
         &self,
         m: &MachineSpec,
         nodes: usize,

@@ -4,7 +4,7 @@
 //! model — it changed its job. Instead of *standing in* for
 //! communication, the model now runs **beside** it: every executed
 //! collective books its closed-form message/byte totals and rank-0
-//! wall time into a [`TrafficStats`] ledger, and the twin replays that
+//! wall time into a [`TrafficStats`](crate::comm::TrafficStats) ledger, and the twin replays that
 //! ledger through [`crate::collectives`] to predict what each
 //! collective *should* have cost on a given machine; it is the one place
 //! the model meets measurement. The `repro_profile` binary emits the comparison (predicted
@@ -82,7 +82,7 @@ impl TwinModel {
     /// per message across `p` ranks. Ops map onto the model that
     /// prices their schedule; unknown ops fall back to sequential
     /// point-to-point messages.
-    pub fn predict_call(&self, op: &str, per_msg_bytes: f64, msgs_per_call: f64, p: usize) -> f64 {
+    fn predict_call(&self, op: &str, per_msg_bytes: f64, msgs_per_call: f64, p: usize) -> f64 {
         let m = &self.machine;
         match op {
             "allreduce_sum" => allreduce_time(m, per_msg_bytes, p),

@@ -34,6 +34,10 @@ pub const MAX_PAYLOAD: u32 = 1 << 30;
 /// Bytes in the fixed frame header.
 pub const HEADER_LEN: usize = 17;
 
+/// The payload buffer starts at most this large and grows only as bytes
+/// arrive, so a header alone cannot reserve [`MAX_PAYLOAD`].
+const PAYLOAD_START: usize = 64 << 10;
+
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -191,7 +195,7 @@ impl EpochGate {
 }
 
 /// Packs `f64` words little-endian. Exact: every bit pattern round-trips.
-pub fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
+fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 8);
     for v in values {
         out.extend_from_slice(&v.to_le_bytes());
@@ -201,7 +205,7 @@ pub fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
 
 /// Inverse of [`f64s_to_bytes`]; errors on lengths that are not a
 /// multiple of 8.
-pub fn bytes_to_f64s(bytes: &[u8]) -> CommResult<Vec<f64>> {
+fn bytes_to_f64s(bytes: &[u8]) -> CommResult<Vec<f64>> {
     if !bytes.len().is_multiple_of(8) {
         return Err(CommError::Transport(format!(
             "payload length {} is not a multiple of 8",
@@ -268,13 +272,20 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
     let src = u32::from_le_bytes(header[5..9].try_into().expect("4 bytes"));
     let dest = u32::from_le_bytes(header[9..13].try_into().expect("4 bytes"));
     let epoch = u32::from_le_bytes(header[13..17].try_into().expect("4 bytes"));
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| {
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_START));
+    let torn = |what: String| {
         io::Error::new(
             io::ErrorKind::UnexpectedEof,
-            format!("torn frame payload: {e}"),
+            format!("torn frame payload: {what}"),
         )
-    })?;
+    };
+    r.take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(|e| torn(e.to_string()))?;
+    if payload.len() < len {
+        return Err(torn(format!("{} of {len} bytes", payload.len())));
+    }
     Ok(Some(Frame {
         kind,
         src,

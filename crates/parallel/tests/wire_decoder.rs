@@ -3,10 +3,65 @@
 //! streams cut at every offset. Every frame of the rank transport goes
 //! through [`read_frame`], so a hostile or torn stream must end in a typed
 //! `io::Error` — never a panic, a hang or a frame nobody sent.
+//!
+//! A counting `#[global_allocator]` (per thread, so the tests do not see
+//! one another) holds the decoder to allocating what arrives, not what a
+//! header declares.
 
-use mqmd_parallel::wire::{read_frame, write_frame, Frame, FrameKind, HEADER_LEN};
+use mqmd_parallel::wire::{read_frame, write_frame, Frame, FrameKind, HEADER_LEN, MAX_PAYLOAD};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io;
+
+thread_local! {
+    /// The largest single allocation (or reallocation) this thread made
+    /// while `WATCHING`.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static WATCHING: Cell<bool> = const { Cell::new(false) };
+}
+
+struct WatchingAllocator;
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down, when there is nothing to watch.
+    if WATCHING.try_with(Cell::get).unwrap_or(false) {
+        let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; watching touches
+// no memory the allocator hands out.
+unsafe impl GlobalAlloc for WatchingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: WatchingAllocator = WatchingAllocator;
+
+/// The largest single allocation this thread makes inside `f`.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|m| m.set(0));
+    WATCHING.with(|w| w.set(true));
+    let out = f();
+    WATCHING.with(|w| w.set(false));
+    (out, LARGEST.with(Cell::get))
+}
 
 /// Reads frames off `bytes` until a clean end (`Ok`) or an error.
 fn decode_all(bytes: &[u8]) -> (Vec<Frame>, io::Result<()>) {
@@ -27,6 +82,25 @@ fn encode(frames: &[Frame]) -> Vec<u8> {
         write_frame(&mut buf, f).unwrap();
     }
     buf
+}
+
+/// A header declaring the largest payload the decoder accepts, then ten
+/// bytes of it and EOF: a typed torn-payload error, after allocating
+/// nowhere near the declared gigabyte.
+#[test]
+fn a_header_alone_cannot_reserve_the_declared_payload() {
+    let mut bytes = MAX_PAYLOAD.to_le_bytes().to_vec();
+    bytes.push(FrameKind::Data as u8);
+    bytes.extend_from_slice(&[0; 12]); // src, dest, epoch
+    assert_eq!(bytes.len(), HEADER_LEN);
+    bytes.extend_from_slice(&[7; 10]);
+    let (out, largest) = largest_allocation(|| read_frame(&mut &bytes[..]));
+    let err = out.expect_err("ten bytes of a declared gigabyte are a torn frame");
+    assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+    assert!(
+        largest < 1 << 20,
+        "largest allocation {largest} B for 10 B of payload"
+    );
 }
 
 proptest! {

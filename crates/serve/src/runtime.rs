@@ -2,7 +2,7 @@
 //! shared solver pool, composed from the cancellation, fault, checkpoint,
 //! and event planes.
 //!
-//! Concurrency structure: one mutex ([`Inner`]) guards the queue, the
+//! Concurrency structure: one mutex (`Inner`) guards the queue, the
 //! running set, the tenant accounting, and the [`Ledger`] together, so a
 //! job's state transition and its accounting are atomic — there is no
 //! window in which a job is in neither the queue, nor the running set,

@@ -12,8 +12,8 @@
 //!   the solve is abandoned mid-job, which is fine because the job is
 //!   failed (or retried from its last checkpoint).
 //! * **MD-step granularity** — preemption is *not* honoured inside an SCF
-//!   solve. The job loop checks [`CancelToken::preempt_requested`] only at
-//!   step boundaries, checkpoints, and yields — so a preempted job resumes
+//!   solve. The job loop reads [`CancelToken::status`] only at step
+//!   boundaries, checkpoints, and yields — so a preempted job resumes
 //!   bitwise-identically from its checkpoint.
 //!
 //! Design constraints mirror [`crate::faults`] and [`crate::events`]:
@@ -97,14 +97,6 @@ impl CancelToken {
         }
     }
 
-    /// A live token that trips [`CancelReason::Deadline`] once `budget` of
-    /// wall clock has elapsed from now.
-    pub fn with_budget(budget: Duration) -> Self {
-        let t = Self::new();
-        t.set_budget(budget);
-        t
-    }
-
     /// (Re)arms the wall-clock budget, measured from token creation.
     pub fn set_budget(&self, budget: Duration) {
         let ns = u64::try_from(budget.as_nanos()).unwrap_or(BUDGET_NONE - 1);
@@ -152,17 +144,11 @@ impl CancelToken {
 
     /// Whether the solve must abort *now* (deadline or shutdown). Preempt
     /// does not abort a solve — it is honoured at step boundaries only.
-    pub fn abort_reason(&self) -> Option<CancelReason> {
+    fn abort_reason(&self) -> Option<CancelReason> {
         match self.status() {
             Some(CancelReason::Preempt) | None => None,
             abort => abort,
         }
-    }
-
-    /// Whether a preemption (or stronger) is pending; checked by the job
-    /// loop at MD-step boundaries where checkpointing is safe.
-    pub fn preempt_requested(&self) -> bool {
-        self.status().is_some()
     }
 }
 
@@ -246,14 +232,16 @@ mod tests {
 
     #[test]
     fn zero_budget_trips_deadline_immediately() {
-        let t = CancelToken::with_budget(Duration::from_nanos(0));
+        let t = CancelToken::new();
+        t.set_budget(Duration::from_nanos(0));
         assert_eq!(t.status(), Some(CancelReason::Deadline));
         assert_eq!(t.abort_reason(), Some(CancelReason::Deadline));
     }
 
     #[test]
     fn generous_budget_stays_live() {
-        let t = CancelToken::with_budget(Duration::from_secs(3600));
+        let t = CancelToken::new();
+        t.set_budget(Duration::from_secs(3600));
         assert_eq!(t.status(), None);
     }
 

@@ -135,11 +135,6 @@ impl Element {
             Element::Se => "Se",
         }
     }
-
-    /// Parses a symbol (case-sensitive, as in structure files).
-    pub fn from_symbol(s: &str) -> Option<Element> {
-        Element::ALL.into_iter().find(|e| e.symbol() == s)
-    }
 }
 
 impl std::fmt::Display for Element {
@@ -154,12 +149,6 @@ pub fn kelvin_to_hartree(t_kelvin: f64) -> f64 {
     t_kelvin * KB_HARTREE_PER_K
 }
 
-/// Converts an energy in Hartree to eV.
-#[inline]
-pub fn hartree_to_ev(e: f64) -> f64 {
-    e * HARTREE_EV
-}
-
 /// Converts an energy in eV to Hartree.
 #[inline]
 pub fn ev_to_hartree(e: f64) -> f64 {
@@ -172,7 +161,7 @@ mod tests {
 
     #[test]
     fn unit_round_trips() {
-        assert!((ev_to_hartree(hartree_to_ev(0.5)) - 0.5).abs() < 1e-15);
+        assert!((ev_to_hartree(0.5 * HARTREE_EV) - 0.5).abs() < 1e-15);
         assert!((AU_TIME_FS * FS_AU_TIME - 1.0).abs() < 1e-15);
     }
 
@@ -180,7 +169,7 @@ mod tests {
     fn room_temperature_energy() {
         // kT at 300 K ≈ 0.95 mHa ≈ 25.9 meV
         let kt = kelvin_to_hartree(300.0);
-        assert!((hartree_to_ev(kt) - 0.02585).abs() < 1e-4);
+        assert!((kt * HARTREE_EV - 0.02585).abs() < 1e-4);
     }
 
     #[test]
@@ -189,9 +178,7 @@ mod tests {
             assert!(e.valence() <= e.atomic_number());
             assert!(e.mass_amu() > 0.0);
             assert!(e.covalent_radius_bohr() > 0.0);
-            assert_eq!(Element::from_symbol(e.symbol()), Some(e));
         }
-        assert_eq!(Element::from_symbol("Xx"), None);
     }
 
     #[test]

@@ -313,7 +313,7 @@ fn epoch() -> Instant {
 }
 
 /// Nanoseconds since the telemetry epoch.
-pub fn now_ns() -> u64 {
+fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
@@ -341,7 +341,8 @@ fn lock_sink() -> std::sync::MutexGuard<'static, Sink> {
 }
 
 /// Sets the sink capacity (records). Takes effect for subsequent emits.
-pub fn set_capacity(cap: usize) {
+#[cfg(test)]
+fn set_capacity(cap: usize) {
     lock_sink().cap = cap.max(1);
 }
 

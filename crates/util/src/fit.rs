@@ -1,8 +1,7 @@
 //! Least-squares fitting.
 //!
-//! Two consumers: the Arrhenius fit of Fig 9(a) (hydrogen production rate vs
-//! inverse temperature) and the power-law/exponential decay fits used in the
-//! buffer-thickness error analysis (paper Eq. 1 and Fig 7).
+//! The straight-line fit and the Arrhenius fit of Fig 9(a) (hydrogen
+//! production rate vs inverse temperature) built on it.
 
 use crate::constants::KB_HARTREE_PER_K;
 
@@ -100,20 +99,6 @@ pub fn arrhenius_fit(temps_kelvin: &[f64], rates: &[f64]) -> ArrheniusFit {
     }
 }
 
-/// Fits an exponential decay `y = c·exp(−x/λ)` by regressing `ln y` on `x`;
-/// returns `(c, λ)`. Used for the buffer-thickness error decay of Eq. (1).
-pub fn exponential_decay_fit(x: &[f64], y: &[f64]) -> (f64, f64) {
-    let ln_y: Vec<f64> = y
-        .iter()
-        .map(|&v| {
-            assert!(v > 0.0, "exponential fit needs positive y");
-            v.ln()
-        })
-        .collect();
-    let line = linear_fit(x, &ln_y);
-    (line.intercept.exp(), -1.0 / line.slope)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,16 +148,5 @@ mod tests {
         );
         assert!((fit.prefactor / a - 1.0).abs() < 1e-6);
         assert!(fit.r2 > 0.999999);
-    }
-
-    #[test]
-    fn exponential_decay_recovered() {
-        let lambda = 0.8;
-        let c = 2.5;
-        let x: Vec<f64> = (0..10).map(|i| i as f64 * 0.5).collect();
-        let y: Vec<f64> = x.iter().map(|&xi| c * (-xi / lambda).exp()).collect();
-        let (c_fit, l_fit) = exponential_decay_fit(&x, &y);
-        assert!((c_fit - c).abs() < 1e-9);
-        assert!((l_fit - lambda).abs() < 1e-9);
     }
 }

@@ -29,7 +29,7 @@ pub const N_BUCKETS: usize = (64 - SUB_BITS as usize) * SUB_BUCKETS + SUB_BUCKET
 /// Bucket index for `v`: identity below `SUB_BUCKETS` (exact), then
 /// log-linear above.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v < SUB_BUCKETS as u64 {
         return v as usize;
     }
@@ -40,7 +40,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Lowest value mapping to bucket `i`.
-pub fn bucket_low(i: usize) -> u64 {
+fn bucket_low(i: usize) -> u64 {
     if i < SUB_BUCKETS {
         return i as u64;
     }
@@ -51,7 +51,7 @@ pub fn bucket_low(i: usize) -> u64 {
 
 /// Representative (midpoint) value of bucket `i`, used when reading
 /// quantiles back out.
-pub fn bucket_mid(i: usize) -> u64 {
+fn bucket_mid(i: usize) -> u64 {
     if i < SUB_BUCKETS {
         return i as u64;
     }
@@ -157,31 +157,12 @@ impl HistSnapshot {
         }
     }
 
-    /// Rebuilds a snapshot from sparse `(bucket, count)` pairs (the JSON
-    /// wire format). Out-of-range indices are rejected.
-    pub fn from_sparse(pairs: &[(usize, u64)]) -> Option<Self> {
-        let mut counts = vec![0u64; N_BUCKETS];
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        for &(i, c) in pairs {
-            if i >= N_BUCKETS {
-                return None;
-            }
-            counts[i] += c;
-            count += c;
-            sum = sum.wrapping_add(bucket_mid(i).wrapping_mul(c));
-        }
-        Some(Self { counts, count, sum })
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
     }
 
-    /// Exact mean of the recorded samples (0 when empty). Exact only for
-    /// snapshots taken from an [`AtomicHist`] or built from samples;
-    /// sparse-rebuilt snapshots use bucket midpoints.
+    /// Exact mean of the recorded samples (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -239,16 +220,6 @@ impl HistSnapshot {
             }
         }
         s
-    }
-
-    /// Non-empty `(bucket, count)` pairs — the sparse wire format.
-    pub fn sparse(&self) -> Vec<(usize, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-            .collect()
     }
 }
 
@@ -331,15 +302,6 @@ mod tests {
         });
         assert_eq!(h.count(), 4000);
         assert_eq!(h.snapshot().count(), 4000);
-    }
-
-    #[test]
-    fn sparse_round_trip() {
-        let h = HistSnapshot::from_samples(&[3, 3, 17, 900, 900, 1_000_000]);
-        let back = HistSnapshot::from_sparse(&h.sparse()).unwrap();
-        assert_eq!(back.count(), h.count());
-        assert_eq!(back.quantile(0.5), h.quantile(0.5));
-        assert!(HistSnapshot::from_sparse(&[(N_BUCKETS, 1)]).is_none());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! small JSON subset the bench pipeline needs: a [`Json`] value type, a
 //! deterministic pretty writer, and a strict, depth-bounded parser. On top
 //! of it,
-//! [`profile_report`] renders a [`trace::TraceNode`] snapshot as the
+//! [`profile_report`] renders a [`crate::trace::TraceNode`] snapshot as the
 //! profile document consumed by `mqmd-parallel`'s machine model, and
 //! [`kernel_table`] extracts the flattened per-kernel
 //! `(calls, seconds, flops)` aggregates back out of a parsed document.
@@ -439,7 +439,7 @@ pub const PROFILE_SCHEMA: &str = "mqmd-profile-v8";
 
 /// Renders a trace node (and recursively its children) as JSON. Nodes
 /// with a non-empty latency histogram carry their p50/p95/p99.
-pub fn trace_to_json(node: &TraceNode) -> Json {
+fn trace_to_json(node: &TraceNode) -> Json {
     let mut pairs = vec![
         ("name".to_string(), Json::Str(node.name.clone())),
         ("calls".to_string(), Json::Num(node.calls as f64)),

@@ -13,7 +13,7 @@
 //! 1. **The scalar path is the reference.** Every vectorized kernel in
 //!    `mqmd-linalg`, `mqmd-fft` and `mqmd-multigrid` keeps its scalar twin
 //!    compiled unconditionally and is differentially tested against it
-//!    under an explicit ULP bound (see [`ulp_diff`]).
+//!    under an explicit ULP bound (see [`max_ulp_diff`]).
 //! 2. **Lane ops are IEEE-exact per lane.** [`F64x4::add`] etc. perform the
 //!    same rounding as the corresponding scalar `f64` op, so a vector
 //!    kernel that replicates the scalar operation order lane-by-lane is
@@ -21,7 +21,7 @@
 //!    red-black smoother do exactly this). Only kernels that deliberately
 //!    change the operation mix — the FMA-accumulating GEMM microkernel —
 //!    can drift, and those carry the ULP-bound property tests.
-//! 3. **Dispatch is per-call and cached.** [`dispatch_simd`] reads a cached
+//! 3. **Dispatch is per-call and cached.** [`simd_available`] reads a cached
 //!    `cpuid` probe; the `simd` cargo feature compiles the vector paths in,
 //!    the probe decides at runtime whether they run. A build without the
 //!    feature contains scalar code only.
@@ -415,7 +415,7 @@ mod imp {
 /// Implemented on the monotone integer mapping of IEEE-754 doubles
 /// (sign-magnitude → offset binary), so the distance is exact across the
 /// ±0 boundary and monotone across the whole finite range.
-pub fn ulp_diff(a: f64, b: f64) -> u64 {
+fn ulp_diff(a: f64, b: f64) -> u64 {
     if a.is_nan() || b.is_nan() {
         return u64::MAX;
     }
@@ -434,7 +434,7 @@ pub fn ulp_diff(a: f64, b: f64) -> u64 {
     key(a).abs_diff(key(b)).try_into().unwrap_or(u64::MAX)
 }
 
-/// Maximum [`ulp_diff`] over two equal-length slices.
+/// Maximum `ulp_diff` over two equal-length slices.
 ///
 /// # Panics
 /// Panics when the slices differ in length.

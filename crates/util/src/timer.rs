@@ -20,14 +20,6 @@ impl Stopwatch {
     pub fn seconds(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
-
-    /// Restarts the stopwatch, returning the elapsed seconds of the previous
-    /// lap.
-    pub fn lap(&mut self) -> f64 {
-        let t = self.seconds();
-        self.start = Instant::now();
-        t
-    }
 }
 
 /// Times a closure, returning `(result, seconds)`.
@@ -35,19 +27,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let sw = Stopwatch::start();
     let out = f();
     (out, sw.seconds())
-}
-
-/// Runs `f` `reps` times and returns the minimum per-run seconds — the
-/// standard noise-robust microbenchmark estimator for a deterministic kernel.
-pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    assert!(reps > 0);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let sw = Stopwatch::start();
-        std::hint::black_box(f());
-        best = best.min(sw.seconds());
-    }
-    best
 }
 
 #[cfg(test)]
@@ -59,26 +38,5 @@ mod tests {
         let (v, t) = timed(|| 2 + 2);
         assert_eq!(v, 4);
         assert!(t >= 0.0);
-    }
-
-    #[test]
-    fn lap_resets() {
-        let mut sw = Stopwatch::start();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let t1 = sw.lap();
-        assert!(t1 >= 0.002);
-        assert!(sw.seconds() < t1 + 0.5);
-    }
-
-    #[test]
-    fn best_of_is_min() {
-        let mut i = 0;
-        let t = best_of(3, || {
-            i += 1;
-            if i == 2 {
-                std::thread::sleep(std::time::Duration::from_millis(3));
-            }
-        });
-        assert!(t < 0.003);
     }
 }

@@ -23,9 +23,12 @@
 //!   attribute to the span open at the call site. Counters live in
 //!   `Arc`-shared atomics, so attribution is lock-free and safe under
 //!   concurrency.
-//! * **Inclusive counters.** A node's totals include its children (wall
-//!   time of a merged node is the sum of its guards' durations). Exclusive
-//!   ("self") values are derived in [`TraceNode::self_wall_secs`].
+//! * **Inclusive wall time, exclusive counters.** A node's wall time
+//!   includes its children (for a merged node, the sum of its guards'
+//!   durations); its self time is derived in [`TraceNode::self_wall_secs`].
+//!   FLOP, byte, message and allocation counters are exclusive (innermost
+//!   span): each is booked to the innermost open span only, so a parent
+//!   holds none of its children's.
 //!
 //! [`take`] snapshots and resets the tree; `mqmd-util`'s `metrics` module
 //! renders snapshots as JSON for `BENCH_profile.json`.
@@ -48,20 +51,23 @@ use std::time::Instant;
 pub struct SpanCounters {
     /// Number of times the span was entered.
     pub calls: AtomicU64,
-    /// Accumulated wall time in nanoseconds (sum over entries).
+    /// Accumulated wall time in nanoseconds (sum over entries; inclusive
+    /// of child spans).
     pub wall_ns: AtomicU64,
-    /// Floating-point operations attributed to this span (inclusive).
+    /// Floating-point operations booked while this span was the innermost
+    /// open one. Exclusive (innermost span), like every counter below:
+    /// work inside a child span is booked to the child only.
     pub flops: AtomicU64,
-    /// Bytes moved (loads+stores the kernel chose to report; inclusive).
+    /// Bytes moved (loads+stores the kernel chose to report; exclusive).
     pub bytes: AtomicU64,
-    /// Messages sent while the span was open.
+    /// Messages sent while this span was the innermost open one.
     pub comm_msgs: AtomicU64,
-    /// Message payload bytes.
+    /// Message payload bytes (exclusive).
     pub comm_bytes: AtomicU64,
     /// Heap allocations attributed to this span (workspace misses and any
-    /// instrumented fresh `Vec`s; inclusive).
+    /// instrumented fresh `Vec`s; exclusive).
     pub alloc_count: AtomicU64,
-    /// Bytes requested by those allocations (inclusive).
+    /// Bytes requested by those allocations (exclusive).
     pub alloc_bytes: AtomicU64,
 }
 
@@ -303,19 +309,22 @@ pub struct TraceNode {
     pub name: String,
     /// Number of times the span was entered.
     pub calls: u64,
-    /// Accumulated wall time over all entries, seconds (inclusive).
+    /// Accumulated wall time over all entries, seconds (inclusive of child
+    /// spans).
     pub wall_secs: f64,
-    /// FLOPs attributed to the span (inclusive of children).
+    /// FLOPs booked while the span was the innermost open one. Exclusive
+    /// (innermost span), like every counter below: a child span's work is
+    /// in the child only.
     pub flops: u64,
-    /// Reported bytes moved (inclusive).
+    /// Reported bytes moved (exclusive).
     pub bytes: u64,
-    /// Messages sent (inclusive).
+    /// Messages sent (exclusive).
     pub comm_msgs: u64,
-    /// Payload bytes (inclusive).
+    /// Payload bytes (exclusive).
     pub comm_bytes: u64,
-    /// Heap allocations attributed to the span (inclusive).
+    /// Heap allocations attributed to the span (exclusive).
     pub alloc_count: u64,
-    /// Bytes requested by those allocations (inclusive).
+    /// Bytes requested by those allocations (exclusive).
     pub alloc_bytes: u64,
     /// Per-entry wall-time distribution (nanosecond samples, one per
     /// call), from which p50/p95/p99 derive.

@@ -55,16 +55,6 @@ impl Vec3 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }
 
-    /// Cross product.
-    #[inline(always)]
-    pub fn cross(self, o: Self) -> Self {
-        Self {
-            x: self.y * o.z - self.z * o.y,
-            y: self.z * o.x - self.x * o.z,
-            z: self.x * o.y - self.y * o.x,
-        }
-    }
-
     /// Squared Euclidean norm.
     #[inline(always)]
     pub fn norm_sqr(self) -> f64 {
@@ -104,16 +94,6 @@ impl Vec3 {
             x: self.x.max(o.x),
             y: self.y.max(o.y),
             z: self.z.max(o.z),
-        }
-    }
-
-    /// Component-wise multiplication (Hadamard product).
-    #[inline]
-    pub fn mul_elem(self, o: Self) -> Self {
-        Self {
-            x: self.x * o.x,
-            y: self.y * o.y,
-            z: self.z * o.z,
         }
     }
 
@@ -308,15 +288,6 @@ impl std::iter::Sum for Vec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dot_and_cross_orthogonality() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(-4.0, 0.5, 2.0);
-        let c = a.cross(b);
-        assert!(c.dot(a).abs() < 1e-12);
-        assert!(c.dot(b).abs() < 1e-12);
-    }
 
     #[test]
     fn norm_of_unit_axes() {

@@ -77,12 +77,12 @@ impl AllocStats {
     }
 
     /// Records one reuse of an already-planned buffer.
-    pub fn record_hit(&self) {
+    fn record_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one fresh allocation of `bytes` bytes.
-    pub fn record_miss(&self, bytes: u64) {
+    fn record_miss(&self, bytes: u64) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.miss_bytes.fetch_add(bytes, Ordering::Relaxed);
         if std::env::var_os("MQMD_TRACE_MISSES").is_some() {
@@ -203,14 +203,6 @@ impl Workspace {
         crate::trace::add_alloc(count as u64, (count * len * size_of::<Complex64>()) as u64);
         for _ in 0..count {
             self.c64.put(vec![Complex64::default(); len]);
-        }
-    }
-
-    /// Pre-populates the real pool with `count` buffers of `len` elements.
-    pub fn reserve_f64(&self, len: usize, count: usize) {
-        crate::trace::add_alloc(count as u64, (count * len * size_of::<f64>()) as u64);
-        for _ in 0..count {
-            self.f64s.put(vec![0.0f64; len]);
         }
     }
 

@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --release --example sic_weak_scaling`
 
-use metascale_qmd::core::domain_solver::{solve_domain, DomainSetup};
+use metascale_qmd::core::domain_solver::{solve_domain_with, DomainSetup};
+use metascale_qmd::dft::eigensolver::EigWorkspace;
 use metascale_qmd::grid::DomainDecomposition;
 use metascale_qmd::md::builders::sic_supercell;
 use metascale_qmd::parallel::WeakScalingModel;
@@ -44,7 +45,8 @@ fn main() {
     );
     let zeros = vec![0.0; setup.grid.len()];
     let sw = Stopwatch::start();
-    let bands = solve_domain(&setup, &zeros, &zeros, None, 9, 1e-6).expect("solve");
+    let mut ew = EigWorkspace::new();
+    let bands = solve_domain_with(&setup, &zeros, &zeros, None, 9, 1e-6, &mut ew).expect("solve");
     let t_domain = sw.seconds();
     println!(
         "measured per-domain solve: {:.3} s (lowest eigenvalue {:.4} Ha)\n",

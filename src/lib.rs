@@ -4,10 +4,10 @@
 //! Molecular Dynamics Simulations of Hydrogen-on-Demand"* (Nomura et al.,
 //! DOI 10.1109/SC.2014.59): the lean divide-and-conquer density functional
 //! theory (LDC-DFT) algorithm, its globally-scalable/locally-fast (GSLF)
-//! electronic-structure solver, the hierarchical band-space-domain (BSD)
-//! parallel decomposition, a quantum molecular dynamics driver, a simulated
-//! Blue Gene/Q machine model for the at-scale experiments, and the
-//! hydrogen-on-demand science application.
+//! electronic-structure solver, a quantum molecular dynamics driver, a
+//! simulated Blue Gene/Q machine model for the at-scale experiments (which
+//! models the traffic of the hierarchical band-space-domain decomposition),
+//! and the hydrogen-on-demand science application.
 //!
 //! This facade crate re-exports the workspace crates under stable paths:
 //!
