@@ -556,12 +556,15 @@ impl LdcSolver {
 
         let ion_positions: Vec<Vec3> = atoms_global.iter().map(|(_, r)| *r).collect();
         let ion_charges: Vec<f64> = atoms_global.iter().map(|(p, _)| p.z_val).collect();
-        let ew = ewald(
-            global_grid.lengths_vec(),
-            &ion_positions,
-            &ion_charges,
-            None,
-        );
+        let ew = {
+            let _span = mqmd_util::trace::span("ewald");
+            ewald(
+                global_grid.lengths_vec(),
+                &ion_positions,
+                &ion_charges,
+                None,
+            )
+        };
 
         let rho0 = initial_density(global_grid, &atoms_global, n_electrons);
         // Warm-start bands leave the solver for the duration of the solve
@@ -887,6 +890,7 @@ impl LdcSolver {
             // non-local term of core-owned atoms, summed from zero over the
             // owned domains and across ranks (each atom has exactly one
             // core-owning domain, so the sum adds zeros to one value).
+            let forces_span = mqmd_util::trace::span("forces");
             let mut forces = local_forces(global_grid, &atoms_global, &out.density);
             for (f, fe) in forces.iter_mut().zip(&ew.forces) {
                 *f += *fe;
@@ -930,6 +934,7 @@ impl LdcSolver {
             for (f, add) in forces.iter_mut().zip(nl.chunks_exact(3)) {
                 *f += Vec3::new(add[0], add[1], add[2]);
             }
+            drop(forces_span);
 
             self.psi_cache = std::mem::take(&mut lock_cache(&psi_cache));
             self.total_scf_iterations += out.iterations;

@@ -46,6 +46,29 @@ pub fn ewald(
     charges: &[f64],
     eta_override: Option<f64>,
 ) -> EwaldResult {
+    ewald_sum(cell, positions, charges, eta_override, reciprocal_sum)
+}
+
+/// The reciprocal-space sum over `G` in the sphere |G| ≤ `g_max`, with
+/// `G = 2π·(nx/Lx, ny/Ly, nz/Lz)` and |n_a| ≤ `k[a]`.
+struct Reciprocal {
+    cell: Vec3,
+    eta: f64,
+    g_max: f64,
+    k: [i64; 3],
+    /// 2π/V.
+    pref: f64,
+}
+
+/// Adds the real-space, reciprocal-space (through `reciprocal`), self and
+/// background terms.
+fn ewald_sum(
+    cell: Vec3,
+    positions: &[Vec3],
+    charges: &[f64],
+    eta_override: Option<f64>,
+    reciprocal: fn(&Reciprocal, &[Vec3], &[f64], &mut f64, &mut [Vec3]),
+) -> EwaldResult {
     assert_eq!(positions.len(), charges.len());
     let n = positions.len();
     let volume = cell.x * cell.y * cell.z;
@@ -94,43 +117,14 @@ pub fn ewald(
     // --- Reciprocal-space sum.
     let g_max = 2.0 * eta * (18.42f64).sqrt(); // exp(−G²/4η²) < 1e-8
     let tau = std::f64::consts::TAU;
-    let (kx, ky, kz) = (
-        (g_max * cell.x / tau).ceil() as i64,
-        (g_max * cell.y / tau).ceil() as i64,
-        (g_max * cell.z / tau).ceil() as i64,
-    );
-    let pref = 2.0 * std::f64::consts::PI / volume;
-    for nx in -kx..=kx {
-        for ny in -ky..=ky {
-            for nz in -kz..=kz {
-                if nx == 0 && ny == 0 && nz == 0 {
-                    continue;
-                }
-                let g = Vec3::new(
-                    tau * nx as f64 / cell.x,
-                    tau * ny as f64 / cell.y,
-                    tau * nz as f64 / cell.z,
-                );
-                let g2 = g.norm_sqr();
-                if g2 > g_max * g_max {
-                    continue;
-                }
-                let damp = (-g2 / (4.0 * eta * eta)).exp() / g2;
-                // Structure factor S(G) = Σ q·e^{iG·R}.
-                let mut s = Complex64::ZERO;
-                for (q, r) in charges.iter().zip(positions) {
-                    s += Complex64::cis(g.dot(*r)).scale(*q);
-                }
-                energy += pref * damp * s.norm_sqr();
-                for i in 0..n {
-                    let phase = Complex64::cis(g.dot(positions[i]));
-                    // F_I = (4π/V)·q_I·f(G)·G·Im[S*·e^{iG·R_I}]
-                    let im = (s.conj() * phase).im;
-                    forces[i] += g * (2.0 * pref * damp * charges[i] * im);
-                }
-            }
-        }
-    }
+    let recip = Reciprocal {
+        cell,
+        eta,
+        g_max,
+        k: [cell.x, cell.y, cell.z].map(|l| (g_max * l / tau).ceil() as i64),
+        pref: tau / volume,
+    };
+    reciprocal(&recip, positions, charges, &mut energy, &mut forces);
 
     // --- Self-energy and charged-background corrections.
     let q_sum: f64 = charges.iter().sum();
@@ -141,9 +135,171 @@ pub fn ewald(
     EwaldResult { energy, forces }
 }
 
+/// The reciprocal sum from per-axis tables (the `eigts1/2/3` form of
+/// plane-wave codes): the structure-factor phase e^{iG·R} of atom `a` is
+/// the product of e^{i·2π·n_x·x_a/Lx}, e^{i·2π·n_y·y_a/Ly} and
+/// e^{i·2π·n_z·z_a/Lz}, each read from a table of `2k+1` entries per atom,
+/// and the Gaussian factor exp(−G²/4η²) is the product of three per-axis
+/// factors. Each (G, atom) phase is formed once — the x·y product per
+/// (nx, ny) column, then one product with the z entry — and serves both
+/// S(G) and the force; columns wholly outside the sphere are skipped.
+fn reciprocal_sum(
+    r: &Reciprocal,
+    positions: &[Vec3],
+    charges: &[f64],
+    energy: &mut f64,
+    forces: &mut [Vec3],
+) {
+    let n = positions.len();
+    let tau = std::f64::consts::TAU;
+    let lengths = [r.cell.x, r.cell.y, r.cell.z];
+    // g_a = 2π·m/L_a for m ∈ [−k, k], index m + k.
+    let axis_g = |a: usize| -> Vec<f64> {
+        (-r.k[a]..=r.k[a])
+            .map(|m| tau * m as f64 / lengths[a])
+            .collect()
+    };
+    let g_axis = [axis_g(0), axis_g(1), axis_g(2)];
+    let gauss = g_axis.each_ref().map(|gs| -> Vec<f64> {
+        gs.iter()
+            .map(|g| (-g * g / (4.0 * r.eta * r.eta)).exp())
+            .collect()
+    });
+    // Table of axis a, entry (m + k)·n + atom: e^{i·2π·m·R_atom,a/L_a}.
+    let phase_table = |a: usize| -> Vec<Complex64> {
+        let mut t = Vec::with_capacity((2 * r.k[a] as usize + 1) * n);
+        for m in -r.k[a]..=r.k[a] {
+            t.extend(
+                positions
+                    .iter()
+                    .map(|p| Complex64::cis(tau * m as f64 * p[a] / lengths[a])),
+            );
+        }
+        t
+    };
+    let [tx, ty, tz] = [phase_table(0), phase_table(1), phase_table(2)];
+    let g_max2 = r.g_max * r.g_max;
+    let mut pxy = vec![Complex64::ZERO; n];
+    let mut phase = vec![Complex64::ZERO; n];
+    for (ix, &gx) in g_axis[0].iter().enumerate() {
+        for (iy, &gy) in g_axis[1].iter().enumerate() {
+            let gxy2 = gx * gx + gy * gy;
+            if gxy2 > g_max2 {
+                continue;
+            }
+            let (ex, ey) = (&tx[ix * n..(ix + 1) * n], &ty[iy * n..(iy + 1) * n]);
+            for ((p, &x), &y) in pxy.iter_mut().zip(ex).zip(ey) {
+                *p = x * y;
+            }
+            let gauss_xy = gauss[0][ix] * gauss[1][iy];
+            for (iz, &gz) in g_axis[2].iter().enumerate() {
+                let g2 = gxy2 + gz * gz;
+                if g2 > g_max2 || g2 == 0.0 {
+                    continue;
+                }
+                let damp = gauss_xy * gauss[2][iz] / g2;
+                // Structure factor S(G) = Σ q·e^{iG·R}.
+                let ez = &tz[iz * n..(iz + 1) * n];
+                let mut s = Complex64::ZERO;
+                for (((ph, &p), &z), &q) in phase.iter_mut().zip(&pxy).zip(ez).zip(charges) {
+                    *ph = p * z;
+                    s += ph.scale(q);
+                }
+                *energy += r.pref * damp * s.norm_sqr();
+                // F_I = (4π/V)·q_I·f(G)·G·Im[S*·e^{iG·R_I}]
+                let g = Vec3::new(gx, gy, gz);
+                let c = 2.0 * r.pref * damp;
+                for ((f, ph), &q) in forces.iter_mut().zip(&phase).zip(charges) {
+                    let im = (s.conj() * *ph).im;
+                    *f += g * (c * q * im);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqmd_util::Xoshiro256pp;
+    use proptest::prelude::*;
+
+    /// The reference twin of [`reciprocal_sum`]: one `exp` per G and one
+    /// `cis(G·R)` per (G, atom) for S(G), and the phase again for the
+    /// force.
+    fn reciprocal_direct(
+        r: &Reciprocal,
+        positions: &[Vec3],
+        charges: &[f64],
+        energy: &mut f64,
+        forces: &mut [Vec3],
+    ) {
+        let tau = std::f64::consts::TAU;
+        let [kx, ky, kz] = r.k;
+        for nx in -kx..=kx {
+            for ny in -ky..=ky {
+                for nz in -kz..=kz {
+                    if nx == 0 && ny == 0 && nz == 0 {
+                        continue;
+                    }
+                    let g = Vec3::new(
+                        tau * nx as f64 / r.cell.x,
+                        tau * ny as f64 / r.cell.y,
+                        tau * nz as f64 / r.cell.z,
+                    );
+                    let g2 = g.norm_sqr();
+                    if g2 > r.g_max * r.g_max {
+                        continue;
+                    }
+                    let damp = (-g2 / (4.0 * r.eta * r.eta)).exp() / g2;
+                    let mut s = Complex64::ZERO;
+                    for (q, p) in charges.iter().zip(positions) {
+                        s += Complex64::cis(g.dot(*p)).scale(*q);
+                    }
+                    *energy += r.pref * damp * s.norm_sqr();
+                    for (i, f) in forces.iter_mut().enumerate() {
+                        let phase = Complex64::cis(g.dot(positions[i]));
+                        let im = (s.conj() * phase).im;
+                        *f += g * (2.0 * r.pref * damp * charges[i] * im);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn tables_match_the_direct_reciprocal_sum(
+            lx in 6.0..20.0f64,
+            ly in 6.0..20.0f64,
+            lz in 6.0..20.0f64,
+            n in 1usize..17,
+            seed in any::<u64>(),
+        ) {
+            let cell = Vec3::new(lx, ly, lz);
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let pos: Vec<Vec3> = (0..n)
+                .map(|_| Vec3::new(rng.uniform_in(0.0, lx), rng.uniform_in(0.0, ly), rng.uniform_in(0.0, lz)))
+                .collect();
+            let q: Vec<f64> = (0..n).map(|_| (1 + rng.below(6)) as f64).collect();
+            let fast = ewald(cell, &pos, &q, None);
+            let direct = ewald_sum(cell, &pos, &q, None, reciprocal_direct);
+            let de = (fast.energy - direct.energy).abs();
+            prop_assert!(
+                de <= 1e-13 * (1.0 + direct.energy.abs()),
+                "|dE| = {de:e} at E = {}", direct.energy
+            );
+            let df = fast
+                .forces
+                .iter()
+                .zip(&direct.forces)
+                .map(|(a, b)| (*a - *b).norm())
+                .fold(0.0, f64::max);
+            prop_assert!(df <= 1e-12, "max |dF| = {df:e} Ha/Bohr");
+        }
+    }
 
     #[test]
     fn erfc_reference_values() {

@@ -553,9 +553,18 @@ impl CheckpointStore {
     /// reporting via the event stream) any corrupt files on the way back.
     /// `Ok(None)` when no valid checkpoint exists.
     pub fn load_latest(&self) -> Result<Option<Checkpoint>> {
+        self.load_latest_at_most(u64::MAX)
+    }
+
+    /// [`load_latest`](Self::load_latest) among the checkpoints taken after
+    /// at most `max_step` steps. A resume whose record of completed steps
+    /// ends at `max_step` reads through this, so a newer file (left by an
+    /// attempt whose progress was not kept) is never stitched onto it.
+    pub fn load_latest_at_most(&self, max_step: u64) -> Result<Option<Checkpoint>> {
         for path in self.list()?.into_iter().rev() {
             match Checkpoint::load(&path) {
-                Ok(ckp) => return Ok(Some(ckp)),
+                Ok(ckp) if ckp.step <= max_step => return Ok(Some(ckp)),
+                Ok(_) => {}
                 Err(e) => {
                     mqmd_util::events::emit(mqmd_util::events::Event::WatchdogTrip {
                         watchdog: "checkpoint_corrupt",

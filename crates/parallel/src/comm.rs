@@ -80,6 +80,11 @@ pub enum CommError {
     /// Transport-level failure (socket error, malformed frame, spawn
     /// failure).
     Transport(String),
+    /// The fault plan placed a fault at this rank's spawn that the backend
+    /// can neither inject nor recover from (a `DensityNan` at
+    /// `Site::Rank`, say). The run is refused, and the fault booked as an
+    /// abort, rather than booking a recovery that never ran.
+    UnsupportedFault { rank: usize, fault: &'static str },
 }
 
 impl fmt::Display for CommError {
@@ -110,6 +115,12 @@ impl fmt::Display for CommError {
                 write!(f, "{op}: cancelled ({})", reason.label())
             }
             CommError::Transport(msg) => write!(f, "transport failure: {msg}"),
+            CommError::UnsupportedFault { rank, fault } => {
+                write!(
+                    f,
+                    "rank {rank}: fault {fault} has no meaning at a rank spawn; run refused"
+                )
+            }
         }
     }
 }

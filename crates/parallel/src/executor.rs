@@ -146,6 +146,9 @@ pub struct ThreadComm {
     stats: Arc<CommStats>,
     traffic: Arc<TrafficStats>,
     deadline: Option<Duration>,
+    /// Set when the run was refused at spawn: every primitive fails with
+    /// it, on every rank, so no rank waits on a refused peer.
+    refused: Option<CommError>,
 }
 
 impl ThreadComm {
@@ -157,6 +160,10 @@ impl ThreadComm {
     /// The per-primitive wait budget (None blocks until cancelled).
     pub fn deadline(&self) -> Option<Duration> {
         self.deadline
+    }
+
+    fn check_refused(&self) -> CommResult<()> {
+        self.refused.clone().map_or(Ok(()), Err)
     }
 }
 
@@ -175,6 +182,7 @@ impl Comm for ThreadComm {
     /// deferral and waits for room rather than buffering without
     /// limit.
     fn send_to(&self, dest: usize, data: &[f64]) -> CommResult<()> {
+        self.check_refused()?;
         let bytes = std::mem::size_of_val(data) as u64;
         self.stats.record(bytes);
         mqmd_util::trace::add_comm(1, bytes);
@@ -196,6 +204,7 @@ impl Comm for ThreadComm {
     }
 
     fn recv_from(&self, src: usize, op: &'static str) -> CommResult<Vec<f64>> {
+        self.check_refused()?;
         let start = Instant::now();
         let mut inbox = self.inbox.lock().expect("inbox lock");
         loop {
@@ -228,6 +237,7 @@ impl Comm for ThreadComm {
     }
 
     fn barrier(&self) -> CommResult<()> {
+        self.check_refused()?;
         self.barrier.wait(self.rank, self.deadline)
     }
 
@@ -249,28 +259,38 @@ pub struct RunOpts {
     pub cancel: Option<CancelToken>,
 }
 
-/// Applies any fault the active plan addresses at this rank's spawn.
-/// A straggler sleeps out its startup delay before the rank program
-/// begins — the executor's collectives then absorb the skew (every other
-/// rank waits at its first `recv`/barrier) — and the wait is booked as
-/// recovery recompute time. Fault kinds without executor semantics are
-/// absorbed outright so the campaign ledger still balances. A no-op
-/// costing one relaxed load when the plane is idle.
-fn absorb_rank_faults(rank: usize) {
+/// Polls the active plan at every rank's spawn, in rank order. A
+/// straggler's startup delay is returned for its rank thread to sleep out
+/// before the rank program begins — the executor's collectives then absorb
+/// the skew (every other rank waits at its first `recv`/barrier). Any other
+/// kind has no meaning here: it is booked as an abort and refuses the run.
+/// One relaxed load per rank when the plane is idle.
+fn poll_rank_faults(n: usize) -> CommResult<Vec<Option<Duration>>> {
     use faults::{FaultKind, Site};
-    let site = Site::Rank(rank as u64);
-    match faults::poll(site) {
-        Some(FaultKind::Straggler { delay_us }) => {
-            std::thread::sleep(std::time::Duration::from_micros(delay_us));
-            faults::record_recovery("straggler_wait", site.describe(), 1, delay_us as f64 * 1e-6);
+    let mut delays = vec![None; n];
+    for (rank, delay) in delays.iter_mut().enumerate() {
+        let site = Site::Rank(rank as u64);
+        match faults::poll(site) {
+            Some(FaultKind::Straggler { delay_us }) => {
+                *delay = Some(Duration::from_micros(delay_us))
+            }
+            Some(kind) => {
+                faults::record_abort("rank_fault_refused", site.describe(), 1);
+                return Err(CommError::UnsupportedFault {
+                    rank,
+                    fault: kind.label(),
+                });
+            }
+            None => {}
         }
-        Some(_) => faults::record_recovery("rank_fault_absorbed", site.describe(), 1, 0.0),
-        None => {}
     }
+    Ok(delays)
 }
 
 /// Runs `f(rank, comm)` on `n` rank threads and returns the per-rank
-/// results in rank order. Panics in any rank propagate.
+/// results in rank order. Panics in any rank propagate. A run the fault
+/// plane refuses still runs `f`, but every primitive of its comm fails
+/// with [`CommError::UnsupportedFault`].
 pub fn run_ranks<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -293,6 +313,10 @@ where
         senders.push(tx);
         receivers.push(rx);
     }
+    let (delays, refused) = match poll_rank_faults(n) {
+        Ok(delays) => (delays, None),
+        Err(e) => (vec![None; n], Some(e)),
+    };
     let barrier = Arc::new(WaitBarrier::new(n));
     let stats = Arc::new(CommStats::default());
     let traffic = Arc::new(TrafficStats::default());
@@ -312,6 +336,7 @@ where
             stats: stats.clone(),
             traffic: traffic.clone(),
             deadline: opts.deadline,
+            refused: refused.clone(),
         })
         .collect();
     drop(senders);
@@ -324,14 +349,19 @@ where
         let handles: Vec<_> = comms
             .drain(..)
             .enumerate()
-            .map(|(rank, comm)| {
+            .zip(delays)
+            .map(|((rank, comm), delay)| {
                 let f = &f;
                 let cancel = cancel.clone();
                 scope.spawn(move || {
                     let _g = mqmd_util::trace::ContextGuard::enter(ctx);
                     let _lane = mqmd_util::events::LaneGuard::rank(rank as u32);
                     let _cancel = cancel.map(CancelScope::install);
-                    absorb_rank_faults(rank);
+                    if let Some(d) = delay {
+                        std::thread::sleep(d);
+                        let site = faults::Site::Rank(rank as u64).describe();
+                        faults::record_recovery("straggler_wait", site, 1, d.as_secs_f64());
+                    }
                     f(rank, &comm)
                 })
             })

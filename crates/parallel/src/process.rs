@@ -928,7 +928,8 @@ pub fn run_processes(
 
     // Fault plane: the parent is the "job scheduler" for its workers.
     // Straggler delays a spawn (and books the recovery, as the thread
-    // backend does); WorkerKill arms the kill switch for one death.
+    // backend does); WorkerKill arms the kill switch for one death; any
+    // other kind has no meaning at a spawn and refuses the run.
     let mut kill = opts.kill;
     let mut spawn_delays: Vec<Option<Duration>> = vec![None; n];
     for (rank, slot) in spawn_delays.iter_mut().enumerate() {
@@ -944,7 +945,13 @@ pub fn run_processes(
                     repeat: 1,
                 });
             }
-            Some(_) => faults::record_recovery("rank_fault_absorbed", site.describe(), 1, 0.0),
+            Some(kind) => {
+                faults::record_abort("rank_fault_refused", site.describe(), 1);
+                return Err(CommError::UnsupportedFault {
+                    rank,
+                    fault: kind.label(),
+                });
+            }
             None => {}
         }
     }

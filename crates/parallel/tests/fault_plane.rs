@@ -1,14 +1,16 @@
 //! Fault-plane tests for the parallel layer: straggler ranks must be
-//! absorbed by the executor, and every injection must be balanced by a
-//! recorded recovery.
+//! absorbed by the executor, every injection must be balanced by a
+//! recorded recovery or abort, and a fault a rank spawn has no meaning for
+//! is refused as a typed error on both backends.
 //!
 //! These live in their own test binary because the fault plan is
 //! process-global: the crate's unit tests call `run_ranks` concurrently
 //! and would poll the same `Site::Rank` counters, poaching the injected
 //! faults. Every test here takes the `gate()` mutex.
 
-use mqmd_parallel::comm::Comm;
+use mqmd_parallel::comm::{Comm, CommError};
 use mqmd_parallel::executor::run_ranks;
+use mqmd_parallel::process::{run_processes, ProcessOpts};
 use mqmd_util::faults::{self, FaultKind, FaultPlan, Site};
 
 fn gate() -> std::sync::MutexGuard<'static, ()> {
@@ -58,4 +60,46 @@ fn idle_plane_leaves_executor_untouched() {
     let s = faults::stats();
     assert_eq!(s.injected, 0);
     assert_eq!(s.recovered, 0);
+}
+
+#[test]
+fn a_fault_without_rank_semantics_is_refused_typed_on_both_backends() {
+    let _g = gate();
+    let refused = CommError::UnsupportedFault {
+        rank: 0,
+        fault: "density_nan",
+    };
+    let plan = || {
+        let mut plan = FaultPlan::new();
+        plan.push(FaultKind::DensityNan, Site::Rank(0), 1);
+        plan
+    };
+
+    // Threads: every rank's collective fails with the refusal (none waits
+    // on a peer), and the ledger books an abort, not a recovery.
+    faults::reset_stats();
+    faults::install(plan());
+    let out = run_ranks(3, |rank, comm| comm.allreduce_sum(vec![rank as f64]));
+    faults::clear();
+    for o in out {
+        assert_eq!(o, Err(refused.clone()));
+    }
+    let s = faults::stats();
+    assert_eq!((s.injected, s.recovered, s.aborted), (1, 0, 1), "{s:?}");
+    assert_eq!(s.by_action.get("rank_fault_refused"), Some(&1));
+
+    // Processes: refused before any worker is spawned, so no worker binary
+    // is needed.
+    faults::reset_stats();
+    faults::install(plan());
+    let run = run_processes(
+        std::path::Path::new("no-such-worker"),
+        "count_allreduce",
+        2,
+        ProcessOpts::default(),
+    );
+    faults::clear();
+    assert_eq!(run.err(), Some(refused));
+    let s = faults::stats();
+    assert_eq!((s.injected, s.recovered, s.aborted), (1, 0, 1), "{s:?}");
 }

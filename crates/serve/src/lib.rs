@@ -19,6 +19,9 @@
 //! - **Checkpoint-backed preemption** — higher-priority arrivals preempt
 //!   running work at MD-step boundaries via [`mqmd_md::io::CheckpointStore`];
 //!   the shed job is requeued (never lost) and resumes bitwise-identically.
+//!   Workers only capture a checkpoint; one writer thread per runtime makes
+//!   it durable, and every attempt that may be resumed flushes its writes
+//!   before it ends.
 //! - **Supervision** — worker panics (including injected
 //!   [`mqmd_util::faults::FaultKind::WorkerKill`]) are caught and the job
 //!   requeued or failed with a typed error; every terminal state is
@@ -28,6 +31,7 @@ pub mod contract;
 pub mod ledger;
 pub mod runtime;
 pub mod spec;
+mod writer;
 
 pub use ledger::{Admission, JobRecord, JobState, Ledger, RejectReason};
 pub use runtime::{ServiceConfig, ServiceRuntime};

@@ -8,6 +8,10 @@
 //! window in which a job is in neither the queue, nor the running set,
 //! nor a terminal ledger state. A single condvar wakes both idle workers
 //! (new or requeued work) and drain waiters (terminal transitions).
+//!
+//! Checkpoints are made durable off the workers, by the runtime's one
+//! `CheckpointWriter` thread (`writer.rs`); its rules (durable before any
+//! read, errors at the flush, cancel on settle) are on that type.
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,7 +22,6 @@ use std::time::{Duration, Instant};
 
 use mqmd_core::global::LdcSolver;
 use mqmd_core::qmd::QmdDriver;
-use mqmd_md::io::CheckpointStore;
 use mqmd_md::thermostat::NoseHoover;
 use mqmd_md::AtomicSystem;
 use mqmd_util::cancel::{CancelReason, CancelScope, CancelToken};
@@ -27,6 +30,7 @@ use mqmd_util::{faults, trace, MqmdError, Xoshiro256pp};
 
 use crate::ledger::{Admission, JobRecord, JobResult, JobState, Ledger, RejectReason};
 use crate::spec::{escalate, JobSpec};
+use crate::writer::CheckpointWriter;
 
 /// Service-plane configuration.
 #[derive(Clone, Debug)]
@@ -85,8 +89,9 @@ struct QueuedJob {
     ready_at: Instant,
     /// Whether a resume checkpoint exists in this job's store.
     has_checkpoint: bool,
-    /// Per-step energies up to (and consistent with) the latest
-    /// checkpoint; the stitched series ends up in [`JobResult`].
+    /// Per-step energies up to (and consistent with) the newest durable
+    /// checkpoint; the stitched series ends up in [`JobResult`]. A resume
+    /// reads no checkpoint taken after more steps than this records.
     energies: Vec<f64>,
     /// Wall clock consumed by finished attempts (deadline accounting).
     consumed: Duration,
@@ -118,6 +123,7 @@ struct Shared {
     /// reset, so plan caches (eig workspaces, MG hierarchy, FFT arena)
     /// are shared across jobs of the same shape.
     pool: Mutex<HashMap<String, Vec<LdcSolver>>>,
+    writer: CheckpointWriter,
 }
 
 impl Shared {
@@ -155,18 +161,20 @@ impl Shared {
 /// How an execution attempt ended (worker-internal).
 enum ExecOutcome {
     Completed(JobResult),
-    /// Checkpoint written; `energies` covers exactly the checkpointed
-    /// steps.
-    Preempted {
-        energies: Vec<f64>,
-    },
-    Failed {
-        error: MqmdError,
-        /// Energies consistent with the newest durable checkpoint (the
-        /// failed attempt's progress past it is discarded).
-        synced: Vec<f64>,
-        wrote_checkpoint: bool,
-    },
+    /// Checkpoint queued at a step boundary.
+    Preempted,
+    Failed(MqmdError),
+}
+
+/// An attempt's outcome (`Err`: it panicked, with the message) and what of
+/// its progress is durable.
+struct Attempt {
+    outcome: Result<ExecOutcome, String>,
+    /// Energies covered by the newest checkpoint the attempt resumed from
+    /// or wrote, once every write it queued has landed. `None` for a
+    /// completed attempt, and when it checkpointed nothing or a write
+    /// failed: the job then keeps its earlier record.
+    durable: Option<Vec<f64>>,
 }
 
 /// The multi-tenant job runtime. Create with [`ServiceRuntime::start`],
@@ -175,12 +183,16 @@ enum ExecOutcome {
 pub struct ServiceRuntime {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
+    writer: Option<JoinHandle<()>>,
 }
 
 impl ServiceRuntime {
-    /// Starts the worker pool. Creates the checkpoint root directory.
+    /// Starts the worker pool and the checkpoint writer. Creates the
+    /// checkpoint root directory.
     pub fn start(cfg: ServiceConfig) -> mqmd_util::Result<Self> {
         std::fs::create_dir_all(&cfg.checkpoint_dir)?;
+        let writer =
+            CheckpointWriter::new(cfg.checkpoint_dir.clone(), cfg.checkpoint_keep, cfg.workers);
         let shared = Arc::new(Shared {
             cfg,
             state: Mutex::new(Inner {
@@ -193,6 +205,7 @@ impl ServiceRuntime {
             }),
             cv: Condvar::new(),
             pool: Mutex::new(HashMap::new()),
+            writer,
         });
         let handles = (0..shared.cfg.workers)
             .map(|wid| {
@@ -203,7 +216,18 @@ impl ServiceRuntime {
                     .expect("spawn service worker")
             })
             .collect();
-        Ok(Self { shared, handles })
+        let writer = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("mqmd-serve-ckpt".into())
+                .spawn(move || shared.writer.run())
+                .expect("spawn checkpoint writer")
+        };
+        Ok(Self {
+            shared,
+            handles,
+            writer: Some(writer),
+        })
     }
 
     /// Admission control: validate, then check (in this order) deadline,
@@ -299,12 +323,10 @@ impl ServiceRuntime {
         self.shared.lock().ledger.clone()
     }
 
-    /// Blocks until every admitted job is terminal. Returns immediately
-    /// if the runtime has no workers. A settled job's checkpoint directory
-    /// may outlive its terminal state by the one `remove_dir_all` its
-    /// worker makes after publishing it, so it can still exist when this
-    /// returns; [`shutdown`](Self::shutdown) joins the workers and leaves
-    /// none behind.
+    /// Blocks until every admitted job is terminal and the checkpoint
+    /// writer is idle: no write is queued or in flight, and every settled
+    /// job's checkpoint directory is gone. Returns immediately if the
+    /// runtime has no workers.
     pub fn drain(&self) {
         if self.shared.cfg.workers == 0 {
             return;
@@ -322,9 +344,12 @@ impl ServiceRuntime {
                 Err(e) => e.into_inner().0,
             };
         }
+        drop(inner);
+        self.shared.writer.wait_idle();
     }
 
-    /// Drains, stops the workers, and returns the final ledger.
+    /// Drains, stops the workers and the checkpoint writer, and returns the
+    /// final ledger.
     pub fn shutdown(mut self) -> Ledger {
         self.drain();
         {
@@ -334,6 +359,9 @@ impl ServiceRuntime {
         self.shared.cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
+        }
+        if let Some(w) = self.writer.take() {
+            let _ = w.join();
         }
         self.shared.lock().ledger.clone()
     }
@@ -346,8 +374,9 @@ impl ServiceRuntime {
 
 impl Drop for ServiceRuntime {
     fn drop(&mut self) {
-        // Let workers finish the backlog in the background and exit;
-        // `shutdown()` is the orderly path and joins them.
+        // Let workers finish the backlog in the background and exit, and
+        // the writer after them; `shutdown()` is the orderly path and joins
+        // them.
         if let Ok(mut inner) = self.shared.state.lock() {
             inner.shutdown = true;
         }
@@ -385,26 +414,35 @@ fn retryable(e: &MqmdError) -> bool {
     )
 }
 
+/// Tells the writer a worker has exited, however it exits.
+struct ProducerGuard<'a>(&'a CheckpointWriter);
+
+impl Drop for ProducerGuard<'_> {
+    fn drop(&mut self) {
+        self.0.producer_exited();
+    }
+}
+
 fn worker_loop(shared: Arc<Shared>, wid: usize) {
     let _lane = LaneGuard::rank(wid as u32);
+    let _producer = ProducerGuard(&shared.writer);
     while let Some((job, token)) = next_job(&shared, wid) {
         let attempt_start = Instant::now();
         let over_budget = job.spec.deadline.is_some_and(|b| job.consumed >= b);
-        let result = if over_budget {
+        let attempt = if over_budget {
             // The budget was exhausted by earlier attempts; fail without
             // starting a solve.
-            Ok(ExecOutcome::Failed {
-                error: MqmdError::Cancelled {
+            Attempt {
+                outcome: Ok(ExecOutcome::Failed(MqmdError::Cancelled {
                     what: format!("job {}", job.id),
                     reason: CancelReason::Deadline,
-                },
-                synced: job.energies.clone(),
-                wrote_checkpoint: false,
-            })
+                })),
+                durable: None,
+            }
         } else {
             run_attempt(&shared, wid, &job, &token)
         };
-        finish_attempt(&shared, wid, job, result, attempt_start.elapsed());
+        finish_attempt(&shared, wid, job, attempt, attempt_start.elapsed());
     }
 }
 
@@ -488,15 +526,13 @@ fn next_job(shared: &Arc<Shared>, wid: usize) -> Option<(QueuedJob, CancelToken)
 
 /// Runs one supervised attempt: fault poll, solver checkout, execution.
 /// Panics (genuine or injected `WorkerKill`) are caught here; a panicking
-/// attempt's solver is discarded, never returned to the pool.
-fn run_attempt(
-    shared: &Arc<Shared>,
-    wid: usize,
-    job: &QueuedJob,
-    token: &CancelToken,
-) -> Result<ExecOutcome, String> {
+/// attempt's solver is discarded, never returned to the pool. An attempt
+/// that does not complete may be resumed, which reads the job's store, so
+/// it ends by flushing the writes it queued.
+fn run_attempt(shared: &Arc<Shared>, wid: usize, job: &QueuedJob, token: &CancelToken) -> Attempt {
     let key = job.spec.plan_key();
     let cfg = escalate(&job.spec.ldc_config(), job.attempt);
+    let mut checkpointed = None;
     let caught = catch_unwind(AssertUnwindSafe(|| {
         // Per-pickup fault poll: this is where an injected worker kill
         // or straggler lands (inside the supervision boundary).
@@ -516,10 +552,10 @@ fn run_attempt(
             _ => {}
         }
         let mut solver = shared.checkout_solver(&key, cfg);
-        let out = execute_job(shared, job, &mut solver, token);
+        let out = execute_job(shared, job, &mut solver, token, &mut checkpointed);
         (solver, out)
     }));
-    match caught {
+    let outcome = match caught {
         Ok((solver, out)) => {
             shared.return_solver(key, solver);
             Ok(out)
@@ -532,6 +568,27 @@ fn run_attempt(
                 .unwrap_or_else(|| "worker panic".into());
             Err(msg)
         }
+    };
+    if let Ok(ExecOutcome::Completed(_)) = outcome {
+        return Attempt {
+            outcome,
+            durable: None,
+        };
+    }
+    match shared.writer.flush(job.id) {
+        Ok(()) => Attempt {
+            outcome,
+            durable: checkpointed,
+        },
+        // A preemption whose checkpoint did not land has nothing to resume
+        // from: it fails, retryably.
+        Err(e) => Attempt {
+            outcome: match outcome {
+                Ok(ExecOutcome::Preempted) => Ok(ExecOutcome::Failed(e)),
+                other => other,
+            },
+            durable: None,
+        },
     }
 }
 
@@ -539,78 +596,65 @@ fn run_attempt(
 /// step, checkpoint periodically and on preemption. Runs under an
 /// installed [`CancelScope`], so deadline/shutdown abort inside the SCF
 /// loops with a typed error; preemption is honoured only here, at step
-/// boundaries, to keep resumes bitwise.
+/// boundaries, to keep resumes bitwise. `checkpointed` tracks the energies
+/// covered by the newest checkpoint resumed from or queued.
 fn execute_job(
     shared: &Arc<Shared>,
     job: &QueuedJob,
     solver: &mut LdcSolver,
     token: &CancelToken,
+    checkpointed: &mut Option<Vec<f64>>,
 ) -> ExecOutcome {
     let _scope = CancelScope::install(token.clone());
     let spec = &job.spec;
-    let store =
-        match CheckpointStore::open(job_dir(&shared.cfg, job.id), shared.cfg.checkpoint_keep) {
-            Ok(s) => s,
-            Err(e) => {
-                return ExecOutcome::Failed {
-                    error: e,
-                    synced: job.energies.clone(),
-                    wrote_checkpoint: false,
-                }
-            }
-        };
     let mut driver = QmdDriver::new(spec.dt, Some(NoseHoover::new(spec.temperature, 2, 200.0)));
-    let fail = |error: MqmdError, synced: Vec<f64>, wrote: bool| ExecOutcome::Failed {
-        error,
-        synced,
-        wrote_checkpoint: wrote,
-    };
 
-    let (mut system, start_step, mut energies) = if job.has_checkpoint {
-        match store.load_latest() {
-            Ok(Some(ckp)) => {
-                let (system, blob) = driver.restore(&ckp);
-                if let Err(e) = solver.import_state(&blob) {
-                    return fail(e, job.energies.clone(), false);
-                }
-                // The stitched energy prefix tracks the checkpoint.
-                debug_assert_eq!(job.energies.len() as u64, ckp.step);
-                (system, ckp.step, job.energies.clone())
-            }
-            Ok(None) => {
-                return fail(
-                    MqmdError::Io(format!("job {} resume checkpoint missing", job.id)),
-                    job.energies.clone(),
-                    false,
-                )
-            }
-            Err(e) => return fail(e, job.energies.clone(), false),
+    // Every write of earlier attempts has landed (each ended with a flush).
+    // Resume from the newest valid checkpoint the energy record reaches;
+    // if rollback past corrupt files leaves none, start over.
+    let resume = if job.has_checkpoint {
+        let at_most = job.energies.len() as u64;
+        match shared
+            .writer
+            .store(job.id)
+            .and_then(|store| store.load_latest_at_most(at_most))
+        {
+            Ok(ckp) => ckp,
+            Err(e) => return ExecOutcome::Failed(e),
         }
     } else {
-        (spec.build_system(), 0, Vec::new())
+        None
+    };
+    let (mut system, start_step, mut energies) = match resume {
+        Some(ckp) => {
+            let (system, blob) = driver.restore(&ckp);
+            if let Err(e) = solver.import_state(&blob) {
+                return ExecOutcome::Failed(e);
+            }
+            let energies = job.energies[..ckp.step as usize].to_vec();
+            *checkpointed = Some(energies.clone());
+            (system, ckp.step, energies)
+        }
+        None => (spec.build_system(), 0, Vec::new()),
     };
 
-    let mut synced = energies.clone();
-    let mut wrote = false;
     let mut scf_iterations = 0usize;
     for step in start_step..u64::from(spec.steps) {
         match token.status() {
             Some(CancelReason::Preempt) => {
-                // Step boundary: checkpoint and yield the worker.
-                return match save_checkpoint(&store, &driver, step, &system, solver) {
-                    Ok(_) => ExecOutcome::Preempted { energies },
-                    Err(e) => fail(e, synced, wrote),
-                };
+                // Step boundary: checkpoint (unless the newest one already
+                // holds this step) and yield the worker.
+                if checkpointed.as_ref().map(Vec::len) != Some(energies.len()) {
+                    queue_checkpoint(shared, job.id, &driver, &system, solver, &energies);
+                    *checkpointed = Some(energies);
+                }
+                return ExecOutcome::Preempted;
             }
             Some(reason) => {
-                return fail(
-                    MqmdError::Cancelled {
-                        what: format!("job {} at step {step}", job.id),
-                        reason,
-                    },
-                    synced,
-                    wrote,
-                )
+                return ExecOutcome::Failed(MqmdError::Cancelled {
+                    what: format!("job {} at step {step}", job.id),
+                    reason,
+                })
             }
             None => {}
         }
@@ -621,27 +665,18 @@ fn execute_job(
                     scf_iterations += report.scf_iterations;
                 }
                 None => {
-                    return fail(
-                        MqmdError::Numerical(format!(
-                            "job {} step {step} produced no energy",
-                            job.id
-                        )),
-                        synced,
-                        wrote,
-                    )
+                    return ExecOutcome::Failed(MqmdError::Numerical(format!(
+                        "job {} step {step} produced no energy",
+                        job.id
+                    )))
                 }
             },
-            Err(e) => return fail(e, synced, wrote),
+            Err(e) => return ExecOutcome::Failed(e),
         }
         let done = step + 1;
         if done < u64::from(spec.steps) && done % u64::from(spec.checkpoint_every) == 0 {
-            match save_checkpoint(&store, &driver, done, &system, solver) {
-                Ok(_) => {
-                    synced = energies.clone();
-                    wrote = true;
-                }
-                Err(e) => return fail(e, synced, wrote),
-            }
+            queue_checkpoint(shared, job.id, &driver, &system, solver, &energies);
+            *checkpointed = Some(energies.clone());
         }
     }
     ExecOutcome::Completed(JobResult {
@@ -652,37 +687,42 @@ fn execute_job(
     })
 }
 
-/// Writes the resume checkpoint after `step` completed steps inside one
-/// `checkpoint` span: the solver's export and the durable save, which no
-/// solver span covers.
-fn save_checkpoint(
-    store: &CheckpointStore,
+/// Captures the resume checkpoint after `energies.len()` completed steps
+/// inside one `checkpoint` span — the solver's export, which no solver
+/// span covers — and queues it on the writer, which makes it durable off
+/// this thread.
+fn queue_checkpoint(
+    shared: &Shared,
+    job: u64,
     driver: &QmdDriver<NoseHoover>,
-    step: u64,
     system: &AtomicSystem,
     solver: &LdcSolver,
-) -> mqmd_util::Result<PathBuf> {
+    energies: &[f64],
+) {
     let _span = trace::span("checkpoint");
-    store.save(&driver.checkpoint(step, system, solver.export_state()))
-}
-
-fn job_dir(cfg: &ServiceConfig, id: u64) -> PathBuf {
-    cfg.checkpoint_dir.join(format!("job_{id:08}"))
+    let step = energies.len() as u64;
+    let ckp = driver.checkpoint(step, system, solver.export_state());
+    shared.writer.save(job, ckp);
 }
 
 /// Applies an attempt's outcome under the scheduler lock: terminal states
 /// settle the ledger and tenant accounting; preemptions and retryable
 /// failures requeue. Every path lands in exactly one of those — no
-/// outcome leaves a job unaccounted. The lock covers the bookkeeping only;
-/// a settled job's checkpoint directory is deleted after it is released.
+/// outcome leaves a job unaccounted. A settled job's checkpoints are handed
+/// to the writer to cancel and delete before the lock is released, so a
+/// drain that sees the job terminal also waits for that.
 fn finish_attempt(
     shared: &Arc<Shared>,
     wid: usize,
     mut job: QueuedJob,
-    result: Result<ExecOutcome, String>,
+    attempt: Attempt,
     elapsed: Duration,
 ) {
     job.consumed += elapsed;
+    if let Some(energies) = attempt.durable {
+        job.energies = energies;
+        job.has_checkpoint = true;
+    }
     let cfg = &shared.cfg;
     let mut inner = shared.lock();
     inner.running.remove(&wid);
@@ -692,12 +732,12 @@ fn finish_attempt(
         Terminal(JobState, &'static str, String),
         Requeue(&'static str, String),
     }
-    let settle = match result {
+    let settle = match attempt.outcome {
         Ok(ExecOutcome::Completed(res)) => {
             inner.ledger.completed += 1;
             Settle::Terminal(JobState::Completed(res), "completed", String::new())
         }
-        Ok(ExecOutcome::Preempted { energies }) => {
+        Ok(ExecOutcome::Preempted) => {
             inner.ledger.preemptions += 1;
             if let Some(rec) = inner.ledger.records.get_mut(&id) {
                 rec.preemptions += 1;
@@ -705,18 +745,10 @@ fn finish_attempt(
             // A preemption does not consume an attempt: the job was not
             // at fault, it was shed for priority.
             job.attempt = job.attempt.saturating_sub(1);
-            job.energies = energies;
-            job.has_checkpoint = true;
             job.ready_at = Instant::now();
             Settle::Requeue("preempted", String::new())
         }
-        Ok(ExecOutcome::Failed {
-            error,
-            synced,
-            wrote_checkpoint,
-        }) => {
-            job.energies = synced;
-            job.has_checkpoint |= wrote_checkpoint;
+        Ok(ExecOutcome::Failed(error)) => {
             let budget_left = job.spec.deadline.is_none_or(|b| job.consumed < b);
             if retryable(&error) && job.attempt < cfg.max_attempts && budget_left {
                 inner.ledger.retries += 1;
@@ -774,7 +806,7 @@ fn finish_attempt(
         }
     };
 
-    let (state_label, detail, settled) = match settle {
+    let (state_label, detail) = match settle {
         Settle::Terminal(state, label, detail) => {
             if let Some(rec) = inner.ledger.records.get_mut(&id) {
                 rec.state = state;
@@ -782,14 +814,17 @@ fn finish_attempt(
             if let Some(active) = inner.tenant_active.get_mut(&tenant) {
                 *active = active.saturating_sub(1);
             }
-            (label, detail, true)
+            // The job's checkpoint store is garbage now. The writer drops
+            // its queued writes and deletes it; no filesystem time here.
+            shared.writer.settle(id);
+            (label, detail)
         }
         Settle::Requeue(label, detail) => {
             if let Some(rec) = inner.ledger.records.get_mut(&id) {
                 rec.state = JobState::Queued;
             }
             inner.queue.push(job);
-            (label, detail, false)
+            (label, detail)
         }
     };
     let depth = inner.queue.len() as u32;
@@ -798,13 +833,6 @@ fn finish_attempt(
     emit_job_state(id, tenant, state_label, detail);
     events::emit(Event::QueueDepth { depth, running });
     shared.cv.notify_all();
-    if settled {
-        // The job's checkpoint store is garbage now. Deleted only after the
-        // terminal state is published and the waiters are woken: filesystem
-        // time under the scheduler lock would stall every submit, ledger
-        // poll and the other workers' pickups.
-        std::fs::remove_dir_all(job_dir(cfg, id)).ok();
-    }
 }
 
 #[cfg(test)]

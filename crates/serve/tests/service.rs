@@ -9,10 +9,12 @@ use std::time::Duration;
 
 use mqmd_core::global::LdcSolver;
 use mqmd_core::qmd::QmdDriver;
+use mqmd_md::io::Checkpoint;
 use mqmd_md::thermostat::NoseHoover;
 use mqmd_serve::spec::escalate;
 use mqmd_serve::{Admission, JobSpec, JobState, RejectReason, ServiceConfig, ServiceRuntime};
 use mqmd_util::faults::{self, FaultKind, FaultPlan, Site};
+use mqmd_util::trace;
 
 /// The fault plane and its stats are process-global; chaos-flavoured
 /// tests serialise on this.
@@ -334,4 +336,79 @@ fn preempted_job_resumes_bitwise_identical() {
         "{:?}",
         ledger_b.audit(4, 16)
     );
+}
+
+#[test]
+fn attempt_failed_after_a_queued_write_resumes_from_it_bitwise() {
+    let _gate = fault_gate();
+    faults::reset_stats();
+    let spec = JobSpec {
+        steps: 3,
+        checkpoint_every: 1,
+        ..Default::default()
+    };
+    let driver = || QmdDriver::new(spec.dt, Some(NoseHoover::new(spec.temperature, 2, 200.0)));
+
+    // What the retry must reproduce: step 1 at the first rung, its
+    // checkpoint (through bytes, as the store holds it), then steps 2 and 3
+    // at the second rung from that checkpoint. Step 1's domain solves are
+    // counted, so the fault below lands on the first one of step 2.
+    let mut solver = LdcSolver::new(spec.ldc_config());
+    let mut system = spec.build_system();
+    let mut d1 = driver();
+    trace::set_enabled(true);
+    let mut want = d1.run(&mut system, &mut solver, 1).energies;
+    trace::set_enabled(false);
+    let step1_solves = trace::take()
+        .aggregate("domain_solve")
+        .map_or(0, |n| n.calls);
+    assert!(step1_solves > 0);
+    let ckp = d1.checkpoint(1, &system, solver.export_state());
+    let ckp = Checkpoint::from_bytes(ckp.to_bytes()).unwrap();
+    let mut d2 = driver();
+    let (mut system, blob) = d2.restore(&ckp);
+    let mut solver = LdcSolver::new(escalate(&spec.ldc_config(), 2));
+    solver.import_state(&blob).unwrap();
+    for _ in 1..spec.steps {
+        want.extend(d2.run(&mut system, &mut solver, 1).energies);
+    }
+
+    // The first domain solve of step 2 breaks down on every rung of the
+    // in-solver ladder (warm bands, their copy, scratch): attempt 1 fails
+    // with step 1's checkpoint queued, maybe not yet on disk.
+    let mut plan = FaultPlan::new();
+    for at in 1..=3 {
+        plan.push(
+            FaultKind::DavidsonDiverge,
+            Site::Domain(0),
+            step1_solves + at,
+        );
+    }
+    faults::install(plan);
+    let root = tmp("fail_after_write");
+    let rt = ServiceRuntime::start(ServiceConfig::new(&root)).unwrap();
+    let id = rt.submit(spec.clone()).id().unwrap();
+    let ledger = rt.shutdown();
+    let stats = faults::stats();
+    faults::clear();
+
+    let rec = &ledger.records[&id];
+    assert_eq!(stats.injected, 3, "{stats:?}");
+    assert_eq!((rec.attempts, rec.resumes), (2, 1), "{:?}", rec.state);
+    let JobState::Completed(got) = rec.state.clone() else {
+        panic!("job must complete on attempt 2: {:?}", rec.state);
+    };
+    assert_eq!(got.energies.len(), spec.steps as usize, "stitched length");
+    let bits = |e: &[f64]| e.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&got.energies), bits(&want));
+    for (a, b) in got.positions.iter().zip(&system.positions) {
+        assert_eq!(
+            [a.x, a.y, a.z].map(f64::to_bits),
+            [b.x, b.y, b.z].map(f64::to_bits)
+        );
+    }
+    assert!(ledger.audit(4, 16).is_empty(), "{:?}", ledger.audit(4, 16));
+    let left: Vec<_> = std::fs::read_dir(&root).unwrap().collect();
+    assert!(left.is_empty(), "a settled job's store outlived shutdown");
+    std::fs::remove_dir_all(&root).ok();
 }

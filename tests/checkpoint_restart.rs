@@ -238,3 +238,40 @@ fn store_prunes_to_retention_budget() {
     assert_eq!(store.load_latest().unwrap().unwrap().step, 4);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn bounded_load_skips_newer_files_and_rolls_back_past_corrupt_ones() {
+    let dir = std::env::temp_dir().join(format!("mqmd_ckp_bounded_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = CheckpointStore::open(&dir, 4).unwrap();
+    let sys = h2();
+    let mk = |step: u64| Checkpoint {
+        step,
+        system: sys.clone(),
+        cached_forces: None,
+        thermostat: vec![step as f64],
+        solver: Vec::new(),
+    };
+    store.save(&mk(1)).unwrap();
+    let second = store.save(&mk(2)).unwrap();
+    store.save(&mk(3)).unwrap();
+
+    // A resume whose energy record ends at step 2 must not read the newer
+    // file an attempt it discarded left behind.
+    assert_eq!(store.load_latest().unwrap().unwrap().step, 3);
+    assert_eq!(store.load_latest_at_most(2).unwrap().unwrap().step, 2);
+    assert_eq!(
+        store.load_latest_at_most(u64::MAX).unwrap().unwrap().step,
+        3
+    );
+
+    // A corrupt file at the bound rolls back to an older valid one, which
+    // may end below the bound: the caller truncates its record to it.
+    let mut bytes = std::fs::read(&second).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&second, &bytes).unwrap();
+    assert_eq!(store.load_latest_at_most(2).unwrap().unwrap().step, 1);
+    assert!(store.load_latest_at_most(0).unwrap().is_none());
+    std::fs::remove_dir_all(&dir).ok();
+}
