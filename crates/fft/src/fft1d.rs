@@ -7,16 +7,27 @@
 //! chirp-z algorithm, which re-expresses the DFT as a circular convolution of
 //! the next power-of-two size.
 //!
-//! There is one kernel. It transforms a **panel**: `len()` rows, each holding
-//! the same index of `width` independent signals (*lanes*) next to each
-//! other, rows `stride` elements apart. A butterfly combines two rows with
-//! one twiddle, so its inner loop runs along the lanes at unit stride, and
-//! every lane sees exactly the operations, in exactly the order, that a
-//! one-signal transform applies to it: results are bitwise independent of
-//! how signals are batched. Where rows are packed (`stride == width`) the
-//! rows one twiddle covers are adjacent and form a single run, which at one
-//! lane is the classic Stockham inner loop. Scratch is the caller's; the
-//! kernel allocates nothing.
+//! Every transform is of a **panel**: `len()` rows, each holding the same
+//! index of `width` independent signals (*lanes*) next to each other, rows
+//! `stride` elements apart. A butterfly combines two rows with one twiddle,
+//! so its inner loop runs along the lanes at unit stride, and every lane
+//! sees exactly the operations, in exactly the order, that a one-signal
+//! transform applies to it: results are bitwise independent of how signals
+//! are batched. Where rows are packed (`stride == width`) the rows one
+//! twiddle covers are adjacent and form a single run, which at one lane is
+//! the classic Stockham inner loop. Scratch is the caller's; the kernel
+//! allocates nothing.
+//!
+//! The staged Stockham driver runs the butterflies of one stage at a time,
+//! ping-ponging between two scratch panels. On the vector path a line of
+//! 2, 4 or 8 points — every line of the 8³ grids of an H₂ cell or a SiC
+//! domain — has a second, **register** form: the rows of a pair of lanes are
+//! loaded into `N` registers, the same butterflies with the same twiddles
+//! run on them stage after stage (the inverse's conjugations and `1/N` on
+//! the same stages), and each value is stored once; an odd last lane goes
+//! through the scalar butterfly. Each lane thus sees the staged kernel's
+//! operations in its order, so the two forms are bitwise equal, and the
+//! register form needs no scratch.
 //!
 //! [`Fft1d::forward`] and friends are the one-signal case on scratch the
 //! plan owns; [`crate::Fft3d`] drives the kernel over the lines of a 3-D
@@ -27,6 +38,10 @@ use mqmd_util::simd::simd_available;
 use mqmd_util::workspace::Workspace;
 use mqmd_util::Complex64;
 use std::ops::Range;
+
+/// Longest line the vector path holds in registers: eight points are eight
+/// `f64x4` registers for a pair of lanes.
+const REGISTER_MAX: usize = 8;
 
 /// A planned forward/inverse complex FFT of fixed length.
 pub struct Fft1d {
@@ -152,8 +167,9 @@ impl Fft1d {
         self.flops
     }
 
-    /// Rows of scratch a panel transform needs: `scratch_rows()·width`
-    /// elements for `width` lanes.
+    /// Rows of scratch a panel transform may need: `scratch_rows()·width`
+    /// elements for `width` lanes are always enough (a line the registers
+    /// hold uses none).
     pub fn scratch_rows(&self) -> usize {
         match &self.kind {
             Kind::Pow2 { .. } => 2 * self.n,
@@ -202,10 +218,35 @@ impl Fft1d {
         self.line(x, Direction::Inverse, false);
     }
 
-    /// One signal: a one-lane panel on scratch borrowed from the plan.
+    /// One signal: a one-lane panel on scratch borrowed from the plan
+    /// (none for a line the registers hold).
     fn line(&self, x: &mut [Complex64], dir: Direction, simd: bool) {
+        if self.in_registers(simd) {
+            return self.panel_impl(x, 1, 0..1, &mut [], dir, simd);
+        }
         let mut scratch = self.arena.borrow_c64(self.scratch_rows());
         self.panel_impl(x, 1, 0..1, &mut scratch, dir, simd);
+    }
+
+    /// Whether a transform with `simd` requested runs in registers: a
+    /// power-of-two line of 2 to [`REGISTER_MAX`] points on the vector
+    /// path. Such a line needs no scratch.
+    pub(crate) fn in_registers(&self, simd: bool) -> bool {
+        cfg!(all(feature = "simd", target_arch = "x86_64"))
+            && simd
+            && simd_available()
+            && matches!(self.kind, Kind::Pow2 { .. })
+            && (2..=REGISTER_MAX).contains(&self.n)
+    }
+
+    /// Values of scratch a panel of `width` lanes needs with `simd`
+    /// requested: [`Self::scratch_rows`]`·width`, or none in registers.
+    pub(crate) fn scratch_len(&self, width: usize, simd: bool) -> usize {
+        if self.in_registers(simd) {
+            0
+        } else {
+            self.scratch_rows() * width
+        }
     }
 
     /// Transforms, in place, lanes `lanes` of the panel `x` of `len()` rows
@@ -297,11 +338,16 @@ impl Fft1d {
         simd: bool,
     ) {
         assert!(
-            scratch.len() >= self.scratch_rows() * width,
+            scratch.len() >= self.scratch_len(width, simd),
             "scratch too short"
         );
         let n = self.n;
         match &self.kind {
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            Kind::Pow2 { stages } if self.in_registers(simd) => {
+                // SAFETY: `in_registers` verified AVX2+FMA and 2 ≤ n ≤ 8.
+                avx::lines(rows, width, stages, dir)
+            }
             Kind::Pow2 { stages } => pow2(rows, width, scratch.as_mut_ptr(), stages, dir, simd),
             Kind::Bluestein {
                 m,
@@ -581,11 +627,40 @@ mod avx {
         super::pow2_with::<Avx2>(data, width, scratch, stages, dir);
     }
 
-    /// Vectorized butterflies: two complex values per `f64x4` register, an
-    /// odd run's last value through the scalar expression. The twiddle
+    /// The butterfly of one twiddle on two lanes at once: the twiddle
     /// multiply is built from `mul`/`addsub`, which is lane-for-lane the
     /// operation order of the scalar `Complex64` multiply, and the
-    /// conjugations are sign flips — every run is **bitwise identical** to
+    /// conjugations are sign flips — bitwise [`butterfly`] on each lane.
+    /// `wv` is `[w.re, w.im, w.re, w.im]`, `wsw` its pair swap and `sv`
+    /// the scale in every lane.
+    #[inline(always)]
+    fn pair_butterfly<const PRE: bool, const POST: bool>(
+        mut x: F64x4,
+        mut y: F64x4,
+        wv: F64x4,
+        wsw: F64x4,
+        sv: F64x4,
+    ) -> (F64x4, F64x4) {
+        if PRE {
+            (x, y) = (x.conj_pairs(), y.conj_pairs());
+        }
+        let mut u = x.add(y);
+        let d = x.sub(y);
+        let dsw = d.swap_pairs();
+        let dre = d.blend_odd_from(dsw); // [re, re, re, re]
+        let dim = d.blend_even_from(dsw); // [im, im, im, im]
+
+        // even lanes: re·w.re − im·w.im; odd: re·w.im + im·w.re
+        let mut v = dre.mul(wv).addsub(dim.mul(wsw));
+        if POST {
+            (u, v) = (u.conj_pairs().mul(sv), v.conj_pairs().mul(sv));
+        }
+        (u, v)
+    }
+
+    /// Vectorized butterflies: two complex values per `f64x4` register
+    /// through [`pair_butterfly`], an odd run's last value through the
+    /// scalar expression — every run is **bitwise identical** to
     /// [`super::Scalar`]'s.
     struct Avx2;
 
@@ -610,22 +685,9 @@ mod avx {
             let pairs = len & !1;
             let mut i = 0;
             while i < pairs {
-                let mut x = F64x4::load(ap.add(2 * i));
-                let mut y = F64x4::load(bp.add(2 * i));
-                if PRE {
-                    (x, y) = (x.conj_pairs(), y.conj_pairs());
-                }
-                let mut u = x.add(y);
-                let d = x.sub(y);
-                let dsw = d.swap_pairs();
-                let dre = d.blend_odd_from(dsw); // [re, re, re, re]
-                let dim = d.blend_even_from(dsw); // [im, im, im, im]
-
-                // even lanes: re·w.re − im·w.im; odd: re·w.im + im·w.re
-                let mut v = dre.mul(wv).addsub(dim.mul(wsw));
-                if POST {
-                    (u, v) = (u.conj_pairs().mul(sv), v.conj_pairs().mul(sv));
-                }
+                let x = F64x4::load(ap.add(2 * i));
+                let y = F64x4::load(bp.add(2 * i));
+                let (u, v) = pair_butterfly::<PRE, POST>(x, y, wv, wsw, sv);
                 u.store(p0.add(2 * i));
                 v.store(p1.add(2 * i));
                 i += 2;
@@ -635,6 +697,165 @@ mod avx {
                 *o0.add(pairs) = u;
                 *o1.add(pairs) = v;
             }
+        }
+    }
+
+    /// What a line of the register form is held in: one lane as a
+    /// `Complex64`, or a pair of lanes as an `f64x4`.
+    trait Lanes: Copy {
+        /// Loads row `r` of the lanes at `at`.
+        unsafe fn load(at: *const Complex64) -> Self;
+        unsafe fn store(self, at: *mut Complex64);
+        /// The butterfly of one twiddle, bitwise [`butterfly`] per lane.
+        fn butterfly<const PRE: bool, const POST: bool>(
+            x: Self,
+            y: Self,
+            w: Complex64,
+            scale: f64,
+        ) -> (Self, Self);
+    }
+
+    impl Lanes for Complex64 {
+        #[inline(always)]
+        unsafe fn load(at: *const Complex64) -> Self {
+            *at
+        }
+        #[inline(always)]
+        unsafe fn store(self, at: *mut Complex64) {
+            *at = self;
+        }
+        #[inline(always)]
+        fn butterfly<const PRE: bool, const POST: bool>(
+            x: Self,
+            y: Self,
+            w: Complex64,
+            scale: f64,
+        ) -> (Self, Self) {
+            butterfly::<PRE, POST>(x, y, w, scale)
+        }
+    }
+
+    impl Lanes for F64x4 {
+        #[inline(always)]
+        unsafe fn load(at: *const Complex64) -> Self {
+            F64x4::load(at as *const f64)
+        }
+        #[inline(always)]
+        unsafe fn store(self, at: *mut Complex64) {
+            F64x4::store(self, at as *mut f64)
+        }
+        #[inline(always)]
+        fn butterfly<const PRE: bool, const POST: bool>(
+            x: Self,
+            y: Self,
+            w: Complex64,
+            scale: f64,
+        ) -> (Self, Self) {
+            let wv = F64x4::new(w.re, w.im, w.re, w.im);
+            let sv = F64x4::splat(scale);
+            pair_butterfly::<PRE, POST>(x, y, wv, wv.swap_pairs(), sv)
+        }
+    }
+
+    /// One stage of [`super::pow2_with`] on a line of `N` values held in
+    /// registers: values `q + s·p` and `q + s·(p + m)` go through the
+    /// butterfly of twiddle `p` of the same table into `q + 2s·p` and
+    /// `q + s·(2p + 1)` (`m = N/2s`) — what [`super::stage`] does with
+    /// rows, with the ping-pong between scratch panels gone.
+    #[inline(always)]
+    fn stage_in_registers<V: Lanes, const N: usize, const PRE: bool, const POST: bool>(
+        x: &mut [V; N],
+        tw: &[Complex64],
+        s: usize,
+    ) {
+        let m = N / (2 * s);
+        let scale = 1.0 / N as f64;
+        let src = *x;
+        for p in 0..m {
+            let w = tw[p];
+            for q in 0..s {
+                let (u, v) =
+                    V::butterfly::<PRE, POST>(src[q + s * p], src[q + s * (p + m)], w, scale);
+                x[q + 2 * s * p] = u;
+                x[q + s * (2 * p + 1)] = v;
+            }
+        }
+    }
+
+    /// Every stage of a line of `N` values in registers, the inverse's
+    /// conjugations on the first stage's inputs and the last's outputs.
+    /// Each stage's size and flags are constants, so its loops unroll and
+    /// the line never leaves the registers.
+    #[inline(always)]
+    fn stages_in_registers<V: Lanes, const N: usize, const INV: bool>(
+        x: &mut [V; N],
+        stages: &[Vec<Complex64>],
+    ) {
+        match stages {
+            [t0] if N == 2 => stage_in_registers::<V, N, INV, INV>(x, t0, 1),
+            [t0, t1] if N == 4 => {
+                stage_in_registers::<V, N, INV, false>(x, t0, 1);
+                stage_in_registers::<V, N, false, INV>(x, t1, 2);
+            }
+            [t0, t1, t2] if N == 8 => {
+                stage_in_registers::<V, N, INV, false>(x, t0, 1);
+                stage_in_registers::<V, N, false, false>(x, t1, 2);
+                stage_in_registers::<V, N, false, INV>(x, t2, 4);
+            }
+            _ => unreachable!("a line of {N} has log2({N}) stages"),
+        }
+    }
+
+    /// Transforms the `width` lanes of `data`, `N` rows, a pair of lanes
+    /// at a time in `N` registers and an odd last lane as `N` scalars.
+    ///
+    /// # Safety
+    /// As [`super::Fft1d::lanes_raw`] with `N` rows; requires AVX2+FMA.
+    #[inline(always)]
+    unsafe fn lines_of<const N: usize, const INV: bool>(
+        data: Rows,
+        width: usize,
+        stages: &[Vec<Complex64>],
+    ) {
+        unsafe fn line<V: Lanes, const N: usize, const INV: bool>(
+            data: Rows,
+            l: usize,
+            stages: &[Vec<Complex64>],
+        ) {
+            let row = |r: usize| data.ptr.add(r * data.stride + l);
+            let mut x: [V; N] = std::array::from_fn(|r| V::load(row(r)));
+            stages_in_registers::<V, N, INV>(&mut x, stages);
+            for (r, v) in x.into_iter().enumerate() {
+                v.store(row(r));
+            }
+        }
+        let pairs = width & !1;
+        for l in (0..pairs).step_by(2) {
+            line::<F64x4, N, INV>(data, l, stages);
+        }
+        if pairs < width {
+            line::<Complex64, N, INV>(data, pairs, stages);
+        }
+    }
+
+    /// The register form of a power-of-two transform of 2, 4 or 8 points
+    /// over the `width` lanes of `data`: no scratch, each value loaded
+    /// and stored once, bitwise [`super::pow2_with`] over either
+    /// butterflies.
+    ///
+    /// # Safety
+    /// As [`super::Fft1d::lanes_raw`] with `2^stages.len() ≤ 8` rows;
+    /// requires AVX2+FMA at runtime.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn lines(data: Rows, width: usize, stages: &[Vec<Complex64>], dir: Direction) {
+        match (stages.len(), dir == Direction::Inverse) {
+            (1, false) => lines_of::<2, false>(data, width, stages),
+            (1, true) => lines_of::<2, true>(data, width, stages),
+            (2, false) => lines_of::<4, false>(data, width, stages),
+            (2, true) => lines_of::<4, true>(data, width, stages),
+            (3, false) => lines_of::<8, false>(data, width, stages),
+            (3, true) => lines_of::<8, true>(data, width, stages),
+            (len, _) => unreachable!("a {len}-stage line is not held in registers"),
         }
     }
 }

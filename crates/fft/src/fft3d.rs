@@ -23,9 +23,10 @@
 //! zeros that a transformed line of zeros holds, which the plan keeps).
 //!
 //! Each sweep is one parallel call over tasks of consecutive lines, each
-//! with its own piece of a scratch buffer borrowed once per transform; a
-//! line's result does not depend on which task ran it, so outputs are
-//! bitwise identical across thread counts (`tests/determinism.rs`).
+//! with its own piece of a scratch buffer borrowed once per transform (none
+//! when every sweep's lines run in registers, as on an 8³ grid); a line's
+//! result does not depend on which task ran it, so outputs are bitwise
+//! identical across thread counts (`tests/determinism.rs`).
 
 use crate::fft1d::{Direction, Fft1d, Rows};
 use mqmd_util::flops::{count_flops, par_min_len};
@@ -190,7 +191,8 @@ fn broadcast(dst: &mut [Complex64], pattern: &[Complex64], lanes: usize) {
 }
 
 /// One sweep's division of labour: `items` units of work as `tasks` tasks of
-/// consecutive units, each with `chunk` values of scratch.
+/// consecutive units, each with `chunk` values of scratch (none when its
+/// lines run in registers).
 struct Sweep {
     items: usize,
     tasks: usize,
@@ -217,7 +219,7 @@ impl Sweep {
             items,
             tasks,
             width,
-            chunk: plan.scratch_rows() * width,
+            chunk: plan.scratch_len(width, simd_available()),
             flops,
         }
     }
@@ -225,13 +227,19 @@ impl Sweep {
     /// Runs `work(units, scratch)` for every task: one parallel call.
     fn run(&self, scratch: &mut [Complex64], work: impl Fn(Range<usize>, &mut [Complex64]) + Sync) {
         let per_task = self.items.div_ceil(self.tasks);
+        let units = |t: usize| {
+            let end = ((t + 1) * per_task).min(self.items);
+            (t * per_task).min(end)..end
+        };
+        if self.chunk == 0 {
+            return (0..self.tasks)
+                .into_par_iter()
+                .for_each(|t| work(units(t), &mut []));
+        }
         scratch[..self.tasks * self.chunk]
             .par_chunks_mut(self.chunk)
             .enumerate()
-            .for_each(|(t, chunk)| {
-                let end = ((t + 1) * per_task).min(self.items);
-                work((t * per_task).min(end)..end, chunk);
-            });
+            .for_each(|(t, chunk)| work(units(t), chunk));
     }
 }
 
@@ -295,8 +303,10 @@ impl Fft3d {
         // The scratch of `forward`/`inverse` is part of the plan: a plan made
         // for one transform (the ionic potential, the Hartree force) pays
         // for it here, with its twiddle tables, not as a workspace miss.
-        let one_field = plan.sweeps(1, &plan.full, Direction::Forward);
-        plan.arena.reserve_c64(scratch_len(&one_field), 1);
+        let one_field = scratch_len(&plan.sweeps(1, &plan.full, Direction::Forward));
+        if one_field > 0 {
+            plan.arena.reserve_c64(one_field, 1);
+        }
         plan
     }
 
@@ -455,13 +465,16 @@ impl Fft3d {
 
         let (z_cols, iz_runs, yz_runs) = self.units(pr, dir);
         let plane = ny * nz * lanes;
-        let mut scratch = ws.borrow_c64(scratch_len(&sweeps));
+        // Sweeps whose lines all run in registers borrow nothing.
+        let need = scratch_len(&sweeps);
+        let mut borrowed = (need > 0).then(|| ws.borrow_c64(need));
+        let scratch: &mut [Complex64] = borrowed.as_deref_mut().unwrap_or_default();
         let [z, y, x] = sweeps;
         let field = Field::new(data);
 
         // Axis z: a column of all lanes is a packed [nz][lanes] panel.
         if nz > 1 {
-            z.run(&mut scratch, |cols, scratch| {
+            z.run(scratch, |cols, scratch| {
                 for &c in &z_cols[cols] {
                     // SAFETY: column `c` is the `nz·lanes` elements from
                     // `c·nz·lanes`; columns are distinct, each in one task.
@@ -475,7 +488,7 @@ impl Fft3d {
         // Axis y: an x-plane is `ny` rows of `nz·lanes` lanes. A pruned
         // inverse first gives the lines it skipped their zeros.
         if ny > 1 || (inverse && z_cols.len() < nx * ny) {
-            y.run(&mut scratch, |planes, scratch| {
+            y.run(scratch, |planes, scratch| {
                 for ix in planes {
                     let base = ix * plane;
                     if inverse && !pr.plane_active[ix] {
@@ -518,7 +531,7 @@ impl Fft3d {
         // Axis x: the field is `nx` rows of `ny·nz·lanes` lanes; a task
         // takes the lanes of consecutive runs of yz-pencils.
         if nx > 1 {
-            x.run(&mut scratch, |units, scratch| {
+            x.run(scratch, |units, scratch| {
                 let mut i = units.start;
                 while i < units.end {
                     // Runs that touch (a whole row of pencils, then the

@@ -311,3 +311,30 @@ fn pruned_batch_is_bitwise_deterministic_across_thread_counts() {
         }
     }
 }
+
+/// Lines of 2, 4 and 8 points run in registers on the vector path and need
+/// no scratch: a transform of an 8³ grid, one field or a panel of bands,
+/// borrows nothing there. The staged kernel of the scalar path borrows one
+/// buffer per transform, and an axis longer than 8 brings it back.
+#[test]
+fn register_lines_borrow_no_scratch() {
+    let vector = mqmd_util::simd::simd_available();
+    for ((nx, ny, nz), lanes, staged_axis) in [
+        ((8, 8, 8), 1, false),
+        ((8, 8, 8), 3, false),
+        ((16, 8, 8), 2, true),
+    ] {
+        let plan = Fft3d::new(nx, ny, nz);
+        let ws = Workspace::new();
+        let mut panel = random_signal(plan.len() * lanes, 7);
+        plan.forward_batch(&mut panel, lanes, None, &ws);
+        plan.inverse_batch(&mut panel, lanes, None, &ws);
+        let stats = ws.stats().snapshot();
+        let borrows = if vector && !staged_axis { 0 } else { 2 };
+        assert_eq!(
+            stats.hits + stats.misses,
+            borrows,
+            "{nx}x{ny}x{nz}, {lanes} lanes, vector path {vector}"
+        );
+    }
+}

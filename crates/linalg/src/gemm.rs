@@ -6,9 +6,9 @@
 //! intensity. Both paths are implemented here on our own data structures:
 //!
 //! * [`dgemv`]/[`zgemv`] — the band-by-band reference path;
-//! * [`dgemm`]/[`zgemm`] — the all-band path, using the cache-friendly
-//!   `i-k-j` loop order on row-major data and rayon parallelism over output
-//!   row blocks (no synchronisation: each task owns disjoint rows of C);
+//! * [`dgemm`]/[`zgemm`] — the all-band path, with rayon parallelism over
+//!   output row blocks (no synchronisation: each task owns disjoint rows of
+//!   C); the scalar references walk each row of C in `i-k-j` order;
 //! * [`zgemm_dagger_a_into`] — `A†·B`, the overlap-matrix kernel of the band
 //!   orthonormalisation (§3.3).
 //!
@@ -27,9 +27,14 @@
 //!   reference by a bounded number of ULPs — the property tests in
 //!   `tests/simd_differential.rs` pin that bound.
 //! * [`zgemm_simd`] / the vector path inside [`zgemm_dagger_a_into`] —
-//!   complex kernels processing two `Complex64` per `f64x4` register.
-//!   These replicate the scalar [`Complex64::mul_add`] operation order
-//!   lane-by-lane, so they are **bitwise identical** to the reference.
+//!   register tiles of up to 4 rows × 2 `f64x4` column pairs (two
+//!   `Complex64` each), plus an odd last column, held in registers for the
+//!   whole inner dimension and stored once. Every element keeps the scalar
+//!   [`Complex64::mul_add`] chain — the same steps, in the same order, with
+//!   the same `s == 0` skip — lane-by-lane, so these are **bitwise
+//!   identical** to the reference. What the tile changes is the cost per
+//!   call at the small shapes of an H₂ cell (a few bands, ~100 plane
+//!   waves): one call per tile instead of one per (row, k) pair.
 //!
 //! Both paths are deterministic for any rayon thread count: row blocks are
 //! data-parallel with no shared accumulation, and the `A†·B` chunk reduction
@@ -205,6 +210,13 @@ pub fn dgemv(alpha: f64, a: &Matrix, x: &[f64], beta: f64, y: &mut [f64]) {
 ///
 /// Dispatches to the vectorized kernel (bitwise identical to the scalar
 /// reference) when available.
+///
+/// Every element of C is one chain of [`Complex64::mul_add`] over `k` in
+/// order, after the β pass (`β = 0` clears C, `β = 1` leaves it). A step
+/// whose coefficient `s = α·A[i][k]` is zero is **skipped**, not
+/// multiplied: `0·NaN` and `0·∞` are never formed, so a NaN or ∞ in a row
+/// of B that only zero coefficients scale does not reach C. Both paths keep
+/// the skip, which is part of what makes them bitwise equal.
 pub fn zgemm(alpha: Complex64, a: &CMatrix, b: &CMatrix, beta: Complex64, c: &mut CMatrix) {
     if mqmd_util::simd::simd_available() {
         zgemm_simd(alpha, a, b, beta, c);
@@ -265,10 +277,11 @@ pub fn zgemm_scalar(alpha: Complex64, a: &CMatrix, b: &CMatrix, beta: Complex64,
         });
 }
 
-/// Vectorized form of [`zgemm`]: two `Complex64` per `f64x4` register,
-/// replicating the scalar [`Complex64::mul_add`] op order per lane —
-/// **bitwise identical** to [`zgemm_scalar`]. Falls back to the scalar
-/// reference when the vector backend cannot run.
+/// Vectorized form of [`zgemm`]: register tiles of C, two `Complex64` per
+/// `f64x4` register, replicating the scalar [`Complex64::mul_add`] chain
+/// and its `s == 0` skip per lane — **bitwise identical** to
+/// [`zgemm_scalar`]. Falls back to the scalar reference when the vector
+/// backend cannot run.
 pub fn zgemm_simd(alpha: Complex64, a: &CMatrix, b: &CMatrix, beta: Complex64, c: &mut CMatrix) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if mqmd_util::simd::simd_available() {
@@ -297,9 +310,7 @@ pub fn zgemm_simd(alpha: Complex64, a: &CMatrix, b: &CMatrix, beta: Complex64, c
             )))
             .enumerate()
             .for_each(|(blk, c_rows)| {
-                let i0 = blk * ROW_BLOCK;
-                for (di, c_row) in c_rows.chunks_mut(n).enumerate() {
-                    let i = i0 + di;
+                for c_row in c_rows.chunks_mut(n) {
                     if beta == Complex64::ZERO {
                         c_row.fill(Complex64::ZERO);
                     } else if beta != Complex64::ONE {
@@ -307,17 +318,11 @@ pub fn zgemm_simd(alpha: Complex64, a: &CMatrix, b: &CMatrix, beta: Complex64, c
                             *z *= beta;
                         }
                     }
-                    let a_row = &a_data[i * k..(i + 1) * k];
-                    for (kk, &aik) in a_row.iter().enumerate() {
-                        let s = alpha * aik;
-                        if s == Complex64::ZERO {
-                            continue;
-                        }
-                        let b_row = &b_data[kk * n..(kk + 1) * n];
-                        // SAFETY: `simd_available` verified AVX2+FMA above.
-                        unsafe { avx::zaxpy_mul_add_avx2(s, b_row, c_row) };
-                    }
                 }
+                // SAFETY: `simd_available` verified AVX2+FMA above.
+                unsafe {
+                    avx::zgemm_rows_avx2(alpha, a_data, b_data, c_rows, blk * ROW_BLOCK, k, n)
+                };
             });
         return;
     }
@@ -351,11 +356,17 @@ pub fn zgemv(alpha: Complex64, a: &CMatrix, x: &[Complex64], beta: Complex64, y:
 /// this is the band overlap matrix `S = Ψ†Ψ` that feeds the Cholesky
 /// orthonormalisation.
 ///
-/// The plane-wave range is split into fixed-size chunks and the per-chunk
-/// partials are summed *sequentially in chunk order*. The chunk size
-/// depends only on the problem shape — never on the rayon pool width — so
-/// the result is bitwise identical for any thread count, on both the scalar and the vector path (which replicates the
-/// scalar op order lane-by-lane).
+/// Every element is one [`Complex64::mul_add`] chain over the plane-wave
+/// index `g`, in order, from `+0`. The plane-wave range is split into
+/// fixed-size chunks of 1024 rows or more and the per-chunk partials are
+/// summed *sequentially in chunk order*. The chunk size depends only on the
+/// problem shape — never on the rayon pool width — so the result is
+/// bitwise identical for any thread count, on both the scalar and the
+/// vector path (which holds a tile of the accumulator in registers and
+/// replicates the scalar op order lane-by-lane). A single chunk is
+/// accumulated straight into `out` and borrows nothing: adding it to `+0`
+/// would change no bit, because a chain that starts at `+0` never holds
+/// `−0`.
 pub fn zgemm_dagger_a_into(a: &CMatrix, b: &CMatrix, out: &mut CMatrix, ws: &Workspace) {
     let _span = mqmd_util::trace::span("gemm");
     let (np, na) = (a.rows(), a.cols());
@@ -365,56 +376,61 @@ pub fn zgemm_dagger_a_into(a: &CMatrix, b: &CMatrix, out: &mut CMatrix, ws: &Wor
     assert_eq!(out.cols(), nb, "out col mismatch");
     count_flops(zgemm_flops(na as u64, nb as u64, np as u64));
 
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    let use_simd = mqmd_util::simd::simd_available();
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    let use_simd = false;
-
-    // Accumulate over rows of A/B (the plane-wave index); parallelise by
-    // splitting the plane-wave range and reducing partial products. The
-    // chunk size is a pure function of np so chunk boundaries (and hence
-    // the sequential chunk-order reduction) are identical for every rayon
-    // pool width.
     let out_data = out.data_mut();
     out_data.fill(Complex64::ZERO);
     if np == 0 || na * nb == 0 {
         return;
     }
-    let a_data = a.data();
-    let b_data = b.data();
+    let (a_data, b_data) = (a.data(), b.data());
+    // The chunk size is a pure function of np, so chunk boundaries (and
+    // hence the sequential chunk-order reduction) are identical for every
+    // rayon pool width.
     let chunk = 1024usize.max(np.div_ceil(64));
+    let rows = |c: usize| c * chunk..((c + 1) * chunk).min(np);
+    if np <= chunk {
+        dagger_chunk(a_data, b_data, na, nb, rows(0), out_data);
+        return;
+    }
     // One partial product per chunk, side by side in one pooled buffer.
     let mut partials = ws.borrow_c64(np.div_ceil(chunk) * na * nb);
     partials
         .par_chunks_mut(na * nb)
         .with_min_len(par_min_len(zgemm_flops(na as u64, nb as u64, 1)).div_ceil(chunk))
         .enumerate()
-        .for_each(|(c, acc)| {
-            let g0 = c * chunk;
-            let g1 = (g0 + chunk).min(np);
-            for g in g0..g1 {
-                let a_row = &a_data[g * na..(g + 1) * na];
-                let b_row = &b_data[g * nb..(g + 1) * nb];
-                for (i, &ai) in a_row.iter().enumerate() {
-                    let ai_c = ai.conj();
-                    let out = &mut acc[i * nb..(i + 1) * nb];
-                    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                    if use_simd {
-                        // SAFETY: `simd_available` verified AVX2+FMA.
-                        unsafe { avx::zaxpy_mul_add_avx2(ai_c, b_row, out) };
-                        continue;
-                    }
-                    let _ = use_simd;
-                    for (o, &bj) in out.iter_mut().zip(b_row) {
-                        *o = o.mul_add(ai_c, bj);
-                    }
-                }
-            }
-        });
-
+        .for_each(|(c, acc)| dagger_chunk(a_data, b_data, na, nb, rows(c), acc));
     for p in partials.chunks_exact(na * nb) {
         for (o, &v) in out_data.iter_mut().zip(p) {
             *o += v;
+        }
+    }
+}
+
+/// `acc[i][j] ← acc[i][j] + Σ_{g ∈ rows} conj(A[g][i])·B[g][j]`, one
+/// [`Complex64::mul_add`] per `g` in order: the vector tiles when they can
+/// run, else the scalar reference loop.
+fn dagger_chunk(
+    a: &[Complex64],
+    b: &[Complex64],
+    na: usize,
+    nb: usize,
+    rows: std::ops::Range<usize>,
+    acc: &mut [Complex64],
+) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if mqmd_util::simd::simd_available() {
+        // SAFETY: `simd_available` verified AVX2+FMA.
+        unsafe { avx::dagger_chunk_avx2(a, b, na, nb, rows, acc) };
+        return;
+    }
+    for g in rows {
+        let a_row = &a[g * na..(g + 1) * na];
+        let b_row = &b[g * nb..(g + 1) * nb];
+        for (i, &ai) in a_row.iter().enumerate() {
+            let ai_c = ai.conj();
+            let out = &mut acc[i * nb..(i + 1) * nb];
+            for (o, &bj) in out.iter_mut().zip(b_row) {
+                *o = o.mul_add(ai_c, bj);
+            }
         }
     }
 }
@@ -590,32 +606,226 @@ mod avx {
         }
     }
 
-    /// `c[j] = c[j].mul_add(s, b[j])` over a complex row, two complex per
-    /// `f64x4`. Replicates the scalar [`Complex64::mul_add`] FMA chain per
-    /// lane — bitwise identical to the reference loop.
+    /// Rows of C (of `A†B`: of A's columns) per register tile.
+    const TILE_ROWS: usize = 4;
+    /// Column pairs (`f64x4` registers) per row of a register tile: a 4×2
+    /// tile is eight accumulators, and with the two B loads, their two
+    /// swaps and the coefficient's two vectors it stays within the sixteen
+    /// `ymm` registers.
+    const TILE_PAIRS: usize = 2;
+    /// Inner-dimension steps whose coefficients one pass of `zgemm` packs
+    /// (24 KiB on the stack).
+    const KC: usize = 64;
+
+    /// A coefficient `s` as a tile multiplies by it: `s.re` in every lane,
+    /// and `[-s.im, +s.im, -s.im, +s.im]`, whose even lanes build the real
+    /// part `fma(-s.im, y.im, c.re)` and odd lanes `fma(+s.im, y.re, c.im)`
+    /// — the inner step of [`Complex64::mul_add`].
+    #[derive(Clone, Copy)]
+    struct Coef {
+        s: Complex64,
+        re: F64x4,
+        im: F64x4,
+    }
+
+    impl Coef {
+        #[inline(always)]
+        fn new(s: Complex64) -> Self {
+            Self {
+                s,
+                re: F64x4::splat(s.re),
+                im: F64x4::new(-s.im, s.im, -s.im, s.im),
+            }
+        }
+    }
+
+    /// `c ← c + Σ_t x(t, q)·y_t` for a tile of `R` rows of `P` column
+    /// pairs, and with `ODD` one column more: `y_t` is the row `t` of Y at
+    /// `y + t·ldy` (`f64` units) and row `q` of the tile is at `c + q·ldc`.
+    /// Each element runs the scalar `c = c.mul_add(x, y)` chain over `t` in
+    /// order — lane for lane in the pair registers, as that very expression
+    /// in the odd column — in a register that is loaded once and stored
+    /// once: bitwise the reference loop. The tile's `R·(P + ODD)` chains are
+    /// independent, so their latencies overlap. With `SKIP`, a step whose
+    /// coefficient is zero is skipped, as the reference `zgemm` skips it.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA; every row of Y and of the tile must hold
+    /// `2·P + ODD` complex values.
+    #[inline(always)]
+    unsafe fn tile<const R: usize, const P: usize, const ODD: bool, const SKIP: bool>(
+        steps: usize,
+        x: impl Fn(usize, usize) -> Coef,
+        y: *const f64,
+        ldy: usize,
+        c: *mut f64,
+        ldc: usize,
+    ) {
+        let odd_at = |row: *mut f64| row.add(4 * P) as *mut Complex64;
+        let mut acc = [[F64x4::splat(0.0); P]; R];
+        let mut odd = [Complex64::ZERO; R];
+        for q in 0..R {
+            let cq = c.add(q * ldc);
+            acc[q] = std::array::from_fn(|p| F64x4::load(cq.add(4 * p)));
+            if ODD {
+                odd[q] = *odd_at(cq);
+            }
+        }
+        for t in 0..steps {
+            let yt = y.add(t * ldy);
+            let yv: [F64x4; P] = std::array::from_fn(|p| F64x4::load(yt.add(4 * p)));
+            let ys = yv.map(F64x4::swap_pairs);
+            let yo = if ODD {
+                *odd_at(yt as *mut f64)
+            } else {
+                Complex64::ZERO
+            };
+            for q in 0..R {
+                let x = x(t, q);
+                if SKIP && x.s == Complex64::ZERO {
+                    continue;
+                }
+                for p in 0..P {
+                    acc[q][p] = x.re.mul_add(yv[p], x.im.mul_add(ys[p], acc[q][p]));
+                }
+                if ODD {
+                    odd[q] = odd[q].mul_add(x.s, yo);
+                }
+            }
+        }
+        for q in 0..R {
+            let cq = c.add(q * ldc);
+            for (p, v) in acc[q].iter().enumerate() {
+                v.store(cq.add(4 * p));
+            }
+            if ODD {
+                *odd_at(cq) = odd[q];
+            }
+        }
+    }
+
+    /// The tiles of a block of `rows ≤ TILE_ROWS` rows of C over `n`
+    /// columns: 2×[`TILE_PAIRS`] columns at a time, then the last one to
+    /// three columns in one tile.
+    ///
+    /// # Safety
+    /// As [`tile`], for `rows` rows of `n` values at `y` and `c` (complex
+    /// strides `ldy`, `ldc`).
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn row_block<const SKIP: bool>(
+        rows: usize,
+        n: usize,
+        steps: usize,
+        x: impl Fn(usize, usize) -> Coef + Copy,
+        y: *const Complex64,
+        ldy: usize,
+        c: *mut Complex64,
+        ldc: usize,
+    ) {
+        let (yf, cf) = (y as *const f64, c as *mut f64);
+        let (ldyf, ldcf) = (2 * ldy, 2 * ldc);
+        let mut j = 0;
+        macro_rules! tiles {
+            ($p:expr, $odd:expr) => {{
+                let (yj, cj) = (yf.add(2 * j), cf.add(2 * j));
+                match rows {
+                    4 => tile::<4, $p, $odd, SKIP>(steps, x, yj, ldyf, cj, ldcf),
+                    3 => tile::<3, $p, $odd, SKIP>(steps, x, yj, ldyf, cj, ldcf),
+                    2 => tile::<2, $p, $odd, SKIP>(steps, x, yj, ldyf, cj, ldcf),
+                    _ => tile::<1, $p, $odd, SKIP>(steps, x, yj, ldyf, cj, ldcf),
+                }
+            }};
+        }
+        while n - j > 2 * TILE_PAIRS {
+            tiles!(TILE_PAIRS, false);
+            j += 2 * TILE_PAIRS;
+        }
+        match n - j {
+            4 => tiles!(2, false),
+            3 => tiles!(1, true),
+            2 => tiles!(1, false),
+            1 => tiles!(0, true),
+            _ => {}
+        }
+    }
+
+    /// `C ← C + α·A·B` over one ROW_BLOCK slab of C (`c_rows`, starting at
+    /// absolute row `i0`, already β-scaled) in register tiles. The
+    /// coefficients `s = α·A[i][kk]` of a tile's rows are packed, as the
+    /// vectors a tile multiplies by, once per [`KC`] steps of the inner
+    /// dimension and shared by the slab's column tiles; each element of C
+    /// keeps the reference chain over `kk` in order, with its `s == 0` skip.
     ///
     /// # Safety
     /// Requires AVX2+FMA at runtime.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn zaxpy_mul_add_avx2(s: Complex64, b: &[Complex64], c: &mut [Complex64]) {
-        let n = c.len().min(b.len());
-        // Complex64 is two contiguous f64s, so the rows reinterpret as
-        // interleaved [re, im] f64 streams.
-        let bp = b.as_ptr() as *const f64;
-        let cp = c.as_mut_ptr() as *mut f64;
-        let sr = F64x4::splat(s.re);
-        // [-im, +im, -im, +im]: even lanes build the real part
-        // fma(-s.im, b.im, c.re), odd lanes fma(+s.im, b.re, c.im).
-        let si = F64x4::new(-s.im, s.im, -s.im, s.im);
-        let pairs = n / 2;
-        for p in 0..pairs {
-            let bv = F64x4::load(bp.add(4 * p));
-            let cv = F64x4::load(cp.add(4 * p));
-            let inner = si.mul_add(bv.swap_pairs(), cv);
-            sr.mul_add(bv, inner).store(cp.add(4 * p));
+    pub unsafe fn zgemm_rows_avx2(
+        alpha: Complex64,
+        a: &[Complex64],
+        b: &[Complex64],
+        c_rows: &mut [Complex64],
+        i0: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let rows = c_rows.len() / n;
+        assert!(a.len() >= (i0 + rows) * k && b.len() >= k * n);
+        let c = c_rows.as_mut_ptr();
+        if n <= 2 * TILE_PAIRS {
+            // One tile spans the row: each coefficient is used once, so
+            // it is formed where it is used.
+            for r in (0..rows).step_by(TILE_ROWS) {
+                let h = (rows - r).min(TILE_ROWS);
+                let x = |t: usize, q: usize| Coef::new(alpha * a[(i0 + r + q) * k + t]);
+                row_block::<true>(h, n, k, x, b.as_ptr(), n, c.add(r * n), n);
+            }
+            return;
         }
-        if n % 2 == 1 {
-            c[n - 1] = c[n - 1].mul_add(s, b[n - 1]);
+        // Only the entries a pass writes are read back.
+        let mut pack = std::mem::MaybeUninit::<[Coef; KC * TILE_ROWS]>::uninit();
+        let pk = pack.as_mut_ptr() as *mut Coef;
+        for r in (0..rows).step_by(TILE_ROWS) {
+            let h = (rows - r).min(TILE_ROWS);
+            for k0 in (0..k).step_by(KC) {
+                let kc = (k - k0).min(KC);
+                for t in 0..kc {
+                    for q in 0..h {
+                        let s = alpha * a[(i0 + r + q) * k + k0 + t];
+                        pk.add(t * TILE_ROWS + q).write(Coef::new(s));
+                    }
+                }
+                let x = |t: usize, q: usize| *pk.add(t * TILE_ROWS + q);
+                row_block::<true>(h, n, kc, x, b.as_ptr().add(k0 * n), n, c.add(r * n), n);
+            }
+        }
+    }
+
+    /// `acc ← acc + Σ_{g ∈ rows} conj(A[g][i])·B[g][j]` (`acc` is
+    /// `na × nb`) in register tiles of `TILE_ROWS` values of `i`; each
+    /// element keeps the reference chain over `g` in order.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA at runtime.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dagger_chunk_avx2(
+        a: &[Complex64],
+        b: &[Complex64],
+        na: usize,
+        nb: usize,
+        rows: std::ops::Range<usize>,
+        acc: &mut [Complex64],
+    ) {
+        assert!(a.len() >= rows.end * na && b.len() >= rows.end * nb && acc.len() >= na * nb);
+        let (a0, b0) = (
+            a.as_ptr().add(rows.start * na),
+            b.as_ptr().add(rows.start * nb),
+        );
+        let out = acc.as_mut_ptr();
+        for i in (0..na).step_by(TILE_ROWS) {
+            let h = (na - i).min(TILE_ROWS);
+            let x = |g: usize, q: usize| Coef::new((*a0.add(g * na + i + q)).conj());
+            row_block::<false>(h, nb, rows.len(), x, b0, nb, out.add(i * nb), nb);
         }
     }
 }
@@ -748,10 +958,11 @@ mod tests {
 
     #[test]
     fn dagger_a_warm_workspace_is_bitwise_fresh() {
-        let a = CMatrix::from_fn(130, 6, |i, j| {
+        // 1100 plane waves are two 1024-row chunks: the partials are pooled.
+        let a = CMatrix::from_fn(1100, 6, |i, j| {
             Complex64::new((i as f64).sin() * 0.2, (j as f64 + 1.0).cos())
         });
-        let b = CMatrix::from_fn(130, 4, |i, j| {
+        let b = CMatrix::from_fn(1100, 4, |i, j| {
             Complex64::new((i + j) as f64 * 0.01, (i as f64) * -0.03)
         });
         let mut fresh = CMatrix::zeros(6, 4);
@@ -768,6 +979,20 @@ mod tests {
         assert!(
             ws.stats().snapshot().hits > 0,
             "repeated calls must reuse pooled accumulators"
+        );
+    }
+
+    #[test]
+    fn single_chunk_dagger_a_borrows_nothing() {
+        let a = CMatrix::from_fn(130, 6, |i, j| Complex64::new((i as f64).sin(), j as f64));
+        let ws = Workspace::new();
+        let mut s = CMatrix::zeros(6, 6);
+        zgemm_dagger_a_into(&a, &a, &mut s, &ws);
+        let stats = ws.stats().snapshot();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (0, 0),
+            "one chunk goes straight into out"
         );
     }
 

@@ -10,6 +10,11 @@
 //! * `zgemm_simd` replicates the scalar complex FMA chain lane-for-lane,
 //!   so it must be **bitwise** identical to `zgemm_scalar` for every
 //!   shape, including the tails the vector loop cannot cover.
+//! * `zgemm_dagger_a_into` is bitwise a scalar twin written out here: per
+//!   element the `mul_add` chain over the rows in order, summed per
+//!   1024-row chunk in chunk order.
+//! * A zero coefficient of α·A is skipped, never multiplied: a NaN or ∞ in
+//!   the row of B it would scale does not reach C, on either path.
 //! * Results are bitwise reproducible run-to-run and across rayon thread
 //!   counts: the parallel split is a pure function of the problem shape.
 //!
@@ -17,7 +22,9 @@
 //! `f64x4`) sweep every remainder class of the 4×8 register block, and the
 //! explicit empty/unit cases pin the degenerate early-outs.
 
-use mqmd_linalg::gemm::{dgemm_scalar, dgemm_simd, zgemm_dagger_a_into, zgemm_scalar, zgemm_simd};
+use mqmd_linalg::gemm::{
+    dgemm_scalar, dgemm_simd, zgemm, zgemm_dagger_a_into, zgemm_scalar, zgemm_simd,
+};
 use mqmd_linalg::orthonorm::cholesky_orthonormalize_with;
 use mqmd_linalg::{CMatrix, Matrix};
 use mqmd_util::simd::max_ulp_diff;
@@ -82,17 +89,26 @@ proptest! {
     }
 
     // The complex kernel promises bitwise identity, so the proptest can
-    // demand exact bits for arbitrary tails and both beta classes.
+    // demand exact bits for arbitrary tails, on the inputs the `s == 0`
+    // skip and the β pass branch on: zero rows and entries of A, α with
+    // zero parts or zero outright, β ∈ {0, 1, general}. m and n up to 13
+    // are off every multiple of the 4-row, 4-column register tile.
     #[test]
     fn zgemm_simd_is_bitwise_scalar_for_tail_shapes(
-        m in 1usize..10, k in 1usize..10, n in 1usize..10,
-        zero_beta in any::<bool>(), seed in any::<u64>(),
+        m in 1usize..14, k in 1usize..10, n in 1usize..14,
+        zero_row in 0usize..14, alpha_sel in 0usize..4, beta_sel in 0usize..3,
+        seed in any::<u64>(),
     ) {
-        let alpha = Complex64::new(0.8, -0.3);
-        let beta = if zero_beta { Complex64::ZERO } else { Complex64::new(-0.1, 0.4) };
-        let a = random_cmatrix(m, k, seed);
-        let b = random_cmatrix(k, n, seed ^ 0x51ed);
-        let c0 = random_cmatrix(m, n, seed ^ 0x2c13);
+        let alpha = [
+            Complex64::new(0.8, -0.3),
+            Complex64::new(0.8, 0.0),
+            Complex64::new(0.0, -0.3),
+            Complex64::ZERO,
+        ][alpha_sel];
+        let beta = [Complex64::ZERO, Complex64::ONE, Complex64::new(-0.1, 0.4)][beta_sel];
+        let a = sparse_cmatrix(m, k, Some(zero_row), seed);
+        let b = sparse_cmatrix(k, n, None, seed ^ 0x51ed);
+        let c0 = sparse_cmatrix(m, n, None, seed ^ 0x2c13);
         let mut cs = c0.clone();
         let mut cv = c0.clone();
         zgemm_scalar(alpha, &a, &b, beta, &mut cs);
@@ -101,6 +117,147 @@ proptest! {
             prop_assert_eq!(x.re.to_bits(), y.re.to_bits(), "m={} k={} n={}", m, k, n);
             prop_assert_eq!(x.im.to_bits(), y.im.to_bits(), "m={} k={} n={}", m, k, n);
         }
+    }
+}
+
+/// A random complex matrix about a quarter of whose entries are exact
+/// zeros of either sign, and `zero_row` (if any) all zeros.
+fn sparse_cmatrix(n: usize, m: usize, zero_row: Option<usize>, seed: u64) -> CMatrix {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    CMatrix::from_fn(n, m, |i, _| {
+        match (Some(i) == zero_row, rng.next_u64() % 8) {
+            (true, _) | (_, 0) => Complex64::ZERO,
+            (_, 1) => Complex64::new(-0.0, -0.0),
+            _ => Complex64::new(rng.normal(), rng.normal()),
+        }
+    })
+}
+
+/// `A†·B` as the contract states it: per element, `mul_add` over the rows
+/// in order from zero, one partial per chunk of
+/// `max(1024, ⌈np/64⌉)` rows, the partials added in chunk order.
+fn dagger_twin(a: &CMatrix, b: &CMatrix) -> CMatrix {
+    let (np, na, nb) = (a.rows(), a.cols(), b.cols());
+    let chunk = 1024usize.max(np.div_ceil(64));
+    let mut out = CMatrix::zeros(na, nb);
+    for g0 in (0..np).step_by(chunk) {
+        let mut part = CMatrix::zeros(na, nb);
+        for g in g0..(g0 + chunk).min(np) {
+            for i in 0..na {
+                for j in 0..nb {
+                    part[(i, j)] = part[(i, j)].mul_add(a[(g, i)].conj(), b[(g, j)]);
+                }
+            }
+        }
+        for (o, &p) in out.data_mut().iter_mut().zip(part.data()) {
+            *o += p;
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Rows up to 2100 cross the 1024-row chunk boundary twice; widths
+    // 1..=9 take every remainder of the register tiles. Exact zeros of
+    // both signs make the signed-zero bookkeeping of the single-chunk
+    // path (written straight into `out`) visible.
+    #[test]
+    fn zgemm_dagger_a_is_bitwise_its_scalar_twin(
+        np in 1usize..2100, na in 1usize..10, nb in 1usize..10, seed in any::<u64>(),
+    ) {
+        let a = sparse_cmatrix(np, na, None, seed);
+        let b = sparse_cmatrix(np, nb, None, seed ^ 0x6a09);
+        let mut got = CMatrix::from_fn(na, nb, |_, _| Complex64::new(f64::NAN, 1.0));
+        zgemm_dagger_a_into(&a, &b, &mut got, &Workspace::new());
+        let want = dagger_twin(&a, &b);
+        for (x, y) in got.data().iter().zip(want.data()) {
+            prop_assert_eq!(x.re.to_bits(), y.re.to_bits(), "np={} na={} nb={}", np, na, nb);
+            prop_assert_eq!(x.im.to_bits(), y.im.to_bits(), "np={} na={} nb={}", np, na, nb);
+        }
+    }
+}
+
+/// The signed-zero corners of the single-chunk path, which accumulates
+/// straight into `out` rather than adding a partial to `+0`: every pair of
+/// one-row inputs whose parts are `±0` or `±1`, and two-row inputs drawn
+/// from the same values, against the twin.
+#[test]
+fn zgemm_dagger_a_signed_zero_corners_match_the_twin() {
+    let parts = [0.0, -0.0, 1.0, -1.0];
+    let values: Vec<Complex64> = parts
+        .iter()
+        .flat_map(|&re| parts.iter().map(move |&im| Complex64::new(re, im)))
+        .collect();
+    let mut cases = Vec::new();
+    for &x in &values {
+        for &y in &values {
+            cases.push((
+                CMatrix::from_vec(1, 1, vec![x]),
+                CMatrix::from_vec(1, 1, vec![y]),
+            ));
+        }
+    }
+    let mut rng = Xoshiro256pp::seed_from_u64(41);
+    for _ in 0..256 {
+        let mut pick = || values[(rng.next_u64() % 16) as usize];
+        let a = CMatrix::from_fn(2, 3, |_, _| pick());
+        let b = CMatrix::from_fn(2, 2, |_, _| pick());
+        cases.push((a, b));
+    }
+    for (a, b) in &cases {
+        let mut got = CMatrix::zeros(a.cols(), b.cols());
+        zgemm_dagger_a_into(a, b, &mut got, &Workspace::new());
+        assert_cmatrix_bits_eq(
+            &got,
+            &dagger_twin(a, b),
+            &format!("A = {:?}, B = {:?}", a.data(), b.data()),
+        );
+    }
+}
+
+/// `zgemm` skips a step whose coefficient `s = α·A[i][k]` is zero, so 0·NaN
+/// and 0·∞ are never formed: a non-finite row of B under zero coefficients
+/// leaves C finite, on the dispatcher, the scalar reference and the vector
+/// form alike (this file runs on both feature legs).
+#[test]
+fn zero_coefficient_never_touches_a_non_finite_row_of_b() {
+    for (m, n) in [(1, 1), (5, 3), (9, 6), (13, 13)] {
+        let k = 4;
+        let mut a = random_cmatrix(m, k, 31);
+        let mut b = random_cmatrix(k, n, 32);
+        for i in 0..m {
+            a[(i, 2)] = Complex64::ZERO;
+        }
+        for j in 0..n {
+            b[(2, j)] = match j % 3 {
+                0 => Complex64::new(f64::NAN, 0.5),
+                1 => Complex64::new(f64::INFINITY, f64::NEG_INFINITY),
+                _ => Complex64::new(0.25, f64::NAN),
+            };
+        }
+        let c0 = random_cmatrix(m, n, 33);
+        type Zgemm = fn(Complex64, &CMatrix, &CMatrix, Complex64, &mut CMatrix);
+        let kernels: [(&str, Zgemm); 3] = [
+            ("zgemm", zgemm),
+            ("zgemm_scalar", zgemm_scalar),
+            ("zgemm_simd", zgemm_simd),
+        ];
+        let mut results = Vec::new();
+        for (name, kernel) in kernels {
+            let mut c = c0.clone();
+            kernel(Complex64::new(0.8, -0.3), &a, &b, Complex64::ONE, &mut c);
+            assert!(
+                c.data()
+                    .iter()
+                    .all(|z| z.re.is_finite() && z.im.is_finite()),
+                "{name} {m}x{k}x{n}: a skipped step reached C"
+            );
+            results.push(c);
+        }
+        assert_cmatrix_bits_eq(&results[0], &results[1], "zgemm vs scalar");
+        assert_cmatrix_bits_eq(&results[2], &results[1], "zgemm_simd vs scalar");
     }
 }
 
