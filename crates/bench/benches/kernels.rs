@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the numerical substrates: FFT, GEMM, multigrid
-//! V-cycle, Cholesky band orthonormalisation, Ewald, Hilbert encoding, the
-//! LDC transfer plan's two table walks, and the domain block-Davidson solve.
+//! V-cycle, Cholesky band orthonormalisation, Ewald, Hilbert encoding and
+//! the space-filling-curve trajectory codec, the LDC transfer plan's two
+//! table walks, and the domain block-Davidson solve.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mqmd_bench::tiny_ldc_config;
@@ -13,9 +14,11 @@ use mqmd_dft::solver::atoms_of;
 use mqmd_fft::Fft3d;
 use mqmd_grid::hilbert::hilbert_encode;
 use mqmd_grid::UniformGrid3;
+use mqmd_linalg::gemm::dgemm;
 use mqmd_linalg::orthonorm::cholesky_orthonormalize_with;
-use mqmd_linalg::CMatrix;
+use mqmd_linalg::{CMatrix, Matrix};
 use mqmd_md::builders::sic_supercell;
+use mqmd_md::io::CompressedFrame;
 use mqmd_md::AtomicSystem;
 use mqmd_multigrid::PoissonMultigrid;
 use mqmd_serve::JobSpec;
@@ -97,6 +100,30 @@ fn bench(c: &mut Criterion) {
             }
             black_box(acc)
         })
+    });
+
+    // Dense real GEMM, the BLAS3 kernel of Table 1's FLOP mix.
+    let n = 256;
+    let a = Matrix::from_fn(n, n, |i, j| ((i * 3 + j) % 7) as f64 * 0.1);
+    let bm = Matrix::from_fn(n, n, |i, j| ((i + 5 * j) % 11) as f64 * 0.05);
+    let mut out = Matrix::zeros(n, n);
+    g.throughput(Throughput::Elements((2 * n * n * n) as u64));
+    g.bench_function("dgemm_256", |b| {
+        b.iter(|| {
+            dgemm(1.0, &a, &bm, 0.0, &mut out);
+            black_box(out.data()[0])
+        })
+    });
+
+    // §4.4 trajectory codec on a 512-atom SiC frame.
+    let crystal = sic_supercell((4, 4, 4));
+    g.throughput(Throughput::Elements(crystal.len() as u64));
+    g.bench_function("sfc_compress_512", |b| {
+        b.iter(|| black_box(CompressedFrame::compress(&crystal, 12).compressed_bytes()))
+    });
+    let frame = CompressedFrame::compress(&crystal, 12);
+    g.bench_function("sfc_decompress_512", |b| {
+        b.iter(|| black_box(frame.decompress().unwrap().len()))
     });
     g.finish();
 }

@@ -7,7 +7,7 @@
 //! kernel wall-time and FLOP counts come from running this repository's
 //! real kernels (GEMM, FFT, Poisson, SCF, domain solve), and the scaling
 //! models of `mqmd-parallel` then consume the dedicated Fig 5 domain-solve
-//! time instead of any hand-entered wall-clock constant (`repro_scaling`
+//! time instead of any hand-entered wall-clock constant (`repro_paper`
 //! reads the file back). Beside the span tree and the kernel table the
 //! document carries two measured blocks: `twin`, a real 4-process rank
 //! session's per-collective wall-clock against the host-calibrated cost
@@ -372,8 +372,8 @@ fn main() {
     }
     println!("\nwrote {out_path}\n");
 
-    // 5. Read the file back the same way `repro_scaling` does and show the
-    //    kernel table plus the model predictions it drives.
+    // 5. Read the file back the same way `repro_paper` does and show the
+    //    kernel table (the Fig 5/6 rows it drives are `repro_paper`'s).
     let profile = MeasuredProfile::load(&out_path).expect("reload profile");
     println!(
         "{}",
@@ -413,16 +413,6 @@ fn main() {
         .domain_solve_seconds()
         .expect("domain_solve span recorded");
     println!("\nmeasured domain-solve seconds feeding the machine model: {t:.3}");
-    let weak = profile.weak_scaling_model().expect("weak model");
-    println!(
-        "weak-scaling efficiency at P = 786,432 from this profile: {:.4}",
-        weak.efficiency(786_432, 16)
-    );
-    let strong = profile.strong_scaling_model().expect("strong model");
-    println!(
-        "strong-scaling speedup at 16x cores from this profile: {:.2}",
-        strong.speedup(786_432, 49_152)
-    );
 
     // 6. The gates on this run's own measurement.
     let verdict = |ok: bool| if ok { "ok" } else { "FAIL" };

@@ -1,23 +1,30 @@
 //! # mqmd-bench
 //!
-//! Shared harness for the reproduction binaries (`src/bin/repro_*.rs`) and
-//! the Criterion benches (`benches/`). Each paper table/figure has one
-//! bench target and one binary that prints the same rows/series the paper
-//! reports; `EXPERIMENTS.md` records paper-vs-measured for all of them.
+//! The paper pipeline and the operational gates. One binary,
+//! `repro_paper`, regenerates every paper table and figure through
+//! [`paper`] into the checked-in `PAPER_RESULTS.md`, one tagged row per
+//! number; the other binaries (`repro_profile`, `repro_flops`,
+//! `repro_chaos`, `repro_ranks`, `repro_serve`, `mqmd-rank`) measure and
+//! gate the running system. The Criterion benches (`benches/`) time the
+//! kernels and the ablations.
 //!
 //! The split of responsibilities:
 //!
 //! * **measured** quantities come from running this repository's real Rust
-//!   kernels (domain Kohn–Sham solves, FFTs, multigrid, kMC);
+//!   kernels (domain Kohn–Sham solves, FFTs, multigrid, the trajectory
+//!   codec);
 //! * **modelled** quantities (wall-clock at 786,432 cores, sustained
-//!   FLOP/s of a Blue Gene/Q rack) come from `mqmd-parallel`'s machine
-//!   model fed with those measurements, per the DESIGN.md substitution.
+//!   FLOP/s of a Blue Gene/Q rack, the kMC chemistry) come from
+//!   `mqmd-parallel`'s machine model and `mqmd-chem`'s surrogate, per the
+//!   DESIGN.md substitution, and say how many of their constants were set
+//!   against the paper.
 
+pub mod paper;
 pub mod real_ranks;
 pub mod roofline;
 
 use mqmd_core::domain_solver::{solve_domain_with, DomainSetup};
-use mqmd_core::global::{BoundaryMode, HartreeSolver, LdcConfig, LdcSolver};
+use mqmd_core::global::{BoundaryMode, HartreeSolver, LdcConfig};
 use mqmd_dft::eigensolver::EigWorkspace;
 use mqmd_grid::DomainDecomposition;
 use mqmd_md::builders::sic_supercell;
@@ -49,7 +56,7 @@ pub fn bench_ldc_config() -> LdcConfig {
 /// Miniature LDC settings for Criterion benches that run full SCF solves
 /// inside the 10-sample measurement loop: an 8-atom cell at coarse
 /// discretisation solves in a couple of seconds while exercising every code
-/// path (the repro binaries keep the full-size settings).
+/// path (the paper pipeline keeps the full-size settings).
 pub fn tiny_ldc_config() -> LdcConfig {
     LdcConfig {
         nd: (2, 1, 1),
@@ -104,29 +111,13 @@ pub fn measure_domain_solve_seconds(ecut: f64, spacing: f64, davidson_iters: usi
     sw.seconds()
 }
 
-/// Builds an LDC solver with bench settings and the given
-/// decomposition/buffer/mode overrides.
-pub fn ldc_solver(nd: (usize, usize, usize), buffer: f64, mode: BoundaryMode) -> LdcSolver {
-    LdcSolver::new(LdcConfig {
-        nd,
-        buffer,
-        mode,
-        ..bench_ldc_config()
-    })
-}
-
-/// Formats a table row of label + values for the repro binaries.
+/// Formats a table row of label + values for the operational binaries.
 pub fn row(label: &str, values: &[String]) -> String {
     let mut out = format!("{label:<28}");
     for v in values {
         out.push_str(&format!("{v:>16}"));
     }
     out
-}
-
-/// Relative deviation as a percentage string.
-pub fn pct_dev(measured: f64, paper: f64) -> String {
-    format!("{:+.1}%", (measured - paper) / paper * 100.0)
 }
 
 #[cfg(test)]

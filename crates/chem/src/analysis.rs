@@ -159,22 +159,30 @@ mod tests {
 
     #[test]
     fn fig9a_reproduces_paper_shape() {
-        let (points, fit) = run_fig9a(HodParams::default(), &[300.0, 600.0, 1500.0], 30, 40_000, 7);
-        assert_eq!(points.len(), 3);
-        // Rates rise with temperature.
-        assert!(points[1].rate_per_pair > points[0].rate_per_pair);
-        assert!(points[2].rate_per_pair > points[1].rate_per_pair);
-        // Barrier near the paper's 0.068 eV; 300 K rate near 1.04e9.
-        assert!(
-            (0.05..=0.09).contains(&fit.activation_ev),
-            "Ea {}",
-            fit.activation_ev
-        );
-        assert!(
-            (0.4e9..=2.5e9).contains(&points[0].rate_per_pair),
-            "300 K rate {:.3e}",
-            points[0].rate_per_pair
-        );
+        for (events, seed) in [(40_000, 7), (30_000, 3)] {
+            let (points, fit) = run_fig9a(
+                HodParams::default(),
+                &[300.0, 600.0, 1500.0],
+                30,
+                events,
+                seed,
+            );
+            assert_eq!(points.len(), 3);
+            // Rates rise with temperature.
+            assert!(points[1].rate_per_pair > points[0].rate_per_pair);
+            assert!(points[2].rate_per_pair > points[1].rate_per_pair);
+            // Barrier near the paper's 0.068 eV; 300 K rate near 1.04e9.
+            assert!(
+                (0.05..=0.09).contains(&fit.activation_ev),
+                "Ea {} (seed {seed})",
+                fit.activation_ev
+            );
+            assert!(
+                (0.4e9..=2.5e9).contains(&points[0].rate_per_pair),
+                "300 K rate {:.3e} (seed {seed})",
+                points[0].rate_per_pair
+            );
+        }
     }
 
     #[test]

@@ -67,9 +67,9 @@ pub fn particle_radius(n_pairs: usize) -> f64 {
 }
 
 /// O–H bond length of the rigid water model (0.9572 Å).
-pub const WATER_OH_BOHR: f64 = 0.9572 / BOHR_ANGSTROM;
+const WATER_OH_BOHR: f64 = 0.9572 / BOHR_ANGSTROM;
 /// H–O–H angle (104.52°) in radians.
-pub const WATER_ANGLE_RAD: f64 = 104.52 * std::f64::consts::PI / 180.0;
+const WATER_ANGLE_RAD: f64 = 104.52 * std::f64::consts::PI / 180.0;
 
 /// Builds one water molecule (O, H, H) at `origin` with a rotation drawn
 /// from `rng`.

@@ -13,12 +13,12 @@ use mqmd_util::constants::Element;
 
 /// Coordination cutoff for the B32 LiAl lattice: nearest Li–Al neighbours
 /// sit at a·√3/4 ≈ 5.21 Bohr; 6.5 captures the first shell only.
-pub const METAL_BOND_CUTOFF: f64 = 6.5;
+const METAL_BOND_CUTOFF: f64 = 6.5;
 
 /// Bulk coordination threshold. In B32 each atom has 4 like + 4 unlike
 /// neighbours at √3a/4 ≈ 5.21 Bohr plus 6 unlike at a/2 ≈ 6.02 Bohr — 14
 /// within the cutoff; atoms below this threshold are classified as surface.
-pub const SURFACE_COORDINATION_THRESHOLD: usize = 12;
+const SURFACE_COORDINATION_THRESHOLD: usize = 12;
 
 /// Result of the surface analysis of a nanoparticle.
 #[derive(Clone, Debug)]

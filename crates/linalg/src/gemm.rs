@@ -21,7 +21,7 @@
 //! * [`dgemm_simd`] — a packed, register-blocked `f64` microkernel: the
 //!   α-scaled A panel is packed k-major into a thread-local buffer
 //!   ([`MR`] = 4 rows per panel), and the inner loop holds an
-//!   [`MR`]×[`NR`] = 4×8 block of C in eight `f64x4` accumulators (an
+//!   [`MR`]×8 = 4×8 block of C in eight `f64x4` accumulators (an
 //!   `f64x8` pair per row), updated with fused multiply-adds. FMA fuses
 //!   what the scalar path rounds twice, so results can differ from the
 //!   reference by a bounded number of ULPs — the property tests in
@@ -59,7 +59,8 @@ const ROW_BLOCK: usize = 32;
 pub const MR: usize = 4;
 /// Columns per register block in the SIMD microkernel (two `f64x4`
 /// accumulators per row — the `f64x8` shape).
-pub const NR: usize = 8;
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+const NR: usize = 8;
 
 /// Dense real GEMM: `C ← α·A·B + β·C`.
 ///

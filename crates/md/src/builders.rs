@@ -13,11 +13,11 @@ use mqmd_util::constants::Element;
 use mqmd_util::{Vec3, Xoshiro256pp};
 
 /// Zinc-blende lattice constant of SiC: 4.3596 Å ≈ 8.239 Bohr.
-pub const SIC_LATTICE_BOHR: f64 = 8.239;
+const SIC_LATTICE_BOHR: f64 = 8.239;
 
 /// Zinc-blende lattice constant of CdSe chosen to match the paper's Fig 7
 /// geometry: 512 atoms in a cubic box of 45.664 a.u. → a = 11.416 a.u.
-pub const CDSE_LATTICE_BOHR: f64 = 11.416;
+const CDSE_LATTICE_BOHR: f64 = 11.416;
 
 /// B32 (NaTl-type) lattice constant of LiAl: 6.37 Å ≈ 12.037 Bohr.
 pub const LIAL_LATTICE_BOHR: f64 = 12.037;

@@ -18,7 +18,7 @@ use mqmd_util::{MqmdError, Result, Vec3};
 use std::path::{Path, PathBuf};
 
 /// Maximum quantisation bits per axis (3·21 = 63 curve bits fit in u64).
-pub const MAX_BITS: u32 = 21;
+const MAX_BITS: u32 = 21;
 
 /// LEB128 unsigned varint encoding.
 pub fn write_varint(buf: &mut BytesMut, mut v: u64) {

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 /// runs never defer — but it must stay modest: std's bounded channel
 /// preallocates `cap` slots per rank, so an oversized cap taxes every
 /// executor launch with megabytes of zeroed buffer.
-pub const THREAD_INBOX_CAP: usize = 1_024;
+const THREAD_INBOX_CAP: usize = 1_024;
 
 /// Message/byte tally shared by every rank of one executor run.
 #[derive(Debug, Default)]
@@ -177,7 +177,7 @@ impl Comm for ThreadComm {
     }
 
     /// Sends a message to `dest`. Effectively non-blocking for the
-    /// provided collectives (the [`THREAD_INBOX_CAP`] bound is far
+    /// provided collectives (the inbox bound of 1,024 frames is far
     /// above their per-rank queue depth); a full inbox books a
     /// deferral and waits for room rather than buffering without
     /// limit.

@@ -13,8 +13,8 @@ use mqmd_util::metrics::{kernel_table, parse_json, KernelStats};
 use mqmd_util::{MqmdError, Result};
 use std::collections::BTreeMap;
 
-/// Default file name the profiling binary writes and the repro binaries
-/// read.
+/// Default file name the profiling binary writes and `repro_paper`
+/// reads.
 pub const PROFILE_PATH: &str = "BENCH_profile.json";
 
 /// Top-level profile key holding the dedicated Fig 5 (64-atom SiC)

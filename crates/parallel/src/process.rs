@@ -64,30 +64,30 @@ use std::time::{Duration, Instant};
 
 /// Environment variable carrying the parent's listener address; its
 /// presence is what tells `mqmd-rank` it is a worker.
-pub const ENV_ADDR: &str = "MQMD_RANK_ADDR";
+const ENV_ADDR: &str = "MQMD_RANK_ADDR";
 /// This worker's rank id.
-pub const ENV_RANK: &str = "MQMD_RANK";
+const ENV_RANK: &str = "MQMD_RANK";
 /// Communicator size.
-pub const ENV_SIZE: &str = "MQMD_RANK_SIZE";
+const ENV_SIZE: &str = "MQMD_RANK_SIZE";
 /// Registry name of the rank program to run.
-pub const ENV_PROGRAM: &str = "MQMD_RANK_PROGRAM";
+const ENV_PROGRAM: &str = "MQMD_RANK_PROGRAM";
 /// Comma-separated `f64` arguments for the rank program.
-pub const ENV_ARGS: &str = "MQMD_RANK_ARGS";
+const ENV_ARGS: &str = "MQMD_RANK_ARGS";
 /// Per-primitive wait budget in milliseconds (hung-rank detection).
-pub const ENV_DEADLINE_MS: &str = "MQMD_RANK_DEADLINE_MS";
+const ENV_DEADLINE_MS: &str = "MQMD_RANK_DEADLINE_MS";
 /// If set, the worker records events and writes
 /// `{prefix}.rank{r}.jsonl` on exit (merged by `repro_profile
 /// --merge-ranks`).
-pub const ENV_EVENTS: &str = "MQMD_RANK_EVENTS";
+const ENV_EVENTS: &str = "MQMD_RANK_EVENTS";
 /// Communicator generation this incarnation joins at (0 for the
 /// original spawn; the supervisor sets the bumped epoch on respawn).
-pub const ENV_EPOCH: &str = "MQMD_RANK_EPOCH";
+const ENV_EPOCH: &str = "MQMD_RANK_EPOCH";
 /// Heartbeat cadence in milliseconds; absent or 0 disables the beat
 /// (recovery-off runs stay frame-for-frame identical to PR 7).
-pub const ENV_HEARTBEAT_MS: &str = "MQMD_RANK_HEARTBEAT_MS";
+const ENV_HEARTBEAT_MS: &str = "MQMD_RANK_HEARTBEAT_MS";
 
 /// Bounded per-destination outbox depth at the hub.
-pub const OUTBOX_CAP: usize = 256;
+const OUTBOX_CAP: usize = 256;
 
 /// Worker-side cap on program replays across restart fences — a
 /// runaway-fence backstop far above any real retry budget.
@@ -412,7 +412,7 @@ impl Comm for SocketComm {
 }
 
 /// Worker entry point. Returns `None` when the process is not a worker
-/// (no [`ENV_ADDR`] in the environment) — the caller proceeds with its
+/// (no `MQMD_RANK_ADDR` in the environment) — the caller proceeds with its
 /// normal CLI. Otherwise connects, runs the named program from
 /// `registry` (replaying across restart/quarantine fences), ships the
 /// traffic ledger (logical rank 0) and the RESULT frame, lingers for

@@ -26,12 +26,12 @@ pub const FORCE_TOL: f64 = 1e-6;
 
 /// Extra bands per domain of [`reference_config`]: its own constant, so
 /// the reference stays put when a candidate carries fewer bands.
-pub const REFERENCE_EXTRA_BANDS: usize = 4;
+const REFERENCE_EXTRA_BANDS: usize = 4;
 
 /// The tight configuration the contract is stated against: `cfg`'s grids,
 /// cutoff and decomposition, converged four orders of magnitude further in
 /// the density and to 1e-10 in the bands, with the retry rung's
-/// conservative mixing, [`REFERENCE_EXTRA_BANDS`] and an iteration budget
+/// conservative mixing, four extra bands and an iteration budget
 /// that cannot bind.
 pub fn reference_config(cfg: &LdcConfig) -> LdcConfig {
     LdcConfig {

@@ -3,8 +3,7 @@
 //! The whole workspace works in **Hartree atomic units** (ħ = mₑ = e =
 //! 4πε₀ = 1), matching the unit system quoted by the SC14 paper (energies in
 //! "a.u." are Hartree, lengths in Bohr). Conversions to laboratory units are
-//! provided for reporting (eV for barriers, femtoseconds for time steps,
-//! Kelvin for temperature).
+//! provided for reporting (eV for barriers, Kelvin for temperature).
 
 /// Hartree energy in electron-volts.
 pub const HARTREE_EV: f64 = 27.211_386_245_988;
@@ -15,20 +14,8 @@ pub const BOHR_ANGSTROM: f64 = 0.529_177_210_903;
 /// Boltzmann constant in Hartree per Kelvin.
 pub const KB_HARTREE_PER_K: f64 = 3.166_811_563_455_546e-6;
 
-/// One atomic unit of time in femtoseconds.
-pub const AU_TIME_FS: f64 = 0.024_188_843_265_857;
-
-/// One femtosecond in atomic units of time.
-pub const FS_AU_TIME: f64 = 1.0 / AU_TIME_FS;
-
 /// Atomic mass unit (dalton) in electron masses, the MD mass unit.
-pub const AMU_EMASS: f64 = 1_822.888_486_209;
-
-/// One atomic unit of time in seconds (for converting simulated rates to s⁻¹).
-pub const AU_TIME_S: f64 = 2.418_884_326_585_7e-17;
-
-/// The unit time step used by the paper's production run: 0.242 fs (§6).
-pub const PAPER_TIMESTEP_FS: f64 = 0.242;
+const AMU_EMASS: f64 = 1_822.888_486_209;
 
 /// Atomic numbers, valence charges and masses for the species used in the
 /// paper's workloads (SiC scaling runs, CdSe convergence runs, LiAl + water
@@ -162,7 +149,6 @@ mod tests {
     #[test]
     fn unit_round_trips() {
         assert!((ev_to_hartree(0.5 * HARTREE_EV) - 0.5).abs() < 1e-15);
-        assert!((AU_TIME_FS * FS_AU_TIME - 1.0).abs() < 1e-15);
     }
 
     #[test]
@@ -190,12 +176,5 @@ mod tests {
         let atoms: u64 = 50_331_648;
         let electrons = atoms / 2 * per_pair as u64;
         assert_eq!(electrons, 201_326_592);
-    }
-
-    #[test]
-    fn paper_timestep_in_au() {
-        // 0.242 fs ≈ 10.0 a.u. of time — the canonical QMD step.
-        let dt_au = PAPER_TIMESTEP_FS * FS_AU_TIME;
-        assert!((dt_au - 10.0).abs() < 0.01);
     }
 }

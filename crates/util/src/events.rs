@@ -33,7 +33,7 @@ use std::time::Instant;
 
 /// Default sink capacity (records). Generous enough for a traced QMD step
 /// (spans + iterations), small enough to bound memory on runaway loops.
-pub const DEFAULT_CAPACITY: usize = 1 << 18;
+const DEFAULT_CAPACITY: usize = 1 << 18;
 
 /// A typed telemetry event.
 #[derive(Clone, Debug, PartialEq)]

@@ -99,10 +99,10 @@ pub fn take_flops() -> u64 {
 /// 1.3 GFLOP/s (FFT pencils) and 16 GFLOP/s (the SIMD GEMM), so 2¹⁶ FLOPs
 /// are 4 µs of the fastest and 50 µs of the slowest: the fastest repays a
 /// hot dispatch four times over, the others repay a cold one.
-pub const MIN_PAR_FLOPS: u64 = 1 << 16;
+const MIN_PAR_FLOPS: u64 = 1 << 16;
 
 /// The `with_min_len` of a parallel loop whose items cost about
-/// `flops_per_item` each: the fewest items that hold [`MIN_PAR_FLOPS`].
+/// `flops_per_item` each: the fewest items that hold 2¹⁶ FLOPs.
 pub fn par_min_len(flops_per_item: u64) -> usize {
     MIN_PAR_FLOPS.div_ceil(flops_per_item.max(1)) as usize
 }

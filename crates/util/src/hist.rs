@@ -7,8 +7,8 @@
 //! profile report serialises the resulting p50/p95/p99 per kernel.
 //!
 //! Bucketing is the classic HDR scheme: exact buckets below
-//! 2^[`SUB_BITS`], then [`SUB_BUCKETS`] linear sub-buckets per power of
-//! two, giving a guaranteed relative error ≤ 2^−[`SUB_BITS`] (6.25%) over
+//! 2^4, then 16 linear sub-buckets per power of two, giving a guaranteed
+//! relative error ≤ 2^−4 (6.25%) over
 //! the full `u64` range with a fixed, allocation-free bucket count.
 //! Recording is one index computation plus one relaxed atomic increment,
 //! so it is safe on hot paths and under concurrency; snapshots are plain
@@ -20,11 +20,11 @@ use crate::stats::RunningStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// log2 of the linear sub-bucket count per octave.
-pub const SUB_BITS: u32 = 4;
+const SUB_BITS: u32 = 4;
 /// Linear sub-buckets per power of two.
-pub const SUB_BUCKETS: usize = 1 << SUB_BITS;
+const SUB_BUCKETS: usize = 1 << SUB_BITS;
 /// Total bucket count covering all of `u64`.
-pub const N_BUCKETS: usize = (64 - SUB_BITS as usize) * SUB_BUCKETS + SUB_BUCKETS;
+const N_BUCKETS: usize = (64 - SUB_BITS as usize) * SUB_BUCKETS + SUB_BUCKETS;
 
 /// Bucket index for `v`: identity below `SUB_BUCKETS` (exact), then
 /// log-linear above.

@@ -249,10 +249,10 @@ fn write_str(out: &mut String, s: &str) {
 /// nesting would overflow the stack and abort. The deepest document the
 /// repository writes is the profile: its span tree is 6 spans deep, 12
 /// JSON levels under the document's own object, 13 in all.
-pub const MAX_DEPTH: usize = 128;
+const MAX_DEPTH: usize = 128;
 
 /// Parses a JSON document (strict; trailing garbage is an error, and so is
-/// nesting deeper than [`MAX_DEPTH`]).
+/// nesting deeper than 128 levels).
 pub fn parse_json(text: &str) -> Result<Json> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;

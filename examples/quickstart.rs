@@ -25,8 +25,8 @@ fn main() {
 
     // 2. Configure the lean divide-and-conquer DFT solver. With one domain
     //    and no buffer this is equivalent to conventional DFT; real runs
-    //    split the cell into domains with a buffer (see the
-    //    buffer_convergence example).
+    //    split the cell into domains with a buffer (Fig 7's rows of
+    //    `repro_paper`).
     let mut solver = LdcSolver::new(LdcConfig {
         nd: (1, 1, 1),
         buffer: 0.0,

@@ -1,5 +1,5 @@
 //! The committed `BENCH_profile.json` is the measured input of the Fig 5/6
-//! models (`repro_scaling` reads it). This pins that the file in the
+//! models (`repro_paper` reads it). This pins that the file in the
 //! repository still parses under the one profile schema and carries what
 //! its readers and the docs rely on.
 
