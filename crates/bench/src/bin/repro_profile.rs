@@ -38,9 +38,7 @@ use mqmd_md::builders::sic_supercell;
 use mqmd_md::thermostat::Berendsen;
 use mqmd_parallel::executor::run_ranks;
 use mqmd_parallel::measured::{MeasuredProfile, PROFILE_PATH};
-use mqmd_parallel::process::{
-    rank_recovery_block, run_processes, KillSpec, ProcessOpts, RecoveryOpts,
-};
+use mqmd_parallel::process::{rank_recovery_block, run_processes, KillSpec, ProcessOpts};
 use mqmd_parallel::twin::{calibrate_from_pingpong, twin_block, TwinModel};
 use mqmd_parallel::Comm;
 use mqmd_util::metrics::{profile_report, Json};
@@ -193,7 +191,7 @@ fn rank_recovery_drill_block() -> Json {
                 after_data_frames: 2,
                 repeat: 1,
             }),
-            recovery: Some(RecoveryOpts::default()),
+            recover: true,
             ..Default::default()
         },
     );

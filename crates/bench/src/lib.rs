@@ -3,9 +3,12 @@
 //! The paper pipeline and the operational gates. One binary,
 //! `repro_paper`, regenerates every paper table and figure through
 //! [`paper`] into the checked-in `PAPER_RESULTS.md`, one tagged row per
-//! number; the other binaries (`repro_profile`, `repro_flops`,
-//! `repro_chaos`, `repro_ranks`, `repro_serve`, `mqmd-rank`) measure and
-//! gate the running system. The Criterion benches (`benches/`) time the
+//! number; `repro_profile` and `repro_flops` measure the running system,
+//! `repro_serve` prints the service's SCF sweep, and `mqmd-rank` is the
+//! worker of the multi-process rank runtime. The rank runtime's and the
+//! fault plane's promises are tests: `tests/real_rank_bitwise.rs`,
+//! `real_transport_counts.rs`, `real_rank_restart.rs` and
+//! `chaos_campaign.rs`. The Criterion benches (`benches/`) time the
 //! kernels and the ablations.
 //!
 //! The split of responsibilities:

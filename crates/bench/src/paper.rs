@@ -23,7 +23,7 @@ use mqmd_md::io::CompressedFrame;
 use mqmd_md::AtomicSystem;
 use mqmd_parallel::io::CollectiveIoModel;
 use mqmd_parallel::machine::MachineSpec;
-use mqmd_parallel::process::{run_processes, ProcessOpts, RecoveryOpts};
+use mqmd_parallel::process::{run_processes, ProcessOpts};
 use mqmd_parallel::scaling::{atom_iterations_per_second, prior_art, RackFlopsModel};
 use mqmd_parallel::threads::ThreadModel;
 use mqmd_parallel::twin::{calibrate_from_pingpong, TwinModel};
@@ -675,7 +675,7 @@ pub fn real_rank_scaling() -> Result<Vec<Row>, String> {
         args: args.to_vec(),
         // A transient worker death restarts in place instead of aborting
         // the sweep.
-        recovery: Some(RecoveryOpts::default()),
+        recover: true,
         ..Default::default()
     };
     let ping = run_processes(&worker, "pingpong", 2, opts(&[32.0, 65_536.0]))

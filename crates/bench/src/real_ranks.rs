@@ -64,7 +64,7 @@ pub fn worker_bin() -> PathBuf {
 }
 
 /// The H₂ verification molecule (the §5.5 degenerate-limit system).
-pub fn h2_system() -> AtomicSystem {
+fn h2_system() -> AtomicSystem {
     AtomicSystem::new(
         Vec3::splat(8.0),
         vec![Element::H, Element::H],

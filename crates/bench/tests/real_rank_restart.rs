@@ -6,7 +6,7 @@
 //! survivors finish on the shrunk communicator.
 
 use mqmd_bench::real_ranks::run_thread_reference;
-use mqmd_parallel::process::{run_processes, KillSpec, ProcessOpts, RecoveryOpts};
+use mqmd_parallel::process::{run_processes, KillSpec, ProcessOpts};
 use std::path::Path;
 use std::time::Duration;
 
@@ -14,7 +14,7 @@ fn worker() -> &'static Path {
     Path::new(env!("CARGO_BIN_EXE_mqmd-rank"))
 }
 
-fn drill(program: &str, n: usize, args: &[f64], kill: KillSpec, rec: RecoveryOpts) {
+fn drill(program: &str, n: usize, args: &[f64], kill: KillSpec) {
     let reference = run_thread_reference(program, n, args).expect("program registered");
     let run = run_processes(
         worker(),
@@ -24,7 +24,7 @@ fn drill(program: &str, n: usize, args: &[f64], kill: KillSpec, rec: RecoveryOpt
             deadline: Duration::from_secs(120),
             args: args.to_vec(),
             kill: Some(kill),
-            recovery: Some(rec),
+            recover: true,
             ..Default::default()
         },
     )
@@ -61,7 +61,6 @@ fn killed_rank_mid_collective_heals_bitwise() {
                 after_data_frames: 2,
                 repeat: 1,
             },
-            RecoveryOpts::default(),
         );
     }
     drill(
@@ -73,7 +72,6 @@ fn killed_rank_mid_collective_heals_bitwise() {
             after_data_frames: 2,
             repeat: 1,
         },
-        RecoveryOpts::default(),
     );
     drill(
         "count_halo",
@@ -84,7 +82,6 @@ fn killed_rank_mid_collective_heals_bitwise() {
             after_data_frames: 2,
             repeat: 1,
         },
-        RecoveryOpts::default(),
     );
 }
 
@@ -99,7 +96,6 @@ fn killed_rank_mid_scf_heals_bitwise() {
             after_data_frames: 30,
             repeat: 1,
         },
-        RecoveryOpts::default(),
     );
 }
 
@@ -118,10 +114,7 @@ fn repeated_deaths_exhaust_the_budget_into_quarantine() {
                 after_data_frames: 2,
                 repeat: 3,
             }),
-            recovery: Some(RecoveryOpts {
-                max_restarts: 2,
-                ..RecoveryOpts::default()
-            }),
+            recover: true,
             ..Default::default()
         },
     )

@@ -2,8 +2,10 @@
 //! wire**: the parent router counts every DATA frame it forwards, and
 //! those observed counts must equal the closed forms the cost model
 //! prices — allreduce `2·(p−1)` (binomial reduce + tree broadcast),
-//! pairwise all-to-all `p·(p−1)`, ring halo `2p`. The byte counts
-//! follow as `frames · payload · 8`.
+//! allgather `2·(p−1)` (gather to 0 + tree broadcast), pairwise
+//! all-to-all `p·(p−1)`, ring halo `2p`. The byte counts follow from
+//! the payload each frame carries.
+//! Every run here is clean, so the hub drops no stale frame.
 
 use mqmd_parallel::process::{run_processes, ProcessOpts};
 use std::path::Path;
@@ -14,7 +16,7 @@ fn worker() -> &'static Path {
 }
 
 fn run(program: &str, n: usize, args: &[f64]) -> mqmd_parallel::process::ProcessRun {
-    run_processes(
+    let out = run_processes(
         worker(),
         program,
         n,
@@ -24,25 +26,38 @@ fn run(program: &str, n: usize, args: &[f64]) -> mqmd_parallel::process::Process
             ..Default::default()
         },
     )
-    .unwrap_or_else(|e| panic!("{program} at p = {n}: {e}"))
+    .unwrap_or_else(|e| panic!("{program} at p = {n}: {e}"));
+    assert_eq!(
+        out.stale_frames,
+        vec![0; n],
+        "{program} at p = {n}: stale frames in a clean run"
+    );
+    out
 }
 
 #[test]
-fn allreduce_puts_2p_minus_2_frames_on_the_wire() {
+fn allreduce_and_allgather_put_2p_minus_2_frames_on_the_wire() {
     let len = 24usize;
     for p in [2usize, 3, 4, 5] {
         for calls in [1u64, 3] {
-            let out = run("count_allreduce", p, &[calls as f64, len as f64]);
-            let expect = calls * 2 * (p as u64 - 1);
-            assert_eq!(
-                out.data_frames, expect,
-                "allreduce p={p} calls={calls}: observed frames"
-            );
-            assert_eq!(
-                out.data_bytes,
-                expect * (len * 8) as u64,
-                "allreduce p={p} calls={calls}: observed bytes"
-            );
+            let legs = calls * (p as u64 - 1);
+            // An allreduce frame carries the whole vector; a gather leg
+            // carries one rank's slice, a broadcast leg all p of them.
+            for (program, bytes) in [
+                ("count_allreduce", 2 * legs * (len * 8) as u64),
+                ("count_allgather", legs * (1 + p as u64) * (len * 8) as u64),
+            ] {
+                let out = run(program, p, &[calls as f64, len as f64]);
+                assert_eq!(
+                    out.data_frames,
+                    2 * legs,
+                    "{program} p={p} calls={calls}: observed frames"
+                );
+                assert_eq!(
+                    out.data_bytes, bytes,
+                    "{program} p={p} calls={calls}: observed bytes"
+                );
+            }
         }
     }
 }
@@ -79,7 +94,12 @@ fn halo_exchange_puts_2p_frames_on_the_ring() {
 
 #[test]
 fn single_rank_runs_put_nothing_on_the_wire() {
-    for program in ["count_allreduce", "count_alltoall", "count_halo"] {
+    for program in [
+        "count_allreduce",
+        "count_allgather",
+        "count_alltoall",
+        "count_halo",
+    ] {
         let out = run(program, 1, &[8.0]);
         assert_eq!(out.data_frames, 0, "{program} at p = 1");
         assert_eq!(out.data_bytes, 0, "{program} at p = 1");

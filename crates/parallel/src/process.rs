@@ -19,7 +19,7 @@
 //! worker is distinguished from a merely slow one before anything
 //! escalates. Socket EOF short-circuits straight to *dead*.
 //!
-//! **Recovery.** With [`ProcessOpts::recovery`] set, a dead rank is
+//! **Recovery.** With [`ProcessOpts::recover`] set, a dead rank is
 //! respawned in place: the supervisor bumps the communicator
 //! generation (every frame carries an epoch; stale frames from the
 //! dead incarnation are dropped at hub ingress *and* at the worker
@@ -29,15 +29,15 @@
 //! ([`Comm::recovery_fence`]) and replay from replicated state. Rank
 //! programs are deterministic functions of `(rank, size, args)`, so
 //! the healed run finishes **bitwise-identical** to a fault-free run.
-//! A rank that exhausts its seeded retry budget degrades typed:
+//! A rank that exhausts its retry budget (two restarts) degrades typed:
 //! [`Quarantined`](crate::wire::FrameKind::Quarantined) shrinks the
 //! communicator (survivors re-derive logical rank/size and rebalance),
 //! and only a fully dead communicator surfaces the legacy whole-run
 //! [`CommError::PeerGone`].
 //!
-//! Without recovery (the default), semantics are exactly the PR 7
-//! behavior: worker death → immediate `PeerGone` broadcast → typed
-//! failure, never a hang.
+//! Without recovery (the default) a run fails fast: worker death →
+//! immediate `PeerGone` broadcast → typed failure, never a hang. The
+//! fault ledger books that failure as a `rank_peer_gone` abort.
 //!
 //! Fault-plane integration happens in the parent (the workers stay
 //! oblivious, as real compute ranks would be): at spawn time the parent
@@ -550,50 +550,34 @@ pub struct KillSpec {
     pub repeat: u32,
 }
 
-/// Rank-recovery policy. `None` in [`ProcessOpts::recovery`] keeps the
-/// fail-fast PR 7 semantics.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryOpts {
-    /// Restarts allowed per rank before it is quarantined.
-    pub max_restarts: u32,
-    /// Exponential respawn backoff base (milliseconds), with seeded
-    /// jitter on top so simultaneous restarts don't thundering-herd
-    /// the loopback hub.
-    pub backoff_base_ms: u64,
-    /// Seed for the backoff jitter (and any future randomized policy).
-    pub seed: u64,
-    /// Worker heartbeat cadence.
-    pub heartbeat_ms: u64,
-    /// Missed-beat threshold for *alive → suspect*.
-    pub suspect_after_ms: u64,
-    /// Missed-beat threshold for *suspect → dead* (kill + respawn).
-    pub dead_after_ms: u64,
-}
-
-impl Default for RecoveryOpts {
-    fn default() -> Self {
-        RecoveryOpts {
-            max_restarts: 2,
-            backoff_base_ms: 5,
-            seed: 0x6d71_6d64,
-            heartbeat_ms: 50,
-            suspect_after_ms: 250,
-            dead_after_ms: 1500,
-        }
-    }
-}
+// The recovery policy `ProcessOpts::recover` switches on.
+/// Restarts allowed per rank before it is quarantined.
+const MAX_RESTARTS: u32 = 2;
+/// Exponential respawn backoff base (milliseconds), with seeded jitter on
+/// top so simultaneous restarts don't thundering-herd the loopback hub.
+const BACKOFF_BASE_MS: u64 = 5;
+/// Seed for the backoff jitter.
+const BACKOFF_SEED: u64 = 0x6d71_6d64;
+/// Worker heartbeat cadence.
+const HEARTBEAT_MS: u64 = 50;
+/// Missed-beat threshold for *alive → suspect*.
+const SUSPECT_AFTER_MS: u64 = 250;
+/// Missed-beat threshold for *suspect → dead* (kill + respawn).
+const DEAD_AFTER_MS: u64 = 1500;
+// The liveness thresholds are ordered, and the budget allows a restart.
+const _: () = assert!(HEARTBEAT_MS < SUSPECT_AFTER_MS && SUSPECT_AFTER_MS < DEAD_AFTER_MS);
+const _: () = assert!(MAX_RESTARTS >= 1);
 
 /// Seeded-jitter backoff before respawn attempt `attempt` (1-based) of
-/// `rank` — the PR 6 serve-runtime idiom: deterministic per
-/// `(seed, rank, attempt)`, exponential base, jitter of up to one
-/// period, capped.
-fn respawn_backoff(rec: &RecoveryOpts, rank: usize, attempt: u32) -> Duration {
+/// `rank` — the serve-runtime idiom: deterministic per `(rank, attempt)`,
+/// exponential base, jitter of up to one period, capped.
+fn respawn_backoff(rank: usize, attempt: u32) -> Duration {
     let mut rng = Xoshiro256pp::seed_from_u64(
-        rec.seed
+        BACKOFF_SEED
             ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ u64::from(attempt).rotate_left(32),
     );
-    let exp = rec.backoff_base_ms.max(1) * (1u64 << (attempt.saturating_sub(1)).min(6));
+    let exp = BACKOFF_BASE_MS * (1u64 << (attempt.saturating_sub(1)).min(6));
     Duration::from_millis((exp + rng.below(exp)).min(250))
 }
 
@@ -610,8 +594,9 @@ pub struct ProcessOpts {
     pub events_prefix: Option<String>,
     /// Arguments handed to every rank program.
     pub args: Vec<f64>,
-    /// In-place rank restart policy; `None` = fail fast on death.
-    pub recovery: Option<RecoveryOpts>,
+    /// Restart a dead rank in place (heartbeats, respawn, quarantine
+    /// after two restarts); `false` = fail fast on death.
+    pub recover: bool,
 }
 
 impl Default for ProcessOpts {
@@ -621,7 +606,7 @@ impl Default for ProcessOpts {
             kill: None,
             events_prefix: None,
             args: Vec::new(),
-            recovery: None,
+            recover: false,
         }
     }
 }
@@ -969,7 +954,7 @@ pub fn run_processes(
             .join(","),
         deadline_ms: opts.deadline.as_millis().to_string(),
         events_prefix: opts.events_prefix.clone(),
-        heartbeat_ms: opts.recovery.map(|r| r.heartbeat_ms).unwrap_or(0),
+        heartbeat_ms: if opts.recover { HEARTBEAT_MS } else { 0 },
     };
 
     let mut children: Vec<Child> = Vec::with_capacity(n);
@@ -1116,31 +1101,29 @@ pub fn run_processes(
             break None;
         }
         if start.elapsed() >= opts.deadline {
-            if std::env::var("MQMD_HUB_DEBUG").is_ok() {
-                eprintln!(
-                    "hub timeout: gen={gen} data_frames={} results={:?} stale={:?} deferred={:?} last_seen_ms_ago={:?}",
-                    shared.data_frames.load(Ordering::Relaxed),
-                    results
-                        .iter()
-                        .map(|r| r.as_ref().map(|(e, _)| *e))
-                        .collect::<Vec<_>>(),
-                    shared
-                        .stale
-                        .iter()
-                        .map(|a| a.load(Ordering::Relaxed))
-                        .collect::<Vec<_>>(),
-                    shared
-                        .deferred
-                        .iter()
-                        .map(|a| a.load(Ordering::Relaxed))
-                        .collect::<Vec<_>>(),
-                    shared
-                        .last_seen
-                        .iter()
-                        .map(|a| shared.now_ms().saturating_sub(a.load(Ordering::Relaxed)))
-                        .collect::<Vec<_>>(),
-                );
-            }
+            eprintln!(
+                "hub timeout: gen={gen} data_frames={} results={:?} stale={:?} deferred={:?} last_seen_ms_ago={:?}",
+                shared.data_frames.load(Ordering::Relaxed),
+                results
+                    .iter()
+                    .map(|r| r.as_ref().map(|(e, _)| *e))
+                    .collect::<Vec<_>>(),
+                shared
+                    .stale
+                    .iter()
+                    .map(|a| a.load(Ordering::Relaxed))
+                    .collect::<Vec<_>>(),
+                shared
+                    .deferred
+                    .iter()
+                    .map(|a| a.load(Ordering::Relaxed))
+                    .collect::<Vec<_>>(),
+                shared
+                    .last_seen
+                    .iter()
+                    .map(|a| shared.now_ms().saturating_sub(a.load(Ordering::Relaxed)))
+                    .collect::<Vec<_>>(),
+            );
             break Some(CommError::PeerTimeout {
                 rank: n,
                 op: "run_processes",
@@ -1164,16 +1147,16 @@ pub fn run_processes(
 
         // Heartbeat monitor: alive → suspect → dead on missed beats.
         let mut dead_by_silence: Option<usize> = None;
-        if let Some(rec) = opts.recovery {
+        if opts.recover {
             let now = shared.now_ms();
             for r in 0..n {
                 if !live[r] {
                     continue;
                 }
                 let silent = now.saturating_sub(shared.last_seen[r].load(Ordering::Relaxed));
-                if silent > rec.dead_after_ms {
+                if silent > DEAD_AFTER_MS {
                     dead_by_silence = Some(r);
-                } else if silent > rec.suspect_after_ms {
+                } else if silent > SUSPECT_AFTER_MS {
                     if !suspect[r] {
                         suspect[r] = true;
                         stats.suspects += 1;
@@ -1226,14 +1209,19 @@ pub fn run_processes(
         let Some(rank) = dead else { continue 'run };
 
         // --- The state machine's *dead* node. ---
-        let Some(rec) = opts.recovery else {
-            // Legacy fail-fast: unblock survivors typed, then fail.
+        if !opts.recover {
+            // Fail fast: unblock survivors typed, book the abort, then fail.
             broadcast(&shared, &live, FrameKind::PeerGone, rank, gen, Some(rank));
+            faults::record_abort(
+                "rank_peer_gone",
+                faults::Site::Rank(rank as u64).describe(),
+                1,
+            );
             break Some(CommError::PeerGone {
                 rank,
                 op: "run_processes",
             });
-        };
+        }
 
         let now = shared.now_ms();
         stats
@@ -1251,10 +1239,10 @@ pub fn run_processes(
         arrived.iter_mut().for_each(|a| *a = false);
         results.iter_mut().for_each(|r| *r = None);
 
-        if restarts_used[rank] <= rec.max_restarts {
+        if restarts_used[rank] <= MAX_RESTARTS {
             // --- respawning → rejoined ---
             let fence_at = Instant::now();
-            std::thread::sleep(respawn_backoff(&rec, rank, restarts_used[rank]));
+            std::thread::sleep(respawn_backoff(rank, restarts_used[rank]));
             inc[rank] += 1;
             let child = match ctx.spawn(rank, gen) {
                 Ok(c) => c,
@@ -1381,7 +1369,7 @@ mod tests {
         let opts = ProcessOpts::default();
         assert!(opts.deadline > Duration::ZERO);
         assert!(opts.kill.is_none());
-        assert!(opts.recovery.is_none(), "recovery is opt-in");
+        assert!(!opts.recover, "recovery is opt-in");
     }
 
     #[test]
@@ -1411,30 +1399,21 @@ mod tests {
 
     #[test]
     fn respawn_backoff_is_seeded_and_bounded() {
-        let rec = RecoveryOpts::default();
-        let a = respawn_backoff(&rec, 2, 1);
-        let b = respawn_backoff(&rec, 2, 1);
-        assert_eq!(a, b, "deterministic per (seed, rank, attempt)");
-        let pool: Vec<Duration> = (0..16).map(|rank| respawn_backoff(&rec, rank, 3)).collect();
+        let a = respawn_backoff(2, 1);
+        let b = respawn_backoff(2, 1);
+        assert_eq!(a, b, "deterministic per (rank, attempt)");
+        let pool: Vec<Duration> = (0..16).map(|rank| respawn_backoff(rank, 3)).collect();
         assert!(
             pool.iter().any(|d| *d != pool[0]),
             "ranks jitter apart (no thundering herd): {pool:?}"
         );
         for rank in 0..8 {
             for attempt in 1..10 {
-                let d = respawn_backoff(&rec, rank, attempt);
-                assert!(d >= Duration::from_millis(rec.backoff_base_ms));
+                let d = respawn_backoff(rank, attempt);
+                assert!(d >= Duration::from_millis(BACKOFF_BASE_MS));
                 assert!(d <= Duration::from_millis(250));
             }
         }
-    }
-
-    #[test]
-    fn recovery_defaults_order_the_liveness_thresholds() {
-        let rec = RecoveryOpts::default();
-        assert!(rec.heartbeat_ms < rec.suspect_after_ms);
-        assert!(rec.suspect_after_ms < rec.dead_after_ms);
-        assert!(rec.max_restarts >= 1);
     }
 
     #[test]

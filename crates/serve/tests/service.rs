@@ -14,7 +14,7 @@ use mqmd_md::thermostat::NoseHoover;
 use mqmd_serve::spec::escalate;
 use mqmd_serve::{Admission, JobSpec, JobState, RejectReason, ServiceConfig, ServiceRuntime};
 use mqmd_util::faults::{self, FaultKind, FaultPlan, Site};
-use mqmd_util::trace;
+use mqmd_util::{trace, Xoshiro256pp};
 
 /// The fault plane and its stats are process-global; chaos-flavoured
 /// tests serialise on this.
@@ -125,27 +125,53 @@ fn admission_rejects_are_typed_and_counted() {
 #[test]
 fn tiny_deadline_fails_typed_not_retried() {
     let _gate = fault_gate();
-    let cfg = ServiceConfig::new(tmp("deadline"));
-    let rt = ServiceRuntime::start(cfg).unwrap();
-    let spec = JobSpec {
-        deadline: Some(Duration::from_nanos(1)),
-        ..quick_spec()
-    };
-    let id = rt.submit(spec).id().expect("1ns budget is admitted");
-    let ledger = rt.shutdown();
-    let rec = &ledger.records[&id];
-    match &rec.state {
-        JobState::Failed { error } => {
+    // A lone 1 ns job on one worker, then a storm: one 1 ns job and one
+    // unbounded sibling per tenant for four tenants on two workers.
+    for (workers, tenants, sibling) in [(1, 1, false), (2, 4, true)] {
+        let mut cfg = ServiceConfig::new(tmp(&format!("deadline_{workers}")));
+        cfg.workers = workers;
+        cfg.queue_capacity = 8;
+        let rt = ServiceRuntime::start(cfg).unwrap();
+        let mut doomed = Vec::new();
+        let mut healthy = Vec::new();
+        for tenant in 0..tenants {
+            let spec = JobSpec {
+                tenant,
+                deadline: Some(Duration::from_nanos(1)),
+                ..quick_spec()
+            };
+            doomed.push(rt.submit(spec).id().expect("1ns budget is admitted"));
+            if sibling {
+                let spec = JobSpec {
+                    tenant,
+                    ..quick_spec()
+                };
+                healthy.push(rt.submit(spec).id().expect("unbounded job admitted"));
+            }
+        }
+        let ledger = rt.shutdown();
+        for id in &doomed {
+            match &ledger.records[id].state {
+                JobState::Failed { error } => {
+                    assert!(
+                        error.contains("deadline"),
+                        "typed deadline error, got: {error}"
+                    );
+                }
+                other => panic!("expected deadline failure, got {other:?}"),
+            }
+        }
+        for id in &healthy {
             assert!(
-                error.contains("deadline"),
-                "typed deadline error, got: {error}"
+                matches!(ledger.records[id].state, JobState::Completed(_)),
+                "unbounded job {id} should complete: {:?}",
+                ledger.records[id].state
             );
         }
-        other => panic!("expected deadline failure, got {other:?}"),
+        assert_eq!(ledger.failed, doomed.len() as u64);
+        assert_eq!(ledger.retries, 0, "deadline expiry must not burn retries");
+        assert!(ledger.audit(4, 8).is_empty(), "{:?}", ledger.audit(4, 8));
     }
-    assert_eq!(ledger.failed, 1);
-    assert_eq!(ledger.retries, 0, "deadline expiry must not burn retries");
-    assert!(ledger.audit(4, 16).is_empty(), "{:?}", ledger.audit(4, 16));
 }
 
 #[test]
@@ -173,6 +199,76 @@ fn injected_worker_kill_is_supervised_and_job_retried() {
         "fault ledger unbalanced: {stats:?}"
     );
     assert!(ledger.audit(4, 16).is_empty(), "{:?}", ledger.audit(4, 16));
+}
+
+#[test]
+fn seeded_chaos_matrix_fires_every_fault_and_leaves_a_clean_ledger() {
+    let _gate = fault_gate();
+    faults::reset_stats();
+    let seed = 43u64;
+    let (tenants, jobs) = (4u32, 3u32);
+    // Two worker kills (one per worker lane, early pickups), a straggler
+    // and two poisoned domain solves: the supervisor, the service's retry
+    // ladder and the solver's own retry ladder all act in one campaign.
+    // Every job is one domain, so `Site::Domain(0)` counts the domain
+    // solves of all of them.
+    let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xC4A0_55E1);
+    let mut plan = FaultPlan::new();
+    plan.push(FaultKind::WorkerKill, Site::Rank(0), 1 + rng.below(2));
+    plan.push(FaultKind::WorkerKill, Site::Rank(1), 2 + rng.below(2));
+    plan.push(
+        FaultKind::Straggler {
+            delay_us: 200 + rng.below(800),
+        },
+        Site::Rank(0),
+        3 + rng.below(2),
+    );
+    plan.push(FaultKind::DensityNan, Site::Domain(0), 2 + rng.below(2));
+    plan.push(FaultKind::DensityNan, Site::Domain(0), 4 + rng.below(6));
+    let planned = plan.faults.len() as u64;
+    faults::install(plan);
+
+    let mut cfg = ServiceConfig::new(tmp("chaos"));
+    cfg.seed = seed;
+    cfg.workers = 2;
+    cfg.tenant_quota = jobs as usize;
+    cfg.queue_capacity = (tenants * jobs) as usize;
+    let (quota, capacity) = (cfg.tenant_quota, cfg.queue_capacity);
+    let rt = ServiceRuntime::start(cfg).unwrap();
+    for tenant in 0..tenants {
+        for j in 0..jobs {
+            let spec = JobSpec {
+                tenant,
+                priority: (j % 3) as u8,
+                steps: 1 + (j % 2),
+                seed: u64::from(tenant) * 100 + u64::from(j),
+                ..JobSpec::default()
+            };
+            assert!(
+                rt.submit(spec).id().is_some(),
+                "tenant {tenant} job {j} bounced"
+            );
+        }
+    }
+    let ledger = rt.shutdown();
+    let stats = faults::stats();
+    faults::clear();
+
+    assert_eq!(
+        stats.injected, planned,
+        "every planned fault fires: {stats:?}"
+    );
+    assert!(
+        stats.injected <= stats.recovered + stats.aborted,
+        "fault ledger unbalanced: {stats:?}"
+    );
+    assert!(
+        ledger.panics_caught > 0,
+        "the planned worker kills never landed"
+    );
+    assert_eq!(ledger.records.len(), (tenants * jobs) as usize);
+    let audit = ledger.audit(quota, capacity);
+    assert!(audit.is_empty(), "{audit:?}");
 }
 
 #[test]

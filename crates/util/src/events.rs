@@ -368,8 +368,7 @@ pub fn emit(event: Event) {
 }
 
 /// Takes every buffered record (oldest first) and the number of records
-/// dropped since the previous drain (summed over lanes; see
-/// [`dropped_by_lane`] for the attribution before draining).
+/// dropped since the previous drain, summed over lanes.
 pub fn drain() -> (Vec<EventRecord>, u64) {
     let mut s = lock_sink();
     let out = std::mem::take(&mut s.buf);
@@ -380,9 +379,8 @@ pub fn drain() -> (Vec<EventRecord>, u64) {
 
 /// Snapshot of records dropped since the last [`drain`], keyed by the
 /// encoded lane ([`Lane::decode`]) of the thread whose emit was refused.
-/// Surfaced in the profile `service` block so telemetry backpressure is
-/// visible per lane.
-pub fn dropped_by_lane() -> BTreeMap<u32, u64> {
+#[cfg(test)]
+fn dropped_by_lane() -> BTreeMap<u32, u64> {
     lock_sink().drops.clone()
 }
 

@@ -25,8 +25,9 @@
 //! process backend); it reports back here through [`record_recovery`] /
 //! [`record_abort`] so campaigns can account injected vs recovered vs
 //! aborted faults and their recomputation cost.
-//! `repro_chaos`, `repro_serve --soak` and `repro_profile` check that
-//! ledger at the end of their own runs.
+//! `repro_profile` checks that ledger at the end of its run, and the
+//! tests `crates/bench/tests/chaos_campaign.rs` and
+//! `crates/serve/tests/service.rs` check it after each campaign.
 
 use crate::error::{MqmdError, Result};
 use crate::events::{self, Event};
