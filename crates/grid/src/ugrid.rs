@@ -211,12 +211,6 @@ impl UniformGrid3 {
         }
         out
     }
-
-    /// Minimum-image distance between two positions under this cell's
-    /// periodicity.
-    pub fn min_image_distance(&self, a: Vec3, b: Vec3) -> f64 {
-        (a - b).min_image(self.lengths_vec()).norm()
-    }
 }
 
 #[cfg(test)]
@@ -286,13 +280,6 @@ mod tests {
     fn dv_times_points_is_volume() {
         let g = UniformGrid3::new((3, 5, 7), (1.5, 2.5, 3.5));
         assert!((g.dv() * g.len() as f64 - g.volume()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn min_image_distance_wraps() {
-        let g = UniformGrid3::cubic(8, 10.0);
-        let d = g.min_image_distance(Vec3::new(0.5, 0.0, 0.0), Vec3::new(9.5, 0.0, 0.0));
-        assert!((d - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -90,12 +90,6 @@ impl CMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable borrow of row `i`.
-    #[inline(always)]
-    pub fn row_mut(&mut self, i: usize) -> &mut [Complex64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Copies column `j` into a new vector (a single Kohn–Sham band).
     pub fn col(&self, j: usize) -> Vec<Complex64> {
         (0..self.rows).map(|i| self[(i, j)]).collect()

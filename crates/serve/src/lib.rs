@@ -19,19 +19,19 @@
 //! - **Checkpoint-backed preemption** — higher-priority arrivals preempt
 //!   running work at MD-step boundaries via [`mqmd_md::io::CheckpointStore`];
 //!   the shed job is requeued (never lost) and resumes bitwise-identically.
-//!   Workers only capture a checkpoint; one writer thread per runtime makes
-//!   it durable, and every attempt that may be resumed flushes its writes
-//!   before it ends.
+//!   A worker keeps its newest checkpoint capture in memory and saves it
+//!   durably only when the attempt ends unfinished (preempted, failed or
+//!   panicked); an attempt that completes touches no file.
 //! - **Supervision** — worker panics (including injected
 //!   [`mqmd_util::faults::FaultKind::WorkerKill`]) are caught and the job
 //!   requeued or failed with a typed error; every terminal state is
-//!   accounted in the [`Ledger`], which `repro_serve` audits under chaos.
+//!   accounted in the [`Ledger`], whose audit the service tests run under
+//!   injected faults.
 
 pub mod contract;
 pub mod ledger;
 pub mod runtime;
 pub mod spec;
-mod writer;
 
 pub use ledger::{Admission, JobRecord, JobState, Ledger, RejectReason};
 pub use runtime::{ServiceConfig, ServiceRuntime};

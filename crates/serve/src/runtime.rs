@@ -9,9 +9,17 @@
 //! nor a terminal ledger state. A single condvar wakes both idle workers
 //! (new or requeued work) and drain waiters (terminal transitions).
 //!
-//! Checkpoints are made durable off the workers, by the runtime's one
-//! `CheckpointWriter` thread (`writer.rs`); its rules (durable before any
-//! read, errors at the flush, cancel on settle) are on that type.
+//! Checkpoints reach disk only when an attempt ends unfinished. The worker
+//! keeps the attempt's newest capture in memory; an attempt that completes
+//! makes no filesystem call. One that is preempted, fails or panics saves
+//! that capture itself, durably, before its progress counts, so a resume
+//! reads only checkpoints an earlier attempt finished writing. A failed
+//! save is the retryable [`MqmdError::Io`]. No filesystem call is made
+//! under the scheduler lock: a settling job's directory is removed on its
+//! worker before the job leaves the running set, so a [`drain`] that has
+//! returned leaves no settled job's directory behind.
+//!
+//! [`drain`]: ServiceRuntime::drain
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -22,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use mqmd_core::global::LdcSolver;
 use mqmd_core::qmd::QmdDriver;
+use mqmd_md::io::{Checkpoint, CheckpointStore};
 use mqmd_md::thermostat::NoseHoover;
 use mqmd_md::AtomicSystem;
 use mqmd_util::cancel::{CancelReason, CancelScope, CancelToken};
@@ -30,7 +39,19 @@ use mqmd_util::{faults, trace, MqmdError, Xoshiro256pp};
 
 use crate::ledger::{Admission, JobRecord, JobResult, JobState, Ledger, RejectReason};
 use crate::spec::{escalate, JobSpec};
-use crate::writer::CheckpointWriter;
+
+/// Attempt ladder length: a job is started at most this many times
+/// (panics and retryable failures consume attempts; preemptions do not — a
+/// preempted job was not at fault).
+const MAX_ATTEMPTS: u32 = 3;
+/// Base backoff delay (milliseconds) for retry attempt 1; later attempts
+/// grow exponentially with seeded jitter, capped at 250 ms.
+const BACKOFF_BASE_MS: u64 = 2;
+/// Whether higher-priority arrivals preempt running lower-priority jobs
+/// (checkpoint + requeue).
+const PREEMPTION: bool = true;
+/// Valid checkpoints kept per job store.
+const CHECKPOINT_KEEP: usize = 2;
 
 /// Service-plane configuration.
 #[derive(Clone, Debug)]
@@ -44,22 +65,10 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Per-tenant in-flight cap (queued + running).
     pub tenant_quota: usize,
-    /// Attempt ladder length: a job is started at most this many times
-    /// (panics and retryable failures consume attempts; preemptions do
-    /// not — a preempted job was not at fault).
-    pub max_attempts: u32,
-    /// Base backoff delay (milliseconds) for retry attempt 1; later
-    /// attempts grow exponentially with seeded jitter, capped at 250 ms.
-    pub backoff_base_ms: u64,
-    /// Whether higher-priority arrivals preempt running lower-priority
-    /// jobs (checkpoint + requeue).
-    pub preemption: bool,
     /// Seed for the runtime's own stochastic choices (backoff jitter).
     pub seed: u64,
     /// Root directory for per-job checkpoint stores.
     pub checkpoint_dir: PathBuf,
-    /// Retention budget per job store (valid checkpoints kept).
-    pub checkpoint_keep: usize,
 }
 
 impl ServiceConfig {
@@ -69,12 +78,8 @@ impl ServiceConfig {
             workers: 1,
             queue_capacity: 16,
             tenant_quota: 4,
-            max_attempts: 3,
-            backoff_base_ms: 2,
-            preemption: true,
             seed: 0,
             checkpoint_dir: dir.into(),
-            checkpoint_keep: 2,
         }
     }
 }
@@ -89,6 +94,9 @@ struct QueuedJob {
     ready_at: Instant,
     /// Whether a resume checkpoint exists in this job's store.
     has_checkpoint: bool,
+    /// Whether an attempt has saved (or tried to save) into this job's
+    /// store, whose directory then goes when the job settles.
+    stored: bool,
     /// Per-step energies up to (and consistent with) the newest durable
     /// checkpoint; the stitched series ends up in [`JobResult`]. A resume
     /// reads no checkpoint taken after more steps than this records.
@@ -123,7 +131,6 @@ struct Shared {
     /// reset, so plan caches (eig workspaces, MG hierarchy, FFT arena)
     /// are shared across jobs of the same shape.
     pool: Mutex<HashMap<String, Vec<LdcSolver>>>,
-    writer: CheckpointWriter,
 }
 
 impl Shared {
@@ -132,6 +139,16 @@ impl Shared {
         // lock, but recover from poisoning anyway: the Inner invariants
         // are re-established before every unlock.
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The checkpoint directory of `job`.
+    fn job_dir(&self, job: u64) -> PathBuf {
+        self.cfg.checkpoint_dir.join(format!("job_{job:08}"))
+    }
+
+    /// Opens (creating if needed) `job`'s checkpoint store.
+    fn store(&self, job: u64) -> mqmd_util::Result<CheckpointStore> {
+        CheckpointStore::open(self.job_dir(job), CHECKPOINT_KEEP)
     }
 
     fn checkout_solver(&self, key: &str, cfg: mqmd_core::global::LdcConfig) -> LdcSolver {
@@ -161,20 +178,17 @@ impl Shared {
 /// How an execution attempt ended (worker-internal).
 enum ExecOutcome {
     Completed(JobResult),
-    /// Checkpoint queued at a step boundary.
+    /// Yielded at a step boundary with a capture of that step.
     Preempted,
     Failed(MqmdError),
 }
 
-/// An attempt's outcome (`Err`: it panicked, with the message) and what of
-/// its progress is durable.
-struct Attempt {
-    outcome: Result<ExecOutcome, String>,
-    /// Energies covered by the newest checkpoint the attempt resumed from
-    /// or wrote, once every write it queued has landed. `None` for a
-    /// completed attempt, and when it checkpointed nothing or a write
-    /// failed: the job then keeps its earlier record.
-    durable: Option<Vec<f64>>,
+/// The newest point an attempt can be resumed from: the energies it covers
+/// and, unless it is the checkpoint the attempt resumed from (already on
+/// disk), the capture that is not saved yet.
+struct Capture {
+    energies: Vec<f64>,
+    unsaved: Option<Checkpoint>,
 }
 
 /// The multi-tenant job runtime. Create with [`ServiceRuntime::start`],
@@ -183,16 +197,12 @@ struct Attempt {
 pub struct ServiceRuntime {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    writer: Option<JoinHandle<()>>,
 }
 
 impl ServiceRuntime {
-    /// Starts the worker pool and the checkpoint writer. Creates the
-    /// checkpoint root directory.
+    /// Starts the worker pool. Creates the checkpoint root directory.
     pub fn start(cfg: ServiceConfig) -> mqmd_util::Result<Self> {
         std::fs::create_dir_all(&cfg.checkpoint_dir)?;
-        let writer =
-            CheckpointWriter::new(cfg.checkpoint_dir.clone(), cfg.checkpoint_keep, cfg.workers);
         let shared = Arc::new(Shared {
             cfg,
             state: Mutex::new(Inner {
@@ -205,7 +215,6 @@ impl ServiceRuntime {
             }),
             cv: Condvar::new(),
             pool: Mutex::new(HashMap::new()),
-            writer,
         });
         let handles = (0..shared.cfg.workers)
             .map(|wid| {
@@ -216,18 +225,7 @@ impl ServiceRuntime {
                     .expect("spawn service worker")
             })
             .collect();
-        let writer = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("mqmd-serve-ckpt".into())
-                .spawn(move || shared.writer.run())
-                .expect("spawn checkpoint writer")
-        };
-        Ok(Self {
-            shared,
-            handles,
-            writer: Some(writer),
-        })
+        Ok(Self { shared, handles })
     }
 
     /// Admission control: validate, then check (in this order) deadline,
@@ -288,6 +286,7 @@ impl ServiceRuntime {
             attempt: 0,
             ready_at: Instant::now(),
             has_checkpoint: false,
+            stored: false,
             energies: Vec::new(),
             consumed: Duration::ZERO,
         });
@@ -296,7 +295,7 @@ impl ServiceRuntime {
         // Preemption: if every worker is busy and one of them runs a
         // strictly lower-priority job, signal the lowest-priority (ties:
         // youngest) to checkpoint and yield at its next step boundary.
-        if self.shared.cfg.preemption
+        if PREEMPTION
             && self.shared.cfg.workers > 0
             && inner.running.len() >= self.shared.cfg.workers
         {
@@ -323,9 +322,8 @@ impl ServiceRuntime {
         self.shared.lock().ledger.clone()
     }
 
-    /// Blocks until every admitted job is terminal and the checkpoint
-    /// writer is idle: no write is queued or in flight, and every settled
-    /// job's checkpoint directory is gone. Returns immediately if the
+    /// Blocks until every admitted job is terminal. Every settled job's
+    /// checkpoint directory is gone by then. Returns immediately if the
     /// runtime has no workers.
     pub fn drain(&self) {
         if self.shared.cfg.workers == 0 {
@@ -344,12 +342,9 @@ impl ServiceRuntime {
                 Err(e) => e.into_inner().0,
             };
         }
-        drop(inner);
-        self.shared.writer.wait_idle();
     }
 
-    /// Drains, stops the workers and the checkpoint writer, and returns the
-    /// final ledger.
+    /// Drains, stops the workers, and returns the final ledger.
     pub fn shutdown(mut self) -> Ledger {
         self.drain();
         {
@@ -359,9 +354,6 @@ impl ServiceRuntime {
         self.shared.cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
-        }
-        if let Some(w) = self.writer.take() {
-            let _ = w.join();
         }
         self.shared.lock().ledger.clone()
     }
@@ -374,9 +366,8 @@ impl ServiceRuntime {
 
 impl Drop for ServiceRuntime {
     fn drop(&mut self) {
-        // Let workers finish the backlog in the background and exit, and
-        // the writer after them; `shutdown()` is the orderly path and joins
-        // them.
+        // Let workers finish the backlog in the background and exit;
+        // `shutdown()` is the orderly path and joins them.
         if let Ok(mut inner) = self.shared.state.lock() {
             inner.shutdown = true;
         }
@@ -399,8 +390,7 @@ fn backoff_delay(cfg: &ServiceConfig, job: u64, attempt: u32) -> Duration {
     let mut rng = Xoshiro256pp::seed_from_u64(
         cfg.seed ^ job.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt).rotate_left(32),
     );
-    let base = cfg.backoff_base_ms.max(1);
-    let exp = base.saturating_mul(1 << attempt.saturating_sub(1).min(6));
+    let exp = BACKOFF_BASE_MS.saturating_mul(1 << attempt.saturating_sub(1).min(6));
     Duration::from_millis((exp + rng.below(exp)).min(250))
 }
 
@@ -414,35 +404,23 @@ fn retryable(e: &MqmdError) -> bool {
     )
 }
 
-/// Tells the writer a worker has exited, however it exits.
-struct ProducerGuard<'a>(&'a CheckpointWriter);
-
-impl Drop for ProducerGuard<'_> {
-    fn drop(&mut self) {
-        self.0.producer_exited();
-    }
-}
-
 fn worker_loop(shared: Arc<Shared>, wid: usize) {
     let _lane = LaneGuard::rank(wid as u32);
-    let _producer = ProducerGuard(&shared.writer);
-    while let Some((job, token)) = next_job(&shared, wid) {
+    while let Some((mut job, token)) = next_job(&shared, wid) {
         let attempt_start = Instant::now();
         let over_budget = job.spec.deadline.is_some_and(|b| job.consumed >= b);
-        let attempt = if over_budget {
+        let outcome = if over_budget {
             // The budget was exhausted by earlier attempts; fail without
             // starting a solve.
-            Attempt {
-                outcome: Ok(ExecOutcome::Failed(MqmdError::Cancelled {
-                    what: format!("job {}", job.id),
-                    reason: CancelReason::Deadline,
-                })),
-                durable: None,
-            }
+            Ok(ExecOutcome::Failed(MqmdError::Cancelled {
+                what: format!("job {}", job.id),
+                reason: CancelReason::Deadline,
+            }))
         } else {
-            run_attempt(&shared, wid, &job, &token)
+            run_attempt(&shared, wid, &mut job, &token)
         };
-        finish_attempt(&shared, wid, job, attempt, attempt_start.elapsed());
+        job.consumed += attempt_start.elapsed();
+        finish_attempt(&shared, wid, job, outcome);
     }
 }
 
@@ -527,12 +505,18 @@ fn next_job(shared: &Arc<Shared>, wid: usize) -> Option<(QueuedJob, CancelToken)
 /// Runs one supervised attempt: fault poll, solver checkout, execution.
 /// Panics (genuine or injected `WorkerKill`) are caught here; a panicking
 /// attempt's solver is discarded, never returned to the pool. An attempt
-/// that does not complete may be resumed, which reads the job's store, so
-/// it ends by flushing the writes it queued.
-fn run_attempt(shared: &Arc<Shared>, wid: usize, job: &QueuedJob, token: &CancelToken) -> Attempt {
+/// that does not complete may be resumed, so it ends by saving its newest
+/// capture and recording in `job` what of its progress is durable. Returns
+/// how the attempt ended; `Err` is a panic, with its message.
+fn run_attempt(
+    shared: &Arc<Shared>,
+    wid: usize,
+    job: &mut QueuedJob,
+    token: &CancelToken,
+) -> Result<ExecOutcome, String> {
     let key = job.spec.plan_key();
     let cfg = escalate(&job.spec.ldc_config(), job.attempt);
-    let mut checkpointed = None;
+    let mut newest = None;
     let caught = catch_unwind(AssertUnwindSafe(|| {
         // Per-pickup fault poll: this is where an injected worker kill
         // or straggler lands (inside the supervision boundary).
@@ -552,7 +536,7 @@ fn run_attempt(shared: &Arc<Shared>, wid: usize, job: &QueuedJob, token: &Cancel
             _ => {}
         }
         let mut solver = shared.checkout_solver(&key, cfg);
-        let out = execute_job(shared, job, &mut solver, token, &mut checkpointed);
+        let out = execute_job(shared, job, &mut solver, token, &mut newest);
         (solver, out)
     }));
     let outcome = match caught {
@@ -570,52 +554,51 @@ fn run_attempt(shared: &Arc<Shared>, wid: usize, job: &QueuedJob, token: &Cancel
         }
     };
     if let Ok(ExecOutcome::Completed(_)) = outcome {
-        return Attempt {
-            outcome,
-            durable: None,
-        };
+        return outcome;
     }
-    match shared.writer.flush(job.id) {
-        Ok(()) => Attempt {
-            outcome,
-            durable: checkpointed,
-        },
-        // A preemption whose checkpoint did not land has nothing to resume
-        // from: it fails, retryably.
-        Err(e) => Attempt {
-            outcome: match outcome {
+    let Some(Capture { energies, unsaved }) = newest else {
+        return outcome;
+    };
+    if let Some(ckp) = unsaved {
+        job.stored = true;
+        if let Err(e) = save_checkpoint(shared, job.id, &ckp) {
+            // The job keeps its earlier record. A preemption whose
+            // checkpoint did not land has nothing to resume from: it
+            // fails, retryably.
+            return match outcome {
                 Ok(ExecOutcome::Preempted) => Ok(ExecOutcome::Failed(e)),
                 other => other,
-            },
-            durable: None,
-        },
+            };
+        }
     }
+    job.energies = energies;
+    job.has_checkpoint = true;
+    outcome
 }
 
 /// The job loop proper: build or resume the system, integrate step by
-/// step, checkpoint periodically and on preemption. Runs under an
-/// installed [`CancelScope`], so deadline/shutdown abort inside the SCF
+/// step, capture a checkpoint periodically and on preemption. Runs under
+/// an installed [`CancelScope`], so deadline/shutdown abort inside the SCF
 /// loops with a typed error; preemption is honoured only here, at step
-/// boundaries, to keep resumes bitwise. `checkpointed` tracks the energies
-/// covered by the newest checkpoint resumed from or queued.
+/// boundaries, to keep resumes bitwise. `newest` tracks the checkpoint
+/// resumed from or the newest capture.
 fn execute_job(
     shared: &Arc<Shared>,
     job: &QueuedJob,
     solver: &mut LdcSolver,
     token: &CancelToken,
-    checkpointed: &mut Option<Vec<f64>>,
+    newest: &mut Option<Capture>,
 ) -> ExecOutcome {
     let _scope = CancelScope::install(token.clone());
     let spec = &job.spec;
     let mut driver = QmdDriver::new(spec.dt, Some(NoseHoover::new(spec.temperature, 2, 200.0)));
 
-    // Every write of earlier attempts has landed (each ended with a flush).
-    // Resume from the newest valid checkpoint the energy record reaches;
+    // Every checkpoint on disk was saved whole at the end of an earlier
+    // attempt. Resume from the newest valid one the energy record reaches;
     // if rollback past corrupt files leaves none, start over.
     let resume = if job.has_checkpoint {
         let at_most = job.energies.len() as u64;
         match shared
-            .writer
             .store(job.id)
             .and_then(|store| store.load_latest_at_most(at_most))
         {
@@ -632,7 +615,10 @@ fn execute_job(
                 return ExecOutcome::Failed(e);
             }
             let energies = job.energies[..ckp.step as usize].to_vec();
-            *checkpointed = Some(energies.clone());
+            *newest = Some(Capture {
+                energies: energies.clone(),
+                unsaved: None,
+            });
             (system, ckp.step, energies)
         }
         None => (spec.build_system(), 0, Vec::new()),
@@ -642,11 +628,10 @@ fn execute_job(
     for step in start_step..u64::from(spec.steps) {
         match token.status() {
             Some(CancelReason::Preempt) => {
-                // Step boundary: checkpoint (unless the newest one already
+                // Step boundary: capture (unless the newest capture already
                 // holds this step) and yield the worker.
-                if checkpointed.as_ref().map(Vec::len) != Some(energies.len()) {
-                    queue_checkpoint(shared, job.id, &driver, &system, solver, &energies);
-                    *checkpointed = Some(energies);
+                if newest.as_ref().map(|c| c.energies.len()) != Some(energies.len()) {
+                    *newest = Some(capture(&driver, &system, solver, energies));
                 }
                 return ExecOutcome::Preempted;
             }
@@ -675,8 +660,7 @@ fn execute_job(
         }
         let done = step + 1;
         if done < u64::from(spec.steps) && done % u64::from(spec.checkpoint_every) == 0 {
-            queue_checkpoint(shared, job.id, &driver, &system, solver, &energies);
-            *checkpointed = Some(energies.clone());
+            *newest = Some(capture(&driver, &system, solver, energies.clone()));
         }
     }
     ExecOutcome::Completed(JobResult {
@@ -689,70 +673,75 @@ fn execute_job(
 
 /// Captures the resume checkpoint after `energies.len()` completed steps
 /// inside one `checkpoint` span — the solver's export, which no solver
-/// span covers — and queues it on the writer, which makes it durable off
-/// this thread.
-fn queue_checkpoint(
-    shared: &Shared,
-    job: u64,
+/// span covers. It stays in memory until the attempt ends.
+fn capture(
     driver: &QmdDriver<NoseHoover>,
     system: &AtomicSystem,
     solver: &LdcSolver,
-    energies: &[f64],
-) {
+    energies: Vec<f64>,
+) -> Capture {
     let _span = trace::span("checkpoint");
-    let step = energies.len() as u64;
-    let ckp = driver.checkpoint(step, system, solver.export_state());
-    shared.writer.save(job, ckp);
+    let ckp = driver.checkpoint(energies.len() as u64, system, solver.export_state());
+    Capture {
+        energies,
+        unsaved: Some(ckp),
+    }
 }
 
-/// Applies an attempt's outcome under the scheduler lock: terminal states
-/// settle the ledger and tenant accounting; preemptions and retryable
-/// failures requeue. Every path lands in exactly one of those — no
-/// outcome leaves a job unaccounted. A settled job's checkpoints are handed
-/// to the writer to cancel and delete before the lock is released, so a
-/// drain that sees the job terminal also waits for that.
+/// Makes `ckp` durable in `job`'s store inside one `checkpoint_save` span:
+/// one write, fsync, rename, directory fsync and retention pass. A panic
+/// inside the save is a failed save, so the worker survives it.
+fn save_checkpoint(shared: &Shared, job: u64, ckp: &Checkpoint) -> mqmd_util::Result<()> {
+    let _span = trace::span("checkpoint_save");
+    catch_unwind(AssertUnwindSafe(|| shared.store(job)?.save(ckp)))
+        .unwrap_or_else(|_| {
+            Err(MqmdError::Io(format!(
+                "checkpoint save of job {job} at step {} panicked",
+                ckp.step
+            )))
+        })
+        .map(drop)
+}
+
+/// Where a finished attempt leaves its job.
+enum Settle {
+    Completed(JobResult),
+    /// Requeued at once: a preemption does not consume an attempt.
+    Preempted,
+    /// Requeued after a backoff, for the reason given.
+    Retry(String),
+    /// Terminally failed: the record's error and the event's detail.
+    Failed(String, String),
+}
+
+/// Applies an attempt's outcome. Terminal states settle the ledger and
+/// tenant accounting; preemptions and retryable failures requeue. Every
+/// path lands in exactly one of those — no outcome leaves a job
+/// unaccounted. The decision is made before the scheduler lock is taken,
+/// so a settling job's checkpoint directory is removed here, off the lock
+/// but while the job still counts as running: a drain that sees the job
+/// terminal also sees its directory gone.
 fn finish_attempt(
     shared: &Arc<Shared>,
     wid: usize,
     mut job: QueuedJob,
-    attempt: Attempt,
-    elapsed: Duration,
+    outcome: Result<ExecOutcome, String>,
 ) {
-    job.consumed += elapsed;
-    if let Some(energies) = attempt.durable {
-        job.energies = energies;
-        job.has_checkpoint = true;
-    }
-    let cfg = &shared.cfg;
-    let mut inner = shared.lock();
-    inner.running.remove(&wid);
     let (id, tenant) = (job.id, job.spec.tenant);
-
-    enum Settle {
-        Terminal(JobState, &'static str, String),
-        Requeue(&'static str, String),
-    }
-    let settle = match attempt.outcome {
-        Ok(ExecOutcome::Completed(res)) => {
-            inner.ledger.completed += 1;
-            Settle::Terminal(JobState::Completed(res), "completed", String::new())
-        }
+    let panicked = outcome.is_err();
+    let retry_left = job.attempt < MAX_ATTEMPTS;
+    let settle = match outcome {
+        Ok(ExecOutcome::Completed(res)) => Settle::Completed(res),
         Ok(ExecOutcome::Preempted) => {
-            inner.ledger.preemptions += 1;
-            if let Some(rec) = inner.ledger.records.get_mut(&id) {
-                rec.preemptions += 1;
-            }
-            // A preemption does not consume an attempt: the job was not
-            // at fault, it was shed for priority.
+            // The job was not at fault, it was shed for priority.
             job.attempt = job.attempt.saturating_sub(1);
             job.ready_at = Instant::now();
-            Settle::Requeue("preempted", String::new())
+            Settle::Preempted
         }
         Ok(ExecOutcome::Failed(error)) => {
             let budget_left = job.spec.deadline.is_none_or(|b| job.consumed < b);
-            if retryable(&error) && job.attempt < cfg.max_attempts && budget_left {
-                inner.ledger.retries += 1;
-                job.ready_at = Instant::now() + backoff_delay(cfg, id, job.attempt);
+            if retryable(&error) && retry_left && budget_left {
+                job.ready_at = Instant::now() + backoff_delay(&shared.cfg, id, job.attempt);
                 if faults::active() {
                     faults::record_recovery(
                         "serve_retry_backoff",
@@ -761,26 +750,17 @@ fn finish_attempt(
                         0.0,
                     );
                 }
-                Settle::Requeue("retrying", error.to_string())
+                Settle::Retry(error.to_string())
             } else {
-                inner.ledger.failed += 1;
                 if faults::active() {
                     faults::record_abort("serve_job_failed", format!("job {id}"), job.attempt);
                 }
-                Settle::Terminal(
-                    JobState::Failed {
-                        error: error.to_string(),
-                    },
-                    "failed",
-                    error.to_string(),
-                )
+                Settle::Failed(error.to_string(), error.to_string())
             }
         }
         Err(panic_msg) => {
-            inner.ledger.panics_caught += 1;
-            if job.attempt < cfg.max_attempts {
-                inner.ledger.retries += 1;
-                job.ready_at = Instant::now() + backoff_delay(cfg, id, job.attempt);
+            if retry_left {
+                job.ready_at = Instant::now() + backoff_delay(&shared.cfg, id, job.attempt);
                 if faults::active() {
                     faults::record_recovery(
                         "serve_requeue_after_panic",
@@ -789,48 +769,65 @@ fn finish_attempt(
                         0.0,
                     );
                 }
-                Settle::Requeue("retrying", format!("panic: {panic_msg}"))
+                Settle::Retry(format!("panic: {panic_msg}"))
             } else {
-                inner.ledger.failed += 1;
                 if faults::active() {
                     faults::record_abort("serve_panic_abort", format!("rank {wid}"), job.attempt);
                 }
-                Settle::Terminal(
-                    JobState::Failed {
-                        error: format!("worker panic: {panic_msg}"),
-                    },
-                    "failed",
-                    panic_msg,
-                )
+                Settle::Failed(format!("worker panic: {panic_msg}"), panic_msg)
             }
         }
     };
+    if job.stored && matches!(settle, Settle::Completed(_) | Settle::Failed(..)) {
+        // The job's checkpoint store is garbage now.
+        std::fs::remove_dir_all(shared.job_dir(id)).ok();
+    }
 
-    let (state_label, detail) = match settle {
-        Settle::Terminal(state, label, detail) => {
+    let mut inner = shared.lock();
+    inner.running.remove(&wid);
+    let ledger = &mut inner.ledger;
+    ledger.panics_caught += u64::from(panicked);
+    let (label, detail, terminal) = match settle {
+        Settle::Completed(res) => {
+            ledger.completed += 1;
+            ("completed", String::new(), Some(JobState::Completed(res)))
+        }
+        Settle::Preempted => {
+            ledger.preemptions += 1;
+            if let Some(rec) = ledger.records.get_mut(&id) {
+                rec.preemptions += 1;
+            }
+            ("preempted", String::new(), None)
+        }
+        Settle::Retry(detail) => {
+            ledger.retries += 1;
+            ("retrying", detail, None)
+        }
+        Settle::Failed(error, detail) => {
+            ledger.failed += 1;
+            ("failed", detail, Some(JobState::Failed { error }))
+        }
+    };
+    match terminal {
+        Some(state) => {
             if let Some(rec) = inner.ledger.records.get_mut(&id) {
                 rec.state = state;
             }
             if let Some(active) = inner.tenant_active.get_mut(&tenant) {
                 *active = active.saturating_sub(1);
             }
-            // The job's checkpoint store is garbage now. The writer drops
-            // its queued writes and deletes it; no filesystem time here.
-            shared.writer.settle(id);
-            (label, detail)
         }
-        Settle::Requeue(label, detail) => {
+        None => {
             if let Some(rec) = inner.ledger.records.get_mut(&id) {
                 rec.state = JobState::Queued;
             }
             inner.queue.push(job);
-            (label, detail)
         }
-    };
+    }
     let depth = inner.queue.len() as u32;
     let running = inner.running.len() as u32;
     drop(inner);
-    emit_job_state(id, tenant, state_label, detail);
+    emit_job_state(id, tenant, label, detail);
     events::emit(Event::QueueDepth { depth, running });
     shared.cv.notify_all();
 }

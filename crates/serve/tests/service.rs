@@ -59,6 +59,11 @@ fn wait_until_running(rt: &ServiceRuntime, id: u64) {
     }
 }
 
+/// Calls of the spans named `name` anywhere in a traced run.
+fn span_calls(spans: &trace::TraceNode, name: &str) -> u64 {
+    spans.aggregate(name).map_or(0, |n| n.calls)
+}
+
 #[test]
 fn admission_rejects_are_typed_and_counted() {
     // No workers: jobs stay queued, so the admission arithmetic is exact.
@@ -366,17 +371,26 @@ fn preempted_job_resumes_bitwise_identical() {
         ..Default::default()
     };
 
-    // Leg A: the probe runs uninterrupted.
+    // Leg A: the probe runs uninterrupted, traced. It captures
+    // checkpoints in memory but, completing, saves none.
+    let _ = trace::take();
+    trace::set_enabled(true);
     let rt = ServiceRuntime::start(ServiceConfig::new(tmp("preempt_a"))).unwrap();
     let id_a = rt.submit(probe.clone()).id().unwrap();
     let ledger_a = rt.shutdown();
+    trace::set_enabled(false);
+    let spans_a = trace::take();
+    assert!(span_calls(&spans_a, "checkpoint") > 0);
+    assert_eq!(span_calls(&spans_a, "checkpoint_save"), 0);
     let JobState::Completed(ref_result) = ledger_a.records[&id_a].state.clone() else {
         panic!("probe failed: {:?}", ledger_a.records[&id_a].state);
     };
     assert_eq!(ref_result.energies.len(), 3);
 
     // Leg B: same probe, but a high-priority job lands right behind it
-    // on a single-worker runtime, preempting it at a step boundary.
+    // on a single-worker runtime, preempting it at a step boundary. Each
+    // preemption saves its capture once; nothing else touches the store.
+    trace::set_enabled(true);
     let rt = ServiceRuntime::start(ServiceConfig::new(tmp("preempt_b"))).unwrap();
     let id_b = rt.submit(probe).id().unwrap();
     wait_until_running(&rt, id_b);
@@ -388,6 +402,11 @@ fn preempted_job_resumes_bitwise_identical() {
     };
     let id_vip = rt.submit(vip).id().unwrap();
     let ledger_b = rt.shutdown();
+    trace::set_enabled(false);
+    assert_eq!(
+        span_calls(&trace::take(), "checkpoint_save"),
+        ledger_b.preemptions
+    );
 
     let JobState::Completed(got) = ledger_b.records[&id_b].state.clone() else {
         panic!(
@@ -471,7 +490,7 @@ fn attempt_failed_after_a_queued_write_resumes_from_it_bitwise() {
 
     // The first domain solve of step 2 breaks down on every rung of the
     // in-solver ladder (warm bands, their copy, scratch): attempt 1 fails
-    // with step 1's checkpoint queued, maybe not yet on disk.
+    // with step 1's checkpoint captured in memory, and saves it as it ends.
     let mut plan = FaultPlan::new();
     for at in 1..=3 {
         plan.push(
@@ -506,5 +525,71 @@ fn attempt_failed_after_a_queued_write_resumes_from_it_bitwise() {
     assert!(ledger.audit(4, 16).is_empty(), "{:?}", ledger.audit(4, 16));
     let left: Vec<_> = std::fs::read_dir(&root).unwrap().collect();
     assert!(left.is_empty(), "a settled job's store outlived shutdown");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn failed_save_restarts_the_retry_from_step_zero() {
+    let _gate = fault_gate();
+    faults::reset_stats();
+    let spec = JobSpec {
+        steps: 3,
+        checkpoint_every: 1,
+        ..Default::default()
+    };
+    let driver = || QmdDriver::new(spec.dt, Some(NoseHoover::new(spec.temperature, 2, 200.0)));
+
+    // Step 1's domain solves are counted, so the fault below lands on the
+    // first one of step 2.
+    let mut solver = LdcSolver::new(spec.ldc_config());
+    let mut system = spec.build_system();
+    trace::set_enabled(true);
+    driver().run(&mut system, &mut solver, 1);
+    trace::set_enabled(false);
+    let step1_solves = span_calls(&trace::take(), "domain_solve");
+    assert!(step1_solves > 0);
+
+    // Attempt 1 fails on step 2, as in the test above, with step 1's
+    // capture in hand. A plain file where job 1's checkpoint directory
+    // should be makes its save fail, so attempt 2 has nothing to resume.
+    let mut plan = FaultPlan::new();
+    for at in 1..=3 {
+        plan.push(
+            FaultKind::DavidsonDiverge,
+            Site::Domain(0),
+            step1_solves + at,
+        );
+    }
+    faults::install(plan);
+    let root = tmp("failed_save");
+    std::fs::create_dir_all(&root).unwrap();
+    std::fs::write(root.join("job_00000001"), b"not a directory").unwrap();
+    trace::set_enabled(true);
+    let rt = ServiceRuntime::start(ServiceConfig::new(&root)).unwrap();
+    let id = rt.submit(spec.clone()).id().unwrap();
+    let ledger = rt.shutdown();
+    trace::set_enabled(false);
+    let saves = span_calls(&trace::take(), "checkpoint_save");
+    let stats = faults::stats();
+    faults::clear();
+
+    let rec = &ledger.records[&id];
+    assert_eq!(stats.injected, 3, "{stats:?}");
+    assert_eq!(saves, 1, "attempt 1 tried to save its capture");
+    assert_eq!((rec.attempts, rec.resumes), (2, 0), "{:?}", rec.state);
+    assert_eq!((ledger.resumes, ledger.retries), (0, 1));
+    let JobState::Completed(got) = rec.state.clone() else {
+        panic!("job must complete on attempt 2: {:?}", rec.state);
+    };
+    // Attempt 2 ran every step from step 0 at the second rung.
+    let mut solver = LdcSolver::new(escalate(&spec.ldc_config(), 2));
+    let mut system = spec.build_system();
+    let mut d2 = driver();
+    let want: Vec<f64> = (0..spec.steps)
+        .map(|_| d2.run(&mut system, &mut solver, 1).energies[0])
+        .collect();
+    let bits = |e: &[f64]| e.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&got.energies), bits(&want));
+    assert!(ledger.audit(4, 16).is_empty(), "{:?}", ledger.audit(4, 16));
     std::fs::remove_dir_all(&root).ok();
 }

@@ -291,9 +291,9 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 struct Sink {
     buf: Vec<EventRecord>,
     cap: usize,
-    /// Records dropped since the last [`drain`], keyed by emitting lane:
-    /// backpressure in the telemetry path is attributable, not silent.
-    drops: BTreeMap<u32, u64>,
+    /// Records dropped since the last [`drain`]: backpressure in the
+    /// telemetry path is counted, not silent.
+    dropped: u64,
 }
 
 fn sink() -> &'static Mutex<Sink> {
@@ -302,7 +302,7 @@ fn sink() -> &'static Mutex<Sink> {
         Mutex::new(Sink {
             buf: Vec::new(),
             cap: DEFAULT_CAPACITY,
-            drops: BTreeMap::new(),
+            dropped: 0,
         })
     })
 }
@@ -363,25 +363,18 @@ pub fn emit(event: Event) {
     if s.buf.len() < s.cap {
         s.buf.push(record);
     } else {
-        *s.drops.entry(record.lane).or_insert(0) += 1;
+        s.dropped += 1;
     }
 }
 
 /// Takes every buffered record (oldest first) and the number of records
-/// dropped since the previous drain, summed over lanes.
+/// dropped since the previous drain.
 pub fn drain() -> (Vec<EventRecord>, u64) {
     let mut s = lock_sink();
     let out = std::mem::take(&mut s.buf);
-    let dropped = std::mem::take(&mut s.drops).values().sum();
+    let dropped = std::mem::take(&mut s.dropped);
     drop(s);
     (out, dropped)
-}
-
-/// Snapshot of records dropped since the last [`drain`], keyed by the
-/// encoded lane ([`Lane::decode`]) of the thread whose emit was refused.
-#[cfg(test)]
-fn dropped_by_lane() -> BTreeMap<u32, u64> {
-    lock_sink().drops.clone()
 }
 
 // ---------------------------------------------------------------------------
@@ -688,42 +681,14 @@ mod tests {
             });
         }
         set_enabled(false);
-        let by_lane = dropped_by_lane();
         let (records, dropped) = drain();
         set_capacity(DEFAULT_CAPACITY);
         assert_eq!(records.len(), 4);
         assert_eq!(dropped, 6);
         // Oldest-first order preserved.
         assert!(matches!(records[0].event, Event::QmdStep { step: 0, .. }));
-        // All drops attributed to this (control) lane; drain cleared them.
-        assert_eq!(by_lane.values().sum::<u64>(), 6);
-        assert!(by_lane.keys().all(|&l| l < 10_000));
-        assert!(dropped_by_lane().is_empty());
-    }
-
-    #[test]
-    fn drops_are_attributed_per_lane() {
-        let _g = lock();
-        set_enabled(true);
-        let _ = drain();
-        set_capacity(1);
-        emit(Event::SpanBegin { name: "fills" }); // occupies the only slot
-        {
-            let _r = LaneGuard::rank(3);
-            emit(Event::SpanBegin { name: "r" });
-            emit(Event::SpanEnd { name: "r" });
-        }
-        {
-            let _w = LaneGuard::install(Lane::Worker(0));
-            emit(Event::SpanBegin { name: "w" });
-        }
-        set_enabled(false);
-        let by_lane = dropped_by_lane();
-        let (_, dropped) = drain();
-        set_capacity(DEFAULT_CAPACITY);
-        assert_eq!(dropped, 3);
-        assert_eq!(by_lane.get(&Lane::Rank(3).encode()), Some(&2));
-        assert_eq!(by_lane.get(&Lane::Worker(0).encode()), Some(&1));
+        // The drain cleared the count.
+        assert_eq!(drain().1, 0);
     }
 
     #[test]
