@@ -998,16 +998,6 @@ mod tests {
     }
 
     #[test]
-    fn flop_accounting() {
-        mqmd_util::flops::take_flops();
-        let a = Matrix::zeros(8, 4);
-        let b = Matrix::zeros(4, 6);
-        let mut c = Matrix::zeros(8, 6);
-        dgemm(1.0, &a, &b, 0.0, &mut c);
-        assert_eq!(mqmd_util::flops::take_flops(), 2 * 8 * 6 * 4);
-    }
-
-    #[test]
     #[should_panic]
     fn dimension_mismatch_panics() {
         let a = Matrix::zeros(2, 3);

@@ -16,8 +16,9 @@
 //! * [`gemm`] — blocked, rayon-parallel GEMM and GEMV reference paths;
 //! * [`cholesky`] — real and complex (Hermitian) Cholesky, used for the
 //!   overlap-matrix orthonormalisation of the Kohn–Sham bands (§3.3);
-//! * [`eigen`] — cyclic-Jacobi symmetric/Hermitian eigensolvers for subspace
-//!   (Rayleigh–Ritz) diagonalisation;
+//! * [`eigen`] — the cyclic-Jacobi Hermitian eigensolver for subspace
+//!   (Rayleigh–Ritz) diagonalisation, in a scalar and a bitwise-equal
+//!   planar vector form;
 //! * [`orthonorm`] — Cholesky-based and modified-Gram–Schmidt band
 //!   orthonormalisation;
 //! * [`triangular`] — the lower-triangular inverse `L⁻¹`.

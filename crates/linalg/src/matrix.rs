@@ -110,21 +110,6 @@ impl Matrix {
             .fold(0.0, f64::max)
     }
 
-    /// Returns whether the matrix is symmetric to within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Scales every entry in place.
     pub fn scale(&mut self, s: f64) {
         for x in &mut self.data {
@@ -181,9 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_symmetric() {
+    fn identity_frobenius_norm() {
         let i = Matrix::identity(5);
-        assert!(i.is_symmetric(0.0));
         assert_eq!(i.frobenius_norm(), 5f64.sqrt());
     }
 

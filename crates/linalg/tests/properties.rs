@@ -1,7 +1,7 @@
 //! Property-based tests of the dense linear-algebra kernels.
 
 use mqmd_linalg::cholesky::{dpotrf, zpotrf};
-use mqmd_linalg::eigen::{dsyev, zheev};
+use mqmd_linalg::eigen::zheev;
 use mqmd_linalg::gemm::{dgemm, dgemv, zgemm, zgemm_dagger_a_into, zgemv};
 use mqmd_linalg::orthonorm::{cholesky_orthonormalize_with, orthonormality_defect};
 use mqmd_linalg::{CMatrix, Matrix};
@@ -79,16 +79,6 @@ proptest! {
         let mut r = CMatrix::zeros(n, n);
         zgemm(Complex64::ONE, &l, &l.dagger(), Complex64::ZERO, &mut r);
         prop_assert!(a.max_abs_diff(&r) < 1e-8 * (1.0 + a.frobenius_norm()));
-    }
-
-    #[test]
-    fn eigenvalue_sum_equals_trace(n in 2usize..9, seed in any::<u64>()) {
-        let m = random_matrix(n, n, seed);
-        let mut a = Matrix::zeros(n, n);
-        dgemm(1.0, &m.transpose(), &m, 0.0, &mut a);
-        let (vals, _) = dsyev(&a).unwrap();
-        let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
-        prop_assert!((vals.iter().sum::<f64>() - trace).abs() < 1e-8 * (1.0 + trace.abs()));
     }
 
     #[test]

@@ -17,11 +17,16 @@
 //!   the row of B it would scale does not reach C, on either path.
 //! * Results are bitwise reproducible run-to-run and across rayon thread
 //!   counts: the parallel split is a pure function of the problem shape.
+//! * `zheev_simd` (re/im planes, eigenvectors transposed, the row passes in
+//!   `f64x4` lanes) applies the rotations of `zheev_scalar` in the same
+//!   order with the same per-element arithmetic, so every eigenvalue and
+//!   eigenvector bit agrees, on inputs that are Hermitian only to rounding.
 //!
 //! Tail shapes are the point: dims `1..=2·LANES+1` (LANES = 4 for AVX2
 //! `f64x4`) sweep every remainder class of the 4×8 register block, and the
 //! explicit empty/unit cases pin the degenerate early-outs.
 
+use mqmd_linalg::eigen::{zheev, zheev_scalar, zheev_simd};
 use mqmd_linalg::gemm::{
     dgemm_scalar, dgemm_simd, zgemm, zgemm_dagger_a_into, zgemm_scalar, zgemm_simd,
 };
@@ -374,5 +379,99 @@ fn orthonormalization_is_bitwise_deterministic_across_thread_counts() {
                 .expect("random bands orthonormalize");
             bits_of(&psi)
         });
+    }
+}
+
+/// Jacobi orders: every remainder of the 4-lane rows, the 2×2 and 4×4 Ritz
+/// problems of the H₂ service jobs, and the 36-, 40- and 48-vector Ritz
+/// problems of the SiC domains.
+const JACOBI_ORDERS: [usize; 11] = [1, 2, 3, 4, 5, 8, 13, 17, 36, 40, 48];
+
+/// `X†·(H·X)` with H exactly Hermitian: the Rayleigh–Ritz matrix as the
+/// Davidson solver forms it, Hermitian only to rounding, so the lower
+/// triangle is not the conjugate of the upper one bit for bit.
+fn ritz_matrix(n: usize, seed: u64) -> CMatrix {
+    let m = 2 * n + 3;
+    let x = random_cmatrix(m, n, seed);
+    let g = random_cmatrix(m, m, seed ^ 0x3c6e);
+    let h = CMatrix::from_fn(m, m, |i, j| (g[(i, j)] + g[(j, i)].conj()).scale(0.5));
+    let mut hx = CMatrix::zeros(m, n);
+    zgemm(Complex64::ONE, &h, &x, Complex64::ZERO, &mut hx);
+    let mut s = CMatrix::zeros(n, n);
+    zgemm_dagger_a_into(&x, &hx, &mut s, &Workspace::new());
+    s
+}
+
+/// Asserts that both forms, and the dispatcher, return the same bits.
+fn assert_jacobi_forms_agree(a: &CMatrix, ctx: &str) {
+    let (vals, vecs) = zheev_scalar(a).expect(ctx);
+    for (name, form) in [
+        ("zheev_simd", zheev_simd as fn(&CMatrix) -> _),
+        ("zheev", zheev),
+    ] {
+        let (got_vals, got_vecs) = form(a).expect(ctx);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got_vals), bits(&vals), "{name} {ctx}: eigenvalues");
+        assert_cmatrix_bits_eq(&got_vecs, &vecs, &format!("{name} {ctx}: eigenvectors"));
+    }
+}
+
+#[test]
+fn zheev_simd_is_bitwise_scalar_on_ritz_matrices() {
+    for n in JACOBI_ORDERS {
+        for seed in [1, 2] {
+            let a = ritz_matrix(n, 100 * n as u64 + seed);
+            let asymmetric = (0..n)
+                .flat_map(|i| (0..n).map(move |j| (i, j)))
+                .any(|(i, j)| a[(i, j)] != a[(j, i)].conj());
+            assert!(
+                asymmetric || n < 3,
+                "n = {n}: the input is exactly Hermitian"
+            );
+            assert_jacobi_forms_agree(&a, &format!("Ritz n = {n} seed {seed}"));
+        }
+    }
+}
+
+/// Inputs whose rotations are skipped (a diagonal matrix; a diagonal with
+/// one off-diagonal pair), whose eigenvalues repeat (a rank-one phase
+/// matrix; equal diagonals make `tau` zero), and whose entries are zeros of
+/// both signs.
+#[test]
+fn zheev_simd_is_bitwise_scalar_on_structured_matrices() {
+    for n in JACOBI_ORDERS {
+        let diagonal = CMatrix::from_fn(n, n, |i, j| {
+            let d = ((i * 7) % 5) as f64 - 2.0;
+            Complex64::new(if i == j { d } else { 0.0 }, 0.0)
+        });
+        assert_jacobi_forms_agree(&diagonal, &format!("diagonal n = {n}"));
+
+        let mut one_pair = diagonal.clone();
+        if n > 1 {
+            one_pair[(0, n - 1)] = Complex64::new(0.5, -0.25);
+            one_pair[(n - 1, 0)] = Complex64::new(0.5, 0.25);
+        }
+        assert_jacobi_forms_agree(&one_pair, &format!("one pair n = {n}"));
+
+        let phase = |k: usize| Complex64::new((0.7 * k as f64).cos(), (0.7 * k as f64).sin());
+        let rank_one = CMatrix::from_fn(n, n, |i, j| phase(i) * phase(j).conj());
+        assert_jacobi_forms_agree(&rank_one, &format!("rank one n = {n}"));
+
+        let mut rng = Xoshiro256pp::seed_from_u64(n as u64);
+        let mut signed = CMatrix::zeros(n, n);
+        for i in 0..n {
+            signed[(i, i)] = Complex64::new([0.0, -0.0, 1.0][i % 3], -0.0);
+            for j in (i + 1)..n {
+                let z = match rng.next_u64() % 4 {
+                    0 => Complex64::new(0.0, -0.0),
+                    1 => Complex64::new(-0.0, 0.0),
+                    2 => Complex64::new(rng.normal(), -0.0),
+                    _ => Complex64::new(rng.normal(), rng.normal()),
+                };
+                signed[(i, j)] = z;
+                signed[(j, i)] = z.conj();
+            }
+        }
+        assert_jacobi_forms_agree(&signed, &format!("signed zeros n = {n}"));
     }
 }

@@ -60,19 +60,29 @@ fn h2_jobs_meet_the_contract_within_the_iteration_and_flop_budgets() {
     }
 }
 
+/// A job's checkpoint root, removed when the guard drops: after the
+/// runtime's `shutdown()`, and on panic.
+struct TempRoot(std::path::PathBuf);
+
+impl Drop for TempRoot {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
 #[test]
 fn sic_job_converges_on_the_first_attempt() {
     let _alone = KERNELS.lock().unwrap_or_else(|e| e.into_inner());
     for nc in [(1, 1, 1), (2, 1, 1)] {
-        let dir = std::env::temp_dir().join(format!(
+        let dir = TempRoot(std::env::temp_dir().join(format!(
             "mqmd_serve_sic{}{}{}_{}",
             nc.0,
             nc.1,
             nc.2,
             std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let rt = ServiceRuntime::start(ServiceConfig::new(dir)).unwrap();
+        )));
+        std::fs::remove_dir_all(&dir.0).ok();
+        let rt = ServiceRuntime::start(ServiceConfig::new(&dir.0)).unwrap();
         let spec = JobSpec {
             geometry: Geometry::SiC { nc },
             steps: 1,

@@ -3,7 +3,7 @@
 //! headline property — a preempted-then-resumed job reproduces the
 //! uninterrupted run bitwise.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -25,10 +25,27 @@ fn fault_gate() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-fn tmp(name: &str) -> PathBuf {
+/// A test's checkpoint root, removed when the guard drops: after the
+/// runtime's `shutdown()` when declared before the runtime, and on panic.
+struct TempRoot(PathBuf);
+
+impl std::ops::Deref for TempRoot {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempRoot {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn tmp(name: &str) -> TempRoot {
     let dir = std::env::temp_dir().join(format!("mqmd_serve_{name}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    dir
+    TempRoot(dir)
 }
 
 fn quick_spec() -> JobSpec {
@@ -67,7 +84,8 @@ fn span_calls(spans: &trace::TraceNode, name: &str) -> u64 {
 #[test]
 fn admission_rejects_are_typed_and_counted() {
     // No workers: jobs stay queued, so the admission arithmetic is exact.
-    let mut cfg = ServiceConfig::new(tmp("admission"));
+    let root = tmp("admission");
+    let mut cfg = ServiceConfig::new(&*root);
     cfg.workers = 0;
     cfg.queue_capacity = 3;
     cfg.tenant_quota = 2;
@@ -133,7 +151,8 @@ fn tiny_deadline_fails_typed_not_retried() {
     // A lone 1 ns job on one worker, then a storm: one 1 ns job and one
     // unbounded sibling per tenant for four tenants on two workers.
     for (workers, tenants, sibling) in [(1, 1, false), (2, 4, true)] {
-        let mut cfg = ServiceConfig::new(tmp(&format!("deadline_{workers}")));
+        let root = tmp(&format!("deadline_{workers}"));
+        let mut cfg = ServiceConfig::new(&*root);
         cfg.workers = workers;
         cfg.queue_capacity = 8;
         let rt = ServiceRuntime::start(cfg).unwrap();
@@ -186,7 +205,8 @@ fn injected_worker_kill_is_supervised_and_job_retried() {
     let mut plan = FaultPlan::new();
     plan.push(FaultKind::WorkerKill, Site::Rank(0), 1);
     faults::install(plan);
-    let rt = ServiceRuntime::start(ServiceConfig::new(tmp("kill"))).unwrap();
+    let root = tmp("kill");
+    let rt = ServiceRuntime::start(ServiceConfig::new(&*root)).unwrap();
     let id = rt.submit(quick_spec()).id().unwrap();
     let ledger = rt.shutdown();
     faults::clear();
@@ -233,7 +253,8 @@ fn seeded_chaos_matrix_fires_every_fault_and_leaves_a_clean_ledger() {
     let planned = plan.faults.len() as u64;
     faults::install(plan);
 
-    let mut cfg = ServiceConfig::new(tmp("chaos"));
+    let root = tmp("chaos");
+    let mut cfg = ServiceConfig::new(&*root);
     cfg.seed = seed;
     cfg.workers = 2;
     cfg.tenant_quota = jobs as usize;
@@ -287,7 +308,8 @@ fn scf_fault_walks_retry_ladder_to_completion() {
     let mut plan = FaultPlan::new();
     plan.push(FaultKind::DensityNan, Site::Domain(0), 2);
     faults::install(plan);
-    let rt = ServiceRuntime::start(ServiceConfig::new(tmp("scf_fault"))).unwrap();
+    let root = tmp("scf_fault");
+    let rt = ServiceRuntime::start(ServiceConfig::new(&*root)).unwrap();
     let id = rt.submit(quick_spec()).id().unwrap();
     let ledger = rt.shutdown();
     faults::clear();
@@ -325,7 +347,8 @@ fn failed_first_attempt_retries_at_the_conservative_rung_bitwise() {
         steps: 2,
         ..Default::default()
     };
-    let rt = ServiceRuntime::start(ServiceConfig::new(tmp("retry_rung"))).unwrap();
+    let root = tmp("retry_rung");
+    let rt = ServiceRuntime::start(ServiceConfig::new(&*root)).unwrap();
     let id = rt.submit(spec.clone()).id().unwrap();
     let ledger = rt.shutdown();
     let stats = faults::stats();
@@ -375,7 +398,8 @@ fn preempted_job_resumes_bitwise_identical() {
     // checkpoints in memory but, completing, saves none.
     let _ = trace::take();
     trace::set_enabled(true);
-    let rt = ServiceRuntime::start(ServiceConfig::new(tmp("preempt_a"))).unwrap();
+    let root_a = tmp("preempt_a");
+    let rt = ServiceRuntime::start(ServiceConfig::new(&*root_a)).unwrap();
     let id_a = rt.submit(probe.clone()).id().unwrap();
     let ledger_a = rt.shutdown();
     trace::set_enabled(false);
@@ -391,7 +415,8 @@ fn preempted_job_resumes_bitwise_identical() {
     // on a single-worker runtime, preempting it at a step boundary. Each
     // preemption saves its capture once; nothing else touches the store.
     trace::set_enabled(true);
-    let rt = ServiceRuntime::start(ServiceConfig::new(tmp("preempt_b"))).unwrap();
+    let root_b = tmp("preempt_b");
+    let rt = ServiceRuntime::start(ServiceConfig::new(&*root_b)).unwrap();
     let id_b = rt.submit(probe).id().unwrap();
     wait_until_running(&rt, id_b);
     let vip = JobSpec {
@@ -501,7 +526,7 @@ fn attempt_failed_after_a_queued_write_resumes_from_it_bitwise() {
     }
     faults::install(plan);
     let root = tmp("fail_after_write");
-    let rt = ServiceRuntime::start(ServiceConfig::new(&root)).unwrap();
+    let rt = ServiceRuntime::start(ServiceConfig::new(&*root)).unwrap();
     let id = rt.submit(spec.clone()).id().unwrap();
     let ledger = rt.shutdown();
     let stats = faults::stats();
@@ -523,9 +548,8 @@ fn attempt_failed_after_a_queued_write_resumes_from_it_bitwise() {
         );
     }
     assert!(ledger.audit(4, 16).is_empty(), "{:?}", ledger.audit(4, 16));
-    let left: Vec<_> = std::fs::read_dir(&root).unwrap().collect();
+    let left: Vec<_> = std::fs::read_dir(&*root).unwrap().collect();
     assert!(left.is_empty(), "a settled job's store outlived shutdown");
-    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
@@ -562,10 +586,10 @@ fn failed_save_restarts_the_retry_from_step_zero() {
     }
     faults::install(plan);
     let root = tmp("failed_save");
-    std::fs::create_dir_all(&root).unwrap();
+    std::fs::create_dir_all(&*root).unwrap();
     std::fs::write(root.join("job_00000001"), b"not a directory").unwrap();
     trace::set_enabled(true);
-    let rt = ServiceRuntime::start(ServiceConfig::new(&root)).unwrap();
+    let rt = ServiceRuntime::start(ServiceConfig::new(&*root)).unwrap();
     let id = rt.submit(spec.clone()).id().unwrap();
     let ledger = rt.shutdown();
     trace::set_enabled(false);
@@ -591,5 +615,4 @@ fn failed_save_restarts_the_retry_from_step_zero() {
     let bits = |e: &[f64]| e.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     assert_eq!(bits(&got.energies), bits(&want));
     assert!(ledger.audit(4, 16).is_empty(), "{:?}", ledger.audit(4, 16));
-    std::fs::remove_dir_all(&root).ok();
 }
