@@ -9,7 +9,7 @@
 //! dominant cost of a domain solve: the `eigen` span took 70–72 % of the
 //! `domain_solve` thread-seconds of the profiled QMD steps and 84–85 % of
 //! the Fig-5 domain solve (`repro_profile`) with the scalar form alone, and
-//! 64 % and 82–83 % with the vector form below.
+//! 64–65 % and 81–83 % with the vector form below.
 //!
 //! [`zheev`] has two forms that return the same bits. [`zheev_scalar`]
 //! rotates the row-major complex matrix in place, one complex element at a
@@ -28,11 +28,12 @@ use mqmd_util::{Complex64, MqmdError, Result};
 /// Maximum number of Jacobi sweeps before conceding non-convergence.
 const MAX_SWEEPS: usize = 64;
 
-/// Smallest order [`zheev`] hands to the planar vector form. Up to order 4
-/// a row is at most one 4-lane vector, and splitting the planes costs as
-/// much as the vector passes save: the scalar form's time over the planar
-/// one measured 0.6–1.1 at orders 2–4 and 1.1–1.7 from order 5 to 48.
-const PLANAR_MIN_N: usize = 5;
+/// Smallest order [`zheev`] hands to the planar vector form. Below order 4
+/// a row is shorter than one 4-lane vector, the row passes run only their
+/// scalar tail, and splitting the planes costs more than it saves: the
+/// scalar form's time over the planar one measured 0.86–0.94 at order 2,
+/// 0.88–1.01 at order 3, 1.01–1.08 at order 4 and 1.2–1.5 at orders 36–48.
+const PLANAR_MIN_N: usize = 4;
 
 /// FLOPs one sweep tallies, whether or not its rotations are skipped.
 fn sweep_flops(n: usize) -> u64 {
@@ -50,7 +51,7 @@ fn rotation_bytes(n: usize) -> u64 {
 ///
 /// Returns `(eigenvalues, eigenvectors)` with eigenvalues ascending (they are
 /// real for Hermitian input) and eigenvectors in columns, unitary to machine
-/// precision. Dispatches to [`zheev_simd`] from order 5 on and to
+/// precision. Dispatches to [`zheev_simd`] from order 4 on and to
 /// [`zheev_scalar`] below it; the two are bitwise equal.
 pub fn zheev(a: &CMatrix) -> Result<(Vec<f64>, CMatrix)> {
     if a.rows() >= PLANAR_MIN_N {
@@ -283,9 +284,9 @@ mod planar {
             }
         }
 
-        /// Columns `p` and `q` (`p < q`) of the same matrix: four rows per
-        /// vector step, gathered and scattered lane by lane, the tail one
-        /// row at a time.
+        /// Columns `p` and `q` (`p < q`) of the same matrix, one row at a
+        /// time: each row's two elements sit `q − p` apart, so there is
+        /// nothing contiguous to load four of.
         ///
         /// # Safety
         /// Requires AVX2 at runtime.
@@ -293,28 +294,13 @@ mod planar {
         unsafe fn columns(self, re: &mut [f64], im: &mut [f64], n: usize, [p, q]: [usize; 2]) {
             assert!(re.len() == n * n && im.len() == n * n && p < q && q < n);
             let (re, im) = (re.as_mut_ptr(), im.as_mut_ptr());
-            let at = |i: usize| {
-                [
+            for i in 0..n {
+                self.one([
                     re.add(i * n + p),
                     im.add(i * n + p),
                     re.add(i * n + q),
                     im.add(i * n + q),
-                ]
-            };
-            let body = n - n % 4;
-            for i in (0..body).step_by(4) {
-                let rows = [at(i), at(i + 1), at(i + 2), at(i + 3)];
-                let gathered: [F64x4; 4] = std::array::from_fn(|e| {
-                    F64x4::new(*rows[0][e], *rows[1][e], *rows[2][e], *rows[3][e])
-                });
-                for (e, v) in self.lanes(gathered).into_iter().enumerate() {
-                    for (l, x) in v.to_array().into_iter().enumerate() {
-                        *rows[l][e] = x;
-                    }
-                }
-            }
-            for i in body..n {
-                self.one(at(i));
+                ]);
             }
         }
 
